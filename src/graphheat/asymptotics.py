@@ -7,7 +7,11 @@ implementation bug, which is what makes these checks a usable test oracle.
 Reports compare a left-hand side (an approximation error measured with the
 most accurate evaluation route available) against an explicitly computed
 right-hand side.  ``passed`` allows the relative slack 1e-9 plus an absolute
-floor of 1e-300, covering evaluation round-off without weakening the bound.
+floor of 1e-300.  The slack covers the series route's round-off (it stops at
+a remainder of 1e-15 of the element) but not the eigen route's: an eigen
+element carries an absolute rounding floor of about n * eps * sqrt(m(x) m(y))
+whatever its size, so where the bound is that small, ``lhs`` can be off by
+more than 1e-9 * rhs.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import INFINITE, combinatorial_distance
-from .moments import UnknownAbove, moment, moment_table
-from .operators import LaplacianOperator, WeightedVector, _exact_sum, inner
+from .moments import PairMoments, stream
+from .operators import WeightedVector, _exact_sum
 from .spectral import (ScalarFunction, SpectralDecomposition, _resolve,
-                       _cached_decomposition, functional_calculus,
-                       heat_element, wave_element)
+                       functional_calculus, heat_element, pair_element,
+                       select_route)
 
 PASS_SLACK_REL = 1e-9
 PASS_SLACK_ABS = 1e-300
@@ -86,24 +90,13 @@ def _graph_of(source):
     return graph
 
 
-def _vector_moments(op, f, g, n_max):
-    """<f, L^n g> for n = 0..n_max via one stream of sparse applications."""
-    values = []
-    cur = g
-    for n in range(n_max + 1):
-        values.append(inner(f, cur))
-        if n < n_max:
-            cur = op.apply(cur)
-    return values
-
-
 def taylor_bound(dec: SpectralDecomposition, func: ScalarFunction,
                  f: WeightedVector, g: WeightedVector, order: int) -> BoundReport:
     """Generic Taylor-remainder bound for the functional calculus.
 
     lhs: |<f, func(L) g>  -  sum_{n<=order} func^(n)(0)/n! <f, L^n g>|, the
-    calculus value coming from the eigenpairs and the moments from sparse
-    applications (two independent routes).
+    calculus value coming from the eigenpairs and the moments from the streams
+    of g and f (two independent routes).
     rhs: bound * (<f, L^(order+1) f> + <g, L^(order+1) g>) / (2 (order+1)!).
     """
     if order < 0:
@@ -111,25 +104,46 @@ def taylor_bound(dec: SpectralDecomposition, func: ScalarFunction,
     if len(func.derivatives_at_zero) < order + 1:
         raise ValueError(f"need derivatives up to order {order}, got "
                          f"{len(func.derivatives_at_zero)} values")
-    op = LaplacianOperator(dec.graph)
     exact = functional_calculus(dec, func, f, g)
-    fg_moments = _vector_moments(op, f, g, order + 1)
+    fa, ga = f.to_array(), g.to_array()
+
+    def pairing(a, b):
+        return _exact_sum((dec.measures * np.conj(a) * b).tolist())
+
+    fg_moments = []
+    for _, (g_n, f_n) in stream(dec.graph, [dict(g.items()), dict(f.items())], 1.0):
+        fg_moments.append(pairing(fa, g_n))
+        if len(fg_moments) == order + 2:
+            ff, gg = pairing(fa, f_n), pairing(ga, g_n)
+            break
     partial = _exact_sum([func.derivatives_at_zero[n] / math.factorial(n) * fg_moments[n]
                           for n in range(order + 1)])
-    ff = _vector_moments(op, f, f, order + 1)[order + 1]
-    gg = _vector_moments(op, g, g, order + 1)[order + 1]
     lhs = abs(exact - partial)
     rhs = func.next_derivative_bound / math.factorial(order + 1) * 0.5 * (ff.real + gg.real)
     return BoundReport("taylor", None, None, None, order, lhs, rhs)
 
 
-def _require_order_at_least(op, x, y, n):
-    values = moment_table(op, x, y, n).values
-    for k in range(n):
-        if values[k] != 0.0:
-            raise ValueError(
-                f"bound requires every moment below n to vanish; moment {k} is {values[k]}")
-    return values[n]
+def _first_order(pm: PairMoments, n: int):
+    """The first order k <= n with a nonzero moment <1_x, L^k 1_y>, or None."""
+    if n < 0:
+        raise ValueError("moment order must be non-negative")
+    return next((k for k in range(n + 1) if pm[k][0] != 0.0), None)
+
+
+def _order_bound(source, x, y, t, n, unitary):
+    graph = _graph_of(source)
+    pm = PairMoments(graph, x, y)
+    k = _first_order(pm, n)
+    if k is not None and k < n:
+        raise ValueError(f"bound requires every moment below n to vanish; "
+                         f"moment {k} is {pm.moments(k)[0]}")
+    m_n = pm.moments(n)[0]
+    lead = ((-1j * t) if unitary else -t) ** n * m_n / math.factorial(n)
+    element = pair_element(source, pm, t, select_route(source, t, "auto"), unitary)
+    _, m_xx, m_yy = pm.moments(n + 1)
+    rhs = t ** (n + 1) * (m_xx + m_yy) / (2 * math.factorial(n + 1))
+    return BoundReport("unitary" if unitary else "semigroup", x, y, t, n,
+                       abs(element - lead), rhs)
 
 
 def semigroup_bound(source, x, y, t, n: int) -> BoundReport:
@@ -138,26 +152,12 @@ def semigroup_bound(source, x, y, t, n: int) -> BoundReport:
     lhs: |<1_x, e^{-tL} 1_y> - (-t)^n <1_x, L^n 1_y> / n!|
     rhs: t^(n+1) (<1_x, L^(n+1) 1_x> + <1_y, L^(n+1) 1_y>) / (2 (n+1)!)
     """
-    graph = _graph_of(source)
-    op = LaplacianOperator(graph)
-    m_n = _require_order_at_least(op, x, y, n)
-    lead = (-t) ** n * m_n / math.factorial(n)
-    lhs = abs(heat_element(source, x, y, t) - lead)
-    rhs = t ** (n + 1) * (moment(op, x, x, n + 1) + moment(op, y, y, n + 1)) \
-        / (2 * math.factorial(n + 1))
-    return BoundReport("semigroup", x, y, t, n, lhs, rhs)
+    return _order_bound(source, x, y, t, n, unitary=False)
 
 
 def unitary_bound(source, x, y, t, n: int) -> BoundReport:
     """Short-time bound for the unitary group; same right-hand side as the semigroup."""
-    graph = _graph_of(source)
-    op = LaplacianOperator(graph)
-    m_n = _require_order_at_least(op, x, y, n)
-    lead = (-1j * t) ** n * m_n / math.factorial(n)
-    lhs = abs(wave_element(source, x, y, t) - lead)
-    rhs = t ** (n + 1) * (moment(op, x, x, n + 1) + moment(op, y, y, n + 1)) \
-        / (2 * math.factorial(n + 1))
-    return BoundReport("unitary", x, y, t, n, lhs, rhs)
+    return _order_bound(source, x, y, t, n, unitary=True)
 
 
 def leading_term_check(source, x, y, t, cutoff=None) -> tuple[BoundReport, BoundReport]:
@@ -183,49 +183,37 @@ def pair_verification_reports(source, x, y, ts, cutoff=None,
     small t measures that route's cancellation rather than the theorems.
     """
     graph = _graph_of(source)
-    op = LaplacianOperator(graph)
     d = combinatorial_distance(graph, x, y, cutoff=cutoff)
     if d == INFINITE:
         raise ValueError(f"vertices {x} and {y} are not connected; the leading-order "
                          "estimate needs a finite hop distance")
-    one_x = WeightedVector.basis(graph, x)
-    one_y = WeightedVector.basis(graph, y)
-    cur = one_y
-    m_d = 0.0
-    for k in range(d + 1):
-        if k == d:
-            m_d = graph.measure(x) * cur[x]
-        cur = op.apply(cur)
-    m_yy = inner(one_y, cur)
+    pm = PairMoments(graph, x, y)
+    m_d = pm.moments(d)[0]
     if m_d == 0.0:
         raise ArithmeticError(f"moment at the hop distance {d} vanished for pair ({x}, {y}); "
                               "this contradicts the graph structure and signals a bug")
-    cur = one_x
-    for _ in range(d + 1):
-        cur = op.apply(cur)
-    m_xx = inner(one_x, cur)
+    _, m_xx, m_yy = pm.moments(d + 1)
     lead_coef = abs(m_d) / math.factorial(d)
     bound_coef = (m_xx + m_yy) / (2 * math.factorial(d + 1))
     reports = []
     for t in ts:
-        h = heat_element(source, x, y, t, method=method)
-        w = wave_element(source, x, y, t, method=method)
-        lead = t ** d * lead_coef
-        rhs = t ** (d + 1) * bound_coef
+        h, w = _elements(source, pm, t, method)
+        lead, rhs = t ** d * lead_coef, t ** (d + 1) * bound_coef
+        lhs = {"heat_leading": abs(h - lead), "wave_leading": abs(abs(w) - lead),
+               "semigroup": abs(h - (-t) ** d * m_d / math.factorial(d)),
+               "unitary": abs(w - (-1j * t) ** d * m_d / math.factorial(d))}
         for tag in which:
-            if tag == "heat_leading":
-                reports.append(BoundReport(tag, x, y, t, d, abs(h - lead), rhs))
-            elif tag == "wave_leading":
-                reports.append(BoundReport(tag, x, y, t, d, abs(abs(w) - lead), rhs))
-            elif tag == "semigroup":
-                signed = (-t) ** d * m_d / math.factorial(d)
-                reports.append(BoundReport(tag, x, y, t, d, abs(h - signed), rhs))
-            elif tag == "unitary":
-                signed = (-1j * t) ** d * m_d / math.factorial(d)
-                reports.append(BoundReport(tag, x, y, t, d, abs(w - signed), rhs))
-            else:
+            if tag not in lhs:
                 raise ValueError(f"unknown report tag {tag!r}")
+            reports.append(BoundReport(tag, x, y, t, d, lhs[tag], rhs))
     return reports
+
+
+def _elements(source, pm: PairMoments, t, method):
+    """The heat and the wave element of pm's pair at t, through one route."""
+    route = select_route(source, t, method)
+    return (pair_element(source, pm, t, route, unitary=False),
+            pair_element(source, pm, t, route, unitary=True))
 
 
 def leading_exponent_fit(source, x, y, t0: float = 1e-3, ratio: float = 0.1,
@@ -244,18 +232,14 @@ def leading_exponent_fit(source, x, y, t0: float = 1e-3, ratio: float = 0.1,
         raise ValueError("need at least 3 grid points")
     if group not in ("heat", "wave"):
         raise ValueError(f"unknown group {group!r}; expected 'heat' or 'wave'")
-    graph, dec = _resolve(source)
-    if graph.is_finite:
-        dec = dec or _cached_decomposition(graph)
-        if t0 * dec.largest_eigenvalue > 0.5:
-            raise ValueError(f"t0={t0} is too large for the series route: "
-                             f"t0 * lambda_max = {t0 * dec.largest_eigenvalue:.6g} > 1/2")
-        source = dec
-    evaluate = heat_element if group == "heat" else wave_element
+    graph = _graph_of(source)
+    if graph.is_finite and select_route(source, t0, "auto") == "eigen":
+        raise ValueError(f"t0={t0} is too large for the series route: t0 * lambda_max > 1/2")
+    pm = PairMoments(graph, x, y)
     grid = [t0 * ratio ** k for k in range(count)]
     logs = []
     for tk in grid:
-        value = abs(evaluate(source, x, y, tk, method="series"))
+        value = abs(pair_element(graph, pm, tk, "series", unitary=(group == "wave")))
         if value <= UNDERFLOW_FLOOR:
             raise ArithmeticError(
                 f"element underflowed at t={tk} after {len(logs)} of {count} grid points "
@@ -283,17 +267,17 @@ def vanishing_order_check(source, x, y, n: int, t_samples,
     about magnitudes, not exactness.
     """
     graph = _graph_of(source)
-    op = LaplacianOperator(graph)
-    order = moment_table(op, x, y, n).order
-    if not isinstance(order, UnknownAbove):
+    pm = PairMoments(graph, x, y)
+    order = _first_order(pm, n)
+    if order is not None:
         raise ValueError(f"pair ({x}, {y}) has a nonzero moment at order {order} <= {n}; "
                          "the vanishing-order witness does not apply")
-    constant = (moment(op, x, x, n + 1) + moment(op, y, y, n + 1)) / (2 * math.factorial(n + 1))
+    _, m_xx, m_yy = pm.moments(n + 1)
+    constant = (m_xx + m_yy) / (2 * math.factorial(n + 1))
     samples = []
     for t in t_samples:
-        h = abs(heat_element(source, x, y, t, method=method))
-        w = abs(wave_element(source, x, y, t, method=method))
-        samples.append((t, h, w, constant * t ** (n + 1)))
+        h, w = _elements(source, pm, t, method)
+        samples.append((t, abs(h), abs(w), constant * t ** (n + 1)))
     return VanishingOrderReport(x, y, n, constant, tuple(samples))
 
 

@@ -26,7 +26,7 @@ from .graphio import GraphFormatError, load_graph
 from .graphs import INFINITE, combinatorial_distance, distances_from
 from .moments import (UnknownAbove, first_nonzero_moments, moment_table)
 from .operators import LaplacianOperator
-from .spectral import decompose, heat_element, wave_element
+from .spectral import heat_element, select_route, wave_element
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -208,8 +208,12 @@ def _cmd_verify(args) -> int:
             if d == INFINITE:
                 skipped += 1
                 continue
-            for rep in pair_verification_reports(graph, x, y, ts, cutoff=cfg.cutoff,
-                                                 method=cfg.method):
+            try:
+                reports = pair_verification_reports(graph, x, y, ts, cutoff=cfg.cutoff,
+                                                    method=cfg.method)
+            except ValueError as exc:
+                raise CliError(EXIT_USAGE, str(exc)) from exc
+            for rep in reports:
                 total += 1
                 if not rep.passed:
                     failures += 1
@@ -233,7 +237,10 @@ def _cmd_exponent(args) -> int:
             if d == INFINITE:
                 skipped += 1
                 continue
-            fit = leading_exponent_fit(graph, x, y, cfg.t0, cfg.ratio, cfg.count, cfg.group)
+            try:
+                fit = leading_exponent_fit(graph, x, y, cfg.t0, cfg.ratio, cfg.count, cfg.group)
+            except ValueError as exc:
+                raise CliError(EXIT_USAGE, str(exc)) from exc
             err = abs(fit.slope - d)
             worst = max(worst, err)
             _emit(out, [x, y, cfg.group, fit.slope, d, err, fit.max_residual])
@@ -264,20 +271,17 @@ def _cmd_sweep(args, unitary: bool) -> int:
     pairs = _select_pairs(graph, args.pairs, cfg.seed)
     ts = sorted(cfg.t_grid() + [0.0])
     op = LaplacianOperator(graph)
-    dec = decompose(graph)
     with _open_out(args.out) as out:
         _emit(out, ["x", "y", "t", "value", "leading", "bound", "method"])
         for x, y in pairs:
             overlay = _pair_overlay(graph, op, x, y, cfg.cutoff)
             for t in ts:
-                method = cfg.method
-                if method == "auto":
-                    method = "series" if t * dec.largest_eigenvalue <= 0.5 else "eigen"
                 try:
+                    method = select_route(graph, t, cfg.method)
                     if unitary:
-                        value = abs(wave_element(dec, x, y, t, method=method))
+                        value = abs(wave_element(graph, x, y, t, method=method))
                     else:
-                        value = heat_element(dec, x, y, t, method=method)
+                        value = heat_element(graph, x, y, t, method=method)
                 except ValueError as exc:
                     raise CliError(EXIT_USAGE, str(exc)) from exc
                 if overlay is None:

@@ -351,10 +351,17 @@ def ball(source, x, radius: int) -> WeightedGraph:
     whose ``labels`` record the original vertex ids (sorted ascending).
     Includes every edge with both endpoints inside the ball.
     """
+    return neighborhood(source, [x], radius)
+
+
+def neighborhood(source, centers, radius: int) -> WeightedGraph:
+    """The :func:`ball` around several centers: the union of their balls, induced."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    dist = distances_from(source, x, cutoff=radius)
-    members = sorted(dist)
+    members = set()
+    for x in centers:
+        members.update(distances_from(source, x, cutoff=radius))
+    members = sorted(members)
     index = {v: i for i, v in enumerate(members)}
     edges = []
     for v in members:

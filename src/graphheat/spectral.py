@@ -15,11 +15,13 @@ Matrix elements of e^{-tL} and e^{-itL} come in two routes:
   rule driven by the rigorous remainder bound
   t^{K+1} (<1_x, L^{K+1} 1_x> + <1_y, L^{K+1} 1_y>) / (2 (K+1)!).  The first
   nonzero term already has the size of the result, so there is no leading
-  cancellation, and support tracking makes elements across disconnected
-  components exactly 0.0.  Internally the partial sums are built from the
-  scaled vectors (tL)^n 1_y / n!, which represent the same numbers while
-  keeping every intermediate bounded.
-* ``auto`` picks series when t * lambda_max <= 1/2 and eigen otherwise.
+  cancellation, and the exact zeros of the moment streams make elements across
+  disconnected components exactly 0.0.  The moments come from the streams
+  (L/s)^n of :class:`~graphheat.moments.PairMoments` and meet the bounded
+  coefficients (t s)^n / n!; one pair's streams serve every t and both
+  propagators.
+* ``auto`` picks series when t * lambda_max <= 1/2 and eigen otherwise; see
+  :func:`select_route`.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from typing import Callable
 import numpy as np
 
 from .graphs import ProceduralGraph, WeightedGraph
+from .moments import PairMoments
 from .operators import (DENSE_SIZE_LIMIT, LaplacianOperator, WeightedVector,
-                        _exact_sum, dense_matrices, inner)
+                        _exact_sum, compiled, dense_matrices)
 
 # default stopping tolerance keeps series noise an order below the 1e-9
 # slack of bound reports even when the element dwarfs the bound (tight
@@ -42,6 +45,9 @@ SERIES_RTOL = 1e-15
 SERIES_FLOOR = 1e-300
 MAX_SERIES_TERMS = 1000
 EIGENVALUE_DUST = 1e-10
+# room for eigh's rounding of lambda_max (about n eps ||A||) above the Gershgorin
+# bound, so that the route gate never skips a decomposition the choice needs
+GATE_ROUNDING = 1e-9
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,7 @@ def decompose(graph: WeightedGraph, max_size: int = DENSE_SIZE_LIMIT) -> Spectra
     positive semidefinite by construction.
     """
     A, M = dense_matrices(graph, max_size=max_size)
-    m = np.diag(M)
+    m = np.diag(M).copy()  # a view would keep the n x n M alive with the decomposition
     s = 1.0 / np.sqrt(m)
     S = A * s[:, None] * s[None, :]
     S = 0.5 * (S + S.T)
@@ -153,10 +159,13 @@ def decompose(graph: WeightedGraph, max_size: int = DENSE_SIZE_LIMIT) -> Spectra
 
 
 def _cached_decomposition(graph: WeightedGraph) -> SpectralDecomposition:
-    dec = _DECOMPOSITIONS.get(graph)
-    if dec is None:
-        dec = decompose(graph)
-        _DECOMPOSITIONS[graph] = dec
+    # the cache holds the arrays: a decomposition refers to its graph, which
+    # would keep the weak key, and so the entry, alive for good
+    arrays = _DECOMPOSITIONS.get(graph)
+    if arrays is not None:
+        return SpectralDecomposition(graph, *arrays)
+    dec = decompose(graph)
+    _DECOMPOSITIONS[graph] = (dec.eigenvalues, dec.eigenvectors, dec.measures)
     return dec
 
 
@@ -170,8 +179,8 @@ def _resolve(source):
         graph = source
     else:
         raise TypeError(f"expected a decomposition, operator, or graph, got {type(source).__name__}")
-    dec = _DECOMPOSITIONS.get(graph) if graph.is_finite else None
-    return graph, dec
+    cached = graph.is_finite and graph in _DECOMPOSITIONS
+    return graph, _cached_decomposition(graph) if cached else None
 
 
 def functional_calculus(dec: SpectralDecomposition, func, f, g) -> complex:
@@ -225,47 +234,71 @@ def spectral_radius_bound(graph) -> float:
     of the symmetrized matrix)."""
     if not graph.is_finite:
         raise ValueError("spectral bound requires a finite graph")
-    best = 0.0
-    for x in graph.vertices:
-        mx = graph.measure(x)
-        center = (graph.weight_sum(x) + graph.killing(x)) / mx
-        radius = math.fsum(w / math.sqrt(mx * graph.measure(nbr))
-                           for nbr, w in graph.neighbors(x))
-        best = max(best, center + radius)
-    return best
+    return compiled(graph).bound
 
 
-def _series_element(graph, x, y, t, rel_tol, unitary):
-    """Taylor evaluation of a propagator matrix element.
+def select_route(source, t, method: str) -> str:
+    """The route, ``"series"`` or ``"eigen"``, that evaluates an element at time t.
 
-    Streams (tL)^n 1_y / n! (and the same from 1_x when x != y for the
-    remainder bound), accumulating terms until the remainder bound drops
-    below rel_tol times the current partial-sum scale, with an absolute
-    floor of SERIES_FLOOR.
+    ``auto`` takes series while t * lambda_max <= 1/2; an explicit series
+    request is rejected once t * lambda_max > 2, where term growth costs
+    accuracy.  lambda_max is read from the decomposition only when t times the
+    Gershgorin bound does not settle the comparison.
     """
-    op = LaplacianOperator(graph)
-    one_x = WeightedVector.basis(graph, x)
-    one_y = WeightedVector.basis(graph, y)
-    cur = one_y
-    cur_x = one_x if x != y else None
-    factor = -1j if unitary else -1.0
-    phase = 1.0 + 0j if unitary else 1.0
+    graph, dec = _resolve(source)
+    if t < 0:
+        raise ValueError("time must be non-negative")
+    if method not in ("auto", "eigen", "series"):
+        raise ValueError(f"unknown method {method!r}; expected 'eigen', 'series', or 'auto'")
+    if not graph.is_finite:
+        if method != "series":
+            raise ValueError(f"{method} evaluation needs a finite graph; request "
+                             "method='series' explicitly on procedural graphs")
+        return "series"
+    if method == "eigen":
+        return "eigen"
+    limit = 0.5 if method == "auto" else 2.0
+    top = compiled(graph).bound
+    if dec is not None or t * top > limit * (1 - GATE_ROUNDING):
+        top = (dec or _cached_decomposition(graph)).largest_eigenvalue
+    if t * top <= limit:
+        return "series"
+    if method == "auto":
+        return "eigen"
+    raise ValueError(f"series evaluation rejected at t={t}: t times the top-eigenvalue bound "
+                     f"{top:.6g} exceeds 2, where term growth costs accuracy; use eigen")
+
+
+def pair_element(source, pm: PairMoments, t, route: str, unitary: bool,
+                 rel_tol: float = SERIES_RTOL):
+    """<1_x, e^{-tL} 1_y> (e^{-itL} if ``unitary``) for pm's pair through ``route``.
+
+    The series route reads pm's streams and accumulates terms until the
+    remainder bound drops below rel_tol times the current partial-sum scale,
+    with an absolute floor of SERIES_FLOOR; eigen reads the decomposition.
+    """
+    if route == "eigen":
+        graph, dec = _resolve(source)
+        dec = dec or _cached_decomposition(graph)
+        x, y = pm.x, pm.y
+        coeffs = dec.eigenvectors[x] * dec.eigenvectors[y] * (graph.measure(x) * graph.measure(y))
+        if unitary:
+            return complex(np.sum(np.exp(-1j * t * dec.eigenvalues) * coeffs))
+        return float(np.sum(np.exp(-t * dec.eigenvalues) * coeffs))
+    phases = (1 + 0j, -1j, -1 + 0j, 1j) if unitary else (1.0, -1.0)
+    ts = t * pm.scale
+    coef = 1.0  # (t s)^n / n!, against moments scaled by s^-n
     terms = []
     running = 0j if unitary else 0.0
     n = 0
     while True:
-        term = phase * (graph.measure(x) * cur[x])
+        term = phases[n % len(phases)] * (coef * pm[n][0])
         terms.append(term)
         running += term
-        cur = op.apply(cur) * (t / (n + 1))
-        if cur_x is not None:
-            cur_x = op.apply(cur_x) * (t / (n + 1))
         n += 1
-        phase *= factor
-        diag_x = inner(one_x, cur_x if cur_x is not None else cur)
-        diag_y = inner(one_y, cur)
-        remainder = 0.5 * (diag_x + diag_y)
-        if remainder <= max(rel_tol * abs(running), SERIES_FLOOR):
+        coef *= ts / n
+        _, xx, yy = pm[n]
+        if 0.5 * coef * (xx + yy) <= max(rel_tol * abs(running), SERIES_FLOOR):
             break
         if n >= MAX_SERIES_TERMS:
             raise ArithmeticError(
@@ -274,36 +307,9 @@ def _series_element(graph, x, y, t, rel_tol, unitary):
 
 
 def _element(source, x, y, t, method, rel_tol, unitary):
-    graph, dec = _resolve(source)
-    graph._check(x)
-    graph._check(y)
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    mode = method
-    if mode == "auto":
-        if not graph.is_finite:
-            raise ValueError("auto needs the top eigenvalue; request method='series' "
-                             "explicitly on procedural graphs")
-        dec = dec or _cached_decomposition(graph)
-        mode = "series" if t * dec.largest_eigenvalue <= 0.5 else "eigen"
-    if mode == "eigen":
-        if not graph.is_finite:
-            raise ValueError("eigen evaluation requires a finite graph")
-        dec = dec or _cached_decomposition(graph)
-        w = dec.eigenvalues
-        coeffs = dec.eigenvectors[x] * dec.eigenvectors[y] * (graph.measure(x) * graph.measure(y))
-        if unitary:
-            return complex(np.sum(np.exp(-1j * t * w) * coeffs))
-        return float(np.sum(np.exp(-t * w) * coeffs))
-    if mode == "series":
-        if graph.is_finite:
-            top = dec.largest_eigenvalue if dec is not None else spectral_radius_bound(graph)
-            if t * top > 2:
-                raise ValueError(
-                    f"series evaluation rejected at t={t}: t times the top-eigenvalue bound "
-                    f"{top:.6g} exceeds 2, where term growth costs accuracy; use eigen")
-        return _series_element(graph, x, y, t, rel_tol, unitary)
-    raise ValueError(f"unknown method {method!r}; expected 'eigen', 'series', or 'auto'")
+    graph, _ = _resolve(source)
+    pm = PairMoments(graph, x, y)
+    return pair_element(source, pm, t, select_route(source, t, method), unitary, rel_tol)
 
 
 def heat_element(source, x, y, t, method: str = "auto", rel_tol: float = SERIES_RTOL) -> float:

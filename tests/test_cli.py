@@ -248,3 +248,26 @@ def test_all_pairs_cap_samples_with_seed():
     assert len(pairs) == 10000
     assert pairs == sorted(pairs)
     assert pairs == _select_pairs(g, "all", 3)  # seeded, reproducible
+
+
+# above the dense size limit the series route needs no decomposition
+
+
+def test_exponent_above_dense_limit(capsys):
+    code, out, _ = run(capsys, "exponent", "--gen", "path:2001", "--pairs", "0,3")
+    assert code == 0
+    _, body = rows(out)
+    assert abs(float(body[0][3]) - 3.0) < 0.02
+
+
+def test_verify_above_dense_limit(capsys):
+    code, _, err = run(capsys, "verify", "--gen", "path:2001", "--pairs", "0,1", "--count", "3")
+    assert code == 0
+    assert "12/12 checks passed" in err
+
+
+def test_heat_row_needing_eigen_above_dense_limit_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "heat", "--gen", "path:2001", "--pairs", "0,1", "--count", "3")
+    assert code == 2
+    assert err.startswith("graphheat: ") and "dense size limit" in err
+    assert "Traceback" not in err
