@@ -13,7 +13,7 @@ from .asymptotics import (BoundReport, ExponentFit, VanishingOrderReport,
                           leading_exponent_fit, leading_term_check,
                           pair_verification_reports, semigroup_bound,
                           taylor_bound, unitary_bound, vanishing_order_check,
-                          varadhan_diagnostic)
+                          varadhan_diagnostic, verification_reports)
 from .generators import (complete_graph, cycle_graph, from_spec, integer_line,
                          path_graph, random_connected_graph, random_graph,
                          star_graph)
@@ -23,7 +23,8 @@ from .graphs import (INFINITE, ProceduralGraph, WeightedGraph, ball,
                      combinatorial_distance, degree, distances_from,
                      is_connected, validate)
 from .moments import (EnumerationBudgetError, MomentTable, UnknownAbove,
-                      first_nonzero_moments, leading_moment_order, moment,
+                      first_nonzero_moments, first_nonzero_orders,
+                      leading_moment_order, moment,
                       moment_table, path_sum_moment)
 from .operators import (LaplacianOperator, WeightedVector, dense_matrices,
                         inner, quadratic_form)
@@ -42,8 +43,8 @@ __all__ = [
     "UnknownAbove", "VanishingOrderReport", "WeightedGraph", "WeightedVector",
     "ball", "combinatorial_distance", "complete_graph", "cycle_graph",
     "decompose", "degree", "dense_matrices", "distances_from", "dump_graph",
-    "first_nonzero_moments", "from_spec", "functional_calculus",
-    "heat_element", "inner", "integer_line", "is_connected",
+    "first_nonzero_moments", "first_nonzero_orders", "from_spec",
+    "functional_calculus", "heat_element", "inner", "integer_line", "is_connected",
     "leading_exponent_fit", "leading_moment_order", "leading_term_check",
     "load_graph", "moment", "moment_table", "pair_verification_reports",
     "parse_graph", "path_graph", "path_sum_moment", "polarized_measure",
@@ -51,5 +52,6 @@ __all__ = [
     "random_connected_graph", "random_graph", "save_graph", "semigroup_bound",
     "spectral_measure", "spectral_measure_diag", "spectral_radius_bound",
     "star_graph", "taylor_bound", "unitary_bound", "validate",
-    "vanishing_order_check", "varadhan_diagnostic", "wave_element",
+    "vanishing_order_check", "varadhan_diagnostic", "verification_reports",
+    "wave_element",
 ]

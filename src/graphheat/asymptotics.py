@@ -12,6 +12,11 @@ a remainder of 1e-15 of the element) but not the eigen route's: an eigen
 element carries an absolute rounding floor of about n * eps * sqrt(m(x) m(y))
 whatever its size, so where the bound is that small, ``lhs`` can be off by
 more than 1e-9 * rhs.
+
+:func:`verification_reports` certifies many pairs at once: their moments
+come from one block stream over the pairs' distinct vertices, their elements
+from the same series loop and stopping rule, so every report is bitwise the
+one :func:`pair_verification_reports` gives for its pair alone.
 """
 
 from __future__ import annotations
@@ -111,7 +116,8 @@ def taylor_bound(dec: SpectralDecomposition, func: ScalarFunction,
         return _exact_sum((dec.measures * np.conj(a) * b).tolist())
 
     fg_moments = []
-    for _, (g_n, f_n) in stream(dec.graph, [dict(g.items()), dict(f.items())], 1.0):
+    for _, block in stream(dec.graph, [dict(g.items()), dict(f.items())], 1.0):
+        g_n, f_n = block.T
         fg_moments.append(pairing(fa, g_n))
         if len(fg_moments) == order + 2:
             ff, gg = pairing(fa, f_n), pairing(ga, g_n)
@@ -182,31 +188,47 @@ def pair_verification_reports(source, x, y, ts, cutoff=None,
     :func:`vanishing_order_check`.  Overriding ``method`` with ``eigen`` at
     small t measures that route's cancellation rather than the theorems.
     """
-    graph = _graph_of(source)
-    d = combinatorial_distance(graph, x, y, cutoff=cutoff)
+    d = combinatorial_distance(_graph_of(source), x, y, cutoff=cutoff)
     if d == INFINITE:
         raise ValueError(f"vertices {x} and {y} are not connected; the leading-order "
                          "estimate needs a finite hop distance")
-    pm = PairMoments(graph, x, y)
-    m_d = pm.moments(d)[0]
-    if m_d == 0.0:
-        raise ArithmeticError(f"moment at the hop distance {d} vanished for pair ({x}, {y}); "
-                              "this contradicts the graph structure and signals a bug")
-    _, m_xx, m_yy = pm.moments(d + 1)
-    lead_coef = abs(m_d) / math.factorial(d)
-    bound_coef = (m_xx + m_yy) / (2 * math.factorial(d + 1))
-    reports = []
-    for t in ts:
-        h, w = _elements(source, pm, t, method)
-        lead, rhs = t ** d * lead_coef, t ** (d + 1) * bound_coef
-        lhs = {"heat_leading": abs(h - lead), "wave_leading": abs(abs(w) - lead),
-               "semigroup": abs(h - (-t) ** d * m_d / math.factorial(d)),
-               "unitary": abs(w - (-1j * t) ** d * m_d / math.factorial(d))}
-        for tag in which:
-            if tag not in lhs:
-                raise ValueError(f"unknown report tag {tag!r}")
-            reports.append(BoundReport(tag, x, y, t, d, lhs[tag], rhs))
-    return reports
+    return next(verification_reports(source, [(x, y, d)], ts, which, method))
+
+
+def verification_reports(source, pairs, ts,
+                         which=("heat_leading", "wave_leading", "semigroup", "unitary"),
+                         method="auto"):
+    """The reports of :func:`pair_verification_reports` for many connected pairs.
+
+    ``pairs`` holds (x, y, d) triples, d being the pair's hop distance; one
+    list of reports is yielded per triple, in order.  Every pair reads its
+    moments from one block stream over the pairs' distinct vertices (see
+    :meth:`PairMoments.shared`), and its elements through the same series
+    evaluator and stopping rule as a single pair, so each report is bitwise
+    the one-pair report.
+    """
+    graph = _graph_of(source)
+    pairs = list(pairs)
+    for (x, y, d), pm in zip(pairs, PairMoments.shared(graph, [(x, y) for x, y, _ in pairs])):
+        m_d = pm.moments(d)[0]
+        if m_d == 0.0:
+            raise ArithmeticError(f"moment at the hop distance {d} vanished for pair ({x}, {y}); "
+                                  "this contradicts the graph structure and signals a bug")
+        _, m_xx, m_yy = pm.moments(d + 1)
+        lead_coef = abs(m_d) / math.factorial(d)
+        bound_coef = (m_xx + m_yy) / (2 * math.factorial(d + 1))
+        reports = []
+        for t in ts:
+            h, w = _elements(source, pm, t, method)
+            lead, rhs = t ** d * lead_coef, t ** (d + 1) * bound_coef
+            lhs = {"heat_leading": abs(h - lead), "wave_leading": abs(abs(w) - lead),
+                   "semigroup": abs(h - (-t) ** d * m_d / math.factorial(d)),
+                   "unitary": abs(w - (-1j * t) ** d * m_d / math.factorial(d))}
+            for tag in which:
+                if tag not in lhs:
+                    raise ValueError(f"unknown report tag {tag!r}")
+                reports.append(BoundReport(tag, x, y, t, d, lhs[tag], rhs))
+        yield reports
 
 
 def _elements(source, pm: PairMoments, t, method):

@@ -1,12 +1,17 @@
 """Moment matrix elements <1_x, L^n 1_y> and their first nonzero order.
 
-Every moment is read from :func:`stream`, which yields (L/s)^n v with one
-:meth:`LaplacianOperator.apply` per vector and step.  The array kernel keeps
-exact zeros (see :mod:`graphheat.operators`), so a moment is the float 0.0
-precisely when no walk of length n joins x and y, and the first nonzero order
-is found by exact comparison.  On connected graphs it is the hop distance,
-and the moment there has sign (-1)^distance: every shortest-walk product has
-that sign, so no cancellation can occur at the critical order.
+Every moment is read from :func:`stream`, which advances a block of vectors
+v, one column each, to (L/s)^n v with one :meth:`LaplacianOperator.apply` per
+step.  Each column is bitwise the stream of its vector alone on a finite
+graph, so a stream over many basis vectors serves many pairs at once:
+:meth:`PairMoments.shared` reads any number of pairs from one stream over
+their distinct vertices, and :func:`first_nonzero_orders` the first nonzero
+orders of many sources.  The array kernel keeps exact zeros (see
+:mod:`graphheat.operators`), so a moment is the float 0.0 precisely when no
+walk of length n joins x and y, and the first nonzero order is found by exact
+comparison.  On connected graphs it is the hop distance, and the moment there
+has sign (-1)^distance: every shortest-walk product has that sign, so no
+cancellation can occur at the critical order.
 
 The moment readers stream with s = 1, since their values are the moments
 themselves.  :class:`PairMoments`, which feeds the series route, divides by
@@ -54,33 +59,34 @@ class EnumerationBudgetError(RuntimeError):
 
 
 def stream(source, vectors, scale: float):
-    """Yield (positions, [(L/scale)^n v for v in vectors]) for n = 0, 1, ...
+    """Yield (positions, block) for n = 0, 1, ..., column j being (L/scale)^n vectors[j].
 
-    ``vectors`` are {vertex: value} mappings; vertex v sits at index
-    positions[v] of the yielded arrays, one apply per vector and step.  On a
-    procedural source the arrays cover the :func:`neighborhood` of radius r
-    around the vectors' supports, where the streams equal the source's up to
-    order r; at order r the radius doubles and they go on from their current
-    values.  No boundary entry is nonzero before that, so the boundary rows,
-    which miss the edges leaving the neighborhood, never act.
+    ``vectors`` are {vertex: value} mappings; vertex v sits at row
+    positions[v] of the column-major block, which advances by one
+    :meth:`LaplacianOperator.apply` per step.  On a procedural source the rows
+    cover the :func:`neighborhood` of radius r around the vectors' supports,
+    where the streams equal the source's up to order r; at order r the radius
+    doubles and they go on from their current values.  No boundary entry is
+    nonzero before that, so the boundary rows, which miss the edges leaving
+    the neighborhood, never act.
     """
     centers = sorted(set().union(*vectors))
-    radius = None if source.is_finite else INITIAL_RADIUS
+    complex_values = any(isinstance(a, complex) for vec in vectors for a in vec.values())
+    order, radius = 0, None if source.is_finite else INITIAL_RADIUS
     while True:
         graph = source if radius is None else neighborhood(source, centers, radius)
         labels = range(graph.n) if radius is None else graph.labels
         positions = {v: i for i, v in enumerate(labels)}
-        arrays = []
-        for vec in vectors:
-            complex_values = any(isinstance(a, complex) for a in vec.values())
-            arrays.append(np.zeros(graph.n, dtype=complex if complex_values else float))
-            arrays[-1][[positions[v] for v in vec]] = list(vec.values())
+        block = np.zeros((graph.n, len(vectors)), dtype=complex if complex_values else float,
+                         order="F")
+        for j, vec in enumerate(vectors):
+            block[[positions[v] for v in vec], j] = list(vec.values())
         op = LaplacianOperator(graph)
-        for _ in itertools.count() if radius is None else range(radius):
-            yield positions, arrays
-            arrays = [op.apply(u) / scale for u in arrays]
-        vectors = [dict(zip(labels, u.tolist())) for u in arrays]
-        radius *= 2
+        for _ in itertools.count() if radius is None else range(radius - order):
+            yield positions, block
+            block = op.apply(block) / scale
+        vectors = [dict(zip(labels, u.tolist())) for u in block.T]
+        order, radius = radius, 2 * radius
 
 
 def _read(source, positions, u, v) -> float:
@@ -89,32 +95,84 @@ def _read(source, positions, u, v) -> float:
     return 0.0 if k is None else source.measure(v) * float(u[k])
 
 
+class _SharedRows:
+    """Per order, the scaled moments of many pairs, read from one block stream
+    with a column for each distinct vertex: m(x) u_y[x] for the i-th pair (x, y)
+    at index i, then m(v) u_v[v] for the j-th vertex v at index P + j, where u_v
+    is the column of 1_v and P the number of pairs.  The block itself is not
+    kept."""
+
+    def __init__(self, source, pairs):
+        for x, y in pairs:
+            source._check(x)
+            source._check(y)
+        vertices = sorted({v for pair in pairs for v in pair})
+        self.diagonal_at = {v: len(pairs) + j for j, v in enumerate(vertices)}
+        # the compiled scale of the graph, or of the vertices' 1-neighborhood
+        self.scale = compiled(source if source.is_finite
+                              else neighborhood(source, vertices, 1)).scale
+        self._steps = stream(source, [{v: 1.0} for v in vertices], self.scale)
+        # entry (row of x, column of y) for each pair, then (row of v, column of v)
+        self._targets = [x for x, _ in pairs] + vertices
+        column = {v: j for j, v in enumerate(vertices)}
+        self._columns = np.array([column[y] for _, y in pairs] + list(range(len(vertices))))
+        self._measures = np.array([source.measure(v) for v in self._targets])
+        self._positions = None
+        self.orders = []
+
+    def extend(self, n: int):
+        """Read every order up to n."""
+        while len(self.orders) <= n:
+            positions, block = next(self._steps)
+            if positions is not self._positions:  # a new layout: the first, or a larger ball
+                self._positions = positions
+                rows = np.array([positions[v] for v in self._targets], dtype=np.intp)
+                self._flat = rows + len(block) * self._columns
+            self.orders.append(self._measures * block.reshape(-1, order="F").take(self._flat))
+
+
 class PairMoments:
-    """Moments of one vertex pair, read lazily from the streams of 1_y and 1_x.
+    """Moments of one vertex pair, read lazily from a stream of basis vectors.
 
     ``self[n]`` is (<1_x, L^n 1_y>, <1_x, L^n 1_x>, <1_y, L^n 1_y>) / s^n with
-    s = ``self.scale``.  The streams run only as far as the highest order
-    asked for, so every time and both propagators of a pair read the same ones.
+    s = ``self.scale``.  The stream runs only as far as the highest order
+    asked for, so every time and both propagators of a pair read the same
+    one; :meth:`shared` reads many pairs from one stream.
     """
 
     def __init__(self, source, x, y):
-        source._check(x)
-        source._check(y)
+        self._bind(source, x, y, _SharedRows(source, [(x, y)]), 0)
+
+    def _bind(self, source, x, y, shared: _SharedRows, index: int):
         self.source, self.x, self.y = source, x, y
-        starts = (y,) if x == y else (y, x)
-        # the compiled scale of the graph, or of the pair's 1-neighborhood
-        self.scale = compiled(source if source.is_finite else neighborhood(source, starts, 1)).scale
+        self.scale = shared.scale
         self._exp = round(math.log2(self.scale))
-        self._steps = stream(source, [{v: 1.0} for v in starts], self.scale)
+        self._shared = shared
+        self._at = (index, shared.diagonal_at[x], shared.diagonal_at[y])
         self._rows = []
 
+    @classmethod
+    def shared(cls, source, pairs):
+        """Yield one :class:`PairMoments` per pair, in order, all read from
+        one block stream over the pairs' distinct vertices.  Each order keeps
+        one number per pair and one per vertex; a pair's own rows live only
+        as long as its object."""
+        pairs = list(pairs)
+        if not pairs:
+            return
+        shared = _SharedRows(source, pairs)
+        for i, (x, y) in enumerate(pairs):
+            pm = cls.__new__(cls)
+            pm._bind(source, x, y, shared, i)
+            yield pm
+
     def __getitem__(self, n: int):
-        rows, source, x, y = self._rows, self.source, self.x, self.y
-        while len(rows) <= n:
-            positions, (u_y, *rest) = next(self._steps)
-            u_x = rest[0] if rest else u_y
-            rows.append((_read(source, positions, u_y, x), _read(source, positions, u_x, x),
-                         _read(source, positions, u_y, y)))
+        rows = self._rows
+        if len(rows) <= n:
+            shared, (i, jx, jy) = self._shared, self._at
+            shared.extend(n)
+            for row in shared.orders[len(rows):n + 1]:
+                rows.append((float(row[i]), float(row[jx]), float(row[jy])))
         return rows[n]
 
     def moments(self, n: int):
@@ -129,8 +187,8 @@ def _moments_at(op: LaplacianOperator, x, y, n_max: int):
     g = op.graph
     g._check(x)
     g._check(y)
-    for _, (positions, (u,)) in zip(range(n_max + 1), stream(g, [{y: 1.0}], 1.0)):
-        yield _read(g, positions, u, x)
+    for _, (positions, block) in zip(range(n_max + 1), stream(g, [{y: 1.0}], 1.0)):
+        yield _read(g, positions, block[:, 0], x)
 
 
 def moment(op: LaplacianOperator, x, y, n: int) -> float:
@@ -162,23 +220,42 @@ def first_nonzero_moments(op: LaplacianOperator, y, n_max: int) -> dict:
     One vector stream serves all target vertices at once, which is the cheap
     way to compare moment orders against BFS distances over whole graphs.
     """
+    positions, orders, moments = first_nonzero_orders(op, [y], n_max)
+    return {v: (int(orders[k, 0]), float(moments[k, 0]))
+            for v, k in positions.items() if orders[k, 0] >= 0}
+
+
+def first_nonzero_orders(op: LaplacianOperator, sources, n_max: int):
+    """:func:`first_nonzero_moments` of many sources from one unscaled block
+    stream with a column per source, as arrays.
+
+    Returns (positions, orders, moments): orders[positions[v], j] is the first
+    n <= n_max with <1_v, L^n 1_{sources[j]}> nonzero, or -1 if none is, and
+    moments[positions[v], j] that moment.  The stream stops at n_max, or on a
+    finite graph once every column has reached every vertex.
+    """
     g = op.graph
-    g._check(y)
-    out: dict = {}
-    seen = None
+    for y in sources:
+        g._check(y)
+    positions, labels = {}, []
+    orders, moments = np.full((0, len(sources)), -1), np.zeros((0, len(sources)))
     # far behind the front the unscaled entries may overflow; the front stays exact
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, (positions, (u,)) in zip(range(n_max + 1), stream(g, [{y: 1.0}], 1.0)):
-            if seen is None or len(seen) != len(u):
+        for n, (positions, block) in zip(range(n_max + 1),
+                                         stream(g, [{y: 1.0} for y in sources], 1.0)):
+            if len(orders) != len(block):  # the first layout, or a procedural stream's larger ball
+                grown = np.full(block.shape, -1), np.zeros(block.shape)
+                rows = [positions[v] for v in labels]
+                grown[0][rows], grown[1][rows] = orders, moments
+                orders, moments = grown
                 labels = list(positions)
-                seen = np.array([v in out for v in labels], dtype=bool)
-            fresh = np.flatnonzero((u != 0) & ~seen)
-            seen[fresh] = True
-            for k in fresh.tolist():
-                out[labels[k]] = (n, _read(g, positions, u, labels[k]))
-            if g.is_finite and len(out) == g.n:
+                measure = np.array([g.measure(v) for v in labels])
+            fresh = (block != 0) & (orders < 0)
+            orders[fresh] = n
+            moments[fresh] = (measure[:, None] * block)[fresh]
+            if g.is_finite and (orders >= 0).all():
                 break
-    return out
+    return positions, orders, moments
 
 
 def path_sum_moment(op: LaplacianOperator, x, y, n: int, budget: int = 10_000_000) -> float:

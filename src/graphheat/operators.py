@@ -156,10 +156,20 @@ class CompiledLaplacian:
         self.scale = 2.0 ** math.ceil(math.log2(self.bound)) if self.bound > 0 else 1.0
 
     def apply(self, f: np.ndarray) -> np.ndarray:
+        """L f for an array of shape (n,), or for each column of an (n, k) block.
+
+        A block's columns go through the same products and ``bincount`` as a
+        single vector, so each is bitwise the 1-D result.
+        """
         if np.iscomplexobj(f):
             return self.apply(f.real) + 1j * self.apply(f.imag)
-        offdiag = np.bincount(self.rows, self.w * f[self.cols], minlength=len(self.m))
-        return (self.diag * f - offdiag) / self.m
+        n = len(self.m)
+        if f.ndim == 1:
+            offdiag = np.bincount(self.rows, self.w * f[self.cols], minlength=n)
+            return (self.diag * f - offdiag) / self.m
+        offdiag = np.array([np.bincount(self.rows, self.w * column[self.cols], minlength=n)
+                            for column in f.T]).T
+        return (self.diag[:, None] * f - offdiag) / self.m[:, None]
 
 
 _KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

@@ -19,7 +19,8 @@ Matrix elements of e^{-tL} and e^{-itL} come in two routes:
   disconnected components exactly 0.0.  The moments come from the streams
   (L/s)^n of :class:`~graphheat.moments.PairMoments` and meet the bounded
   coefficients (t s)^n / n!; one pair's streams serve every t and both
-  propagators.
+  propagators, and :func:`heat_element` / :func:`wave_element` keep the last
+  pair's streams in each thread, so a sweep over t reads them once.
 * ``auto`` picks series when t * lambda_max <= 1/2 and eigen otherwise; see
   :func:`select_route`.
 """
@@ -27,6 +28,7 @@ Matrix elements of e^{-tL} and e^{-itL} come in two routes:
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from dataclasses import dataclass
 from typing import Callable
@@ -291,13 +293,14 @@ def pair_element(source, pm: PairMoments, t, route: str, unitary: bool,
     terms = []
     running = 0j if unitary else 0.0
     n = 0
+    xy = pm[0][0]
     while True:
-        term = phases[n % len(phases)] * (coef * pm[n][0])
+        term = phases[n % len(phases)] * (coef * xy)
         terms.append(term)
         running += term
         n += 1
         coef *= ts / n
-        _, xx, yy = pm[n]
+        xy, xx, yy = pm[n]
         if 0.5 * coef * (xx + yy) <= max(rel_tol * abs(running), SERIES_FLOOR):
             break
         if n >= MAX_SERIES_TERMS:
@@ -306,10 +309,21 @@ def pair_element(source, pm: PairMoments, t, route: str, unitary: bool,
     return _exact_sum(terms)
 
 
+# the last pair's moments in each thread: successive elements of one pair
+# (a sweep over t, heat then wave) read one stream
+_LAST_PAIR = threading.local()
+
+
 def _element(source, x, y, t, method, rel_tol, unitary):
     graph, _ = _resolve(source)
-    pm = PairMoments(graph, x, y)
-    return pair_element(source, pm, t, select_route(source, t, method), unitary, rel_tol)
+    pm = getattr(_LAST_PAIR, "moments", None)
+    # kept only after a success: a stream that raised cannot go on
+    _LAST_PAIR.moments = None
+    if pm is None or pm.source is not graph or (pm.x, pm.y) != (x, y):
+        pm = PairMoments(graph, x, y)
+    value = pair_element(source, pm, t, select_route(source, t, method), unitary, rel_tol)
+    _LAST_PAIR.moments = pm
+    return value
 
 
 def heat_element(source, x, y, t, method: str = "auto", rel_tol: float = SERIES_RTOL) -> float:

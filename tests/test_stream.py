@@ -85,8 +85,10 @@ def test_ball_streams_after_two_doublings_match_the_finite_path():
     path = WeightedGraph(n, [(u, u + 1, _weight(u - offset)) for u in range(n - 1)],
                          measure=[1.0 + ((u - offset) % 5) / 4.0 for u in range(n)])
     for source, finite in ((integer_line(), path_graph(n)), (_chain(), path)):
-        lazy = moment_table(LaplacianOperator(source), 0, 3, orders).values
-        assert lazy == moment_table(LaplacianOperator(finite), offset, offset + 3, orders).values
+        for y in (3, 30):  # 30: the stream of 1_y is read far from its center
+            lazy = moment_table(LaplacianOperator(source), 0, y, orders).values
+            assert lazy == moment_table(LaplacianOperator(finite), offset, offset + y,
+                                        orders).values
         lazy_pm = PairMoments(source, -2, 3)
         finite_pm = PairMoments(finite, offset - 2, offset + 3)
         # the scales may differ, but powers of two rescale exactly
