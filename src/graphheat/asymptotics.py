@@ -90,11 +90,6 @@ class VanishingOrderReport:
                    for _, h, w, b in self.samples)
 
 
-def _graph_of(source):
-    graph, _ = _resolve(source)
-    return graph
-
-
 def taylor_bound(dec: SpectralDecomposition, func: ScalarFunction,
                  f: WeightedVector, g: WeightedVector, order: int) -> BoundReport:
     """Generic Taylor-remainder bound for the functional calculus.
@@ -110,17 +105,16 @@ def taylor_bound(dec: SpectralDecomposition, func: ScalarFunction,
         raise ValueError(f"need derivatives up to order {order}, got "
                          f"{len(func.derivatives_at_zero)} values")
     exact = functional_calculus(dec, func, f, g)
-    fa, ga = f.to_array(), g.to_array()
-
-    def pairing(a, b):
-        return _exact_sum((dec.measures * np.conj(a) * b).tolist())
-
+    fs, gs = list(f.items()), list(g.items())
+    # <f, L^n g> at every n, then <f, L^n f> and <g, L^n g> at n = order + 1
+    targets = [(v, 0) for v, _ in fs] + [(v, 1) for v, _ in fs] + [(v, 0) for v, _ in gs]
+    weights = np.conj([a for _, a in fs + fs + gs])
+    cut = (len(fs), 2 * len(fs))
     fg_moments = []
-    for _, block in stream(dec.graph, [dict(g.items()), dict(f.items())], 1.0):
-        g_n, f_n = block.T
-        fg_moments.append(pairing(fa, g_n))
+    for values in stream(dec.graph, [dict(gs), dict(fs)], 1.0, targets):
+        fg, ff, gg = (_exact_sum(part.tolist()) for part in np.split(weights * values, cut))
+        fg_moments.append(fg)
         if len(fg_moments) == order + 2:
-            ff, gg = pairing(fa, f_n), pairing(ga, g_n)
             break
     partial = _exact_sum([func.derivatives_at_zero[n] / math.factorial(n) * fg_moments[n]
                           for n in range(order + 1)])
@@ -137,7 +131,7 @@ def _first_order(pm: PairMoments, n: int):
 
 
 def _order_bound(source, x, y, t, n, unitary):
-    graph = _graph_of(source)
+    graph = _resolve(source)
     pm = PairMoments(graph, x, y)
     k = _first_order(pm, n)
     if k is not None and k < n:
@@ -145,7 +139,7 @@ def _order_bound(source, x, y, t, n, unitary):
                          f"moment {k} is {pm.moments(k)[0]}")
     m_n = pm.moments(n)[0]
     lead = ((-1j * t) if unitary else -t) ** n * m_n / math.factorial(n)
-    element = pair_element(source, pm, t, select_route(source, t, "auto"), unitary)
+    element = pair_element(pm, t, select_route(graph, t, "auto"), unitary)
     _, m_xx, m_yy = pm.moments(n + 1)
     rhs = t ** (n + 1) * (m_xx + m_yy) / (2 * math.factorial(n + 1))
     return BoundReport("unitary" if unitary else "semigroup", x, y, t, n,
@@ -188,11 +182,12 @@ def pair_verification_reports(source, x, y, ts, cutoff=None,
     :func:`vanishing_order_check`.  Overriding ``method`` with ``eigen`` at
     small t measures that route's cancellation rather than the theorems.
     """
-    d = combinatorial_distance(_graph_of(source), x, y, cutoff=cutoff)
+    graph = _resolve(source)
+    d = combinatorial_distance(graph, x, y, cutoff=cutoff)
     if d == INFINITE:
         raise ValueError(f"vertices {x} and {y} are not connected; the leading-order "
                          "estimate needs a finite hop distance")
-    return next(verification_reports(source, [(x, y, d)], ts, which, method))
+    return next(verification_reports(graph, [(x, y, d)], ts, which, method))
 
 
 def verification_reports(source, pairs, ts,
@@ -205,10 +200,11 @@ def verification_reports(source, pairs, ts,
     moments from one block stream over the pairs' distinct vertices (see
     :meth:`PairMoments.shared`), and its elements through the same series
     evaluator and stopping rule as a single pair, so each report is bitwise
-    the one-pair report.
+    the one-pair report.  The route is chosen once per t.
     """
-    graph = _graph_of(source)
+    graph = _resolve(source)
     pairs = list(pairs)
+    routes = [select_route(graph, t, method) for t in ts]
     for (x, y, d), pm in zip(pairs, PairMoments.shared(graph, [(x, y) for x, y, _ in pairs])):
         m_d = pm.moments(d)[0]
         if m_d == 0.0:
@@ -218,8 +214,8 @@ def verification_reports(source, pairs, ts,
         lead_coef = abs(m_d) / math.factorial(d)
         bound_coef = (m_xx + m_yy) / (2 * math.factorial(d + 1))
         reports = []
-        for t in ts:
-            h, w = _elements(source, pm, t, method)
+        for t, route in zip(ts, routes):
+            h, w = pair_element(pm, t, route, False), pair_element(pm, t, route, True)
             lead, rhs = t ** d * lead_coef, t ** (d + 1) * bound_coef
             lhs = {"heat_leading": abs(h - lead), "wave_leading": abs(abs(w) - lead),
                    "semigroup": abs(h - (-t) ** d * m_d / math.factorial(d)),
@@ -229,13 +225,6 @@ def verification_reports(source, pairs, ts,
                     raise ValueError(f"unknown report tag {tag!r}")
                 reports.append(BoundReport(tag, x, y, t, d, lhs[tag], rhs))
         yield reports
-
-
-def _elements(source, pm: PairMoments, t, method):
-    """The heat and the wave element of pm's pair at t, through one route."""
-    route = select_route(source, t, method)
-    return (pair_element(source, pm, t, route, unitary=False),
-            pair_element(source, pm, t, route, unitary=True))
 
 
 def leading_exponent_fit(source, x, y, t0: float = 1e-3, ratio: float = 0.1,
@@ -254,14 +243,14 @@ def leading_exponent_fit(source, x, y, t0: float = 1e-3, ratio: float = 0.1,
         raise ValueError("need at least 3 grid points")
     if group not in ("heat", "wave"):
         raise ValueError(f"unknown group {group!r}; expected 'heat' or 'wave'")
-    graph = _graph_of(source)
-    if graph.is_finite and select_route(source, t0, "auto") == "eigen":
+    graph = _resolve(source)
+    if graph.is_finite and select_route(graph, t0, "auto") == "eigen":
         raise ValueError(f"t0={t0} is too large for the series route: t0 * lambda_max > 1/2")
     pm = PairMoments(graph, x, y)
     grid = [t0 * ratio ** k for k in range(count)]
     logs = []
     for tk in grid:
-        value = abs(pair_element(graph, pm, tk, "series", unitary=(group == "wave")))
+        value = abs(pair_element(pm, tk, "series", unitary=(group == "wave")))
         if value <= UNDERFLOW_FLOOR:
             raise ArithmeticError(
                 f"element underflowed at t={tk} after {len(logs)} of {count} grid points "
@@ -288,7 +277,7 @@ def vanishing_order_check(source, x, y, n: int, t_samples,
     under eigen they only vanish to round-off, so that route is informative
     about magnitudes, not exactness.
     """
-    graph = _graph_of(source)
+    graph = _resolve(source)
     pm = PairMoments(graph, x, y)
     order = _first_order(pm, n)
     if order is not None:
@@ -298,7 +287,8 @@ def vanishing_order_check(source, x, y, n: int, t_samples,
     constant = (m_xx + m_yy) / (2 * math.factorial(n + 1))
     samples = []
     for t in t_samples:
-        h, w = _elements(source, pm, t, method)
+        route = select_route(graph, t, method)
+        h, w = pair_element(pm, t, route, False), pair_element(pm, t, route, True)
         samples.append((t, abs(h), abs(w), constant * t ** (n + 1)))
     return VanishingOrderReport(x, y, n, constant, tuple(samples))
 

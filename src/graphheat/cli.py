@@ -19,7 +19,6 @@ import math
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .asymptotics import leading_exponent_fit, verification_reports
 from .generators import from_spec
@@ -43,24 +42,8 @@ class CliError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    t0: float
-    ratio: float
-    count: int
-    method: str
-    group: str
-    tol: float
-    seed: "int | None"
-    cutoff: "int | None"
-
-    def t_grid(self):
-        return [self.t0 * self.ratio ** k for k in range(self.count)]
-
-
-def _config(args) -> RunConfig:
+def _validate(args) -> None:
+    """Reject the values of the options every subcommand shares that no run can use."""
     if args.t0 <= 0:
         raise CliError(EXIT_USAGE, "--t0 must be positive")
     if not 0 < args.ratio < 1:
@@ -69,8 +52,6 @@ def _config(args) -> RunConfig:
         raise CliError(EXIT_USAGE, "--count must be at least 3")
     if args.cutoff is not None and args.cutoff < 0:
         raise CliError(EXIT_USAGE, "--cutoff must be non-negative")
-    return RunConfig(args.t0, args.ratio, args.count, args.method,
-                     getattr(args, "group", "heat"), args.tol, args.seed, args.cutoff)
 
 
 def _load(args):
@@ -161,9 +142,9 @@ def _order_label(order) -> str:
 
 def _cmd_distance(args) -> int:
     graph = _load(args)
-    cfg = _config(args)
-    pairs = _select_pairs(graph, args.pairs, cfg.seed)
-    cutoff = cfg.cutoff if cfg.cutoff is not None else graph.n
+    _validate(args)
+    pairs = _select_pairs(graph, args.pairs, args.seed)
+    cutoff = args.cutoff if args.cutoff is not None else graph.n
     op = LaplacianOperator(graph)
     by_source: dict[int, list[int]] = {}
     for x, y in pairs:
@@ -204,12 +185,12 @@ def _ratio(rep) -> float:
 
 def _cmd_verify(args) -> int:
     graph = _load(args)
-    cfg = _config(args)
-    pairs = _select_pairs(graph, args.pairs, cfg.seed)
-    ts = sorted(cfg.t_grid())
+    _validate(args)
+    pairs = _select_pairs(graph, args.pairs, args.seed)
+    ts = sorted(args.t0 * args.ratio ** k for k in range(args.count))
     connected = []
     for x, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
-        dist = distances_from(graph, x, cutoff=cfg.cutoff)
+        dist = distances_from(graph, x, cutoff=args.cutoff)
         connected += [(x, y, dist[y]) for _, y in group if y in dist]
     failures = 0
     total = 0
@@ -217,7 +198,7 @@ def _cmd_verify(args) -> int:
     with _open_out(args.out) as out:
         _emit(out, ["which", "x", "y", "d", "t", "n", "lhs", "rhs", "margin", "passed"])
         try:
-            batches = verification_reports(graph, connected, ts, method=cfg.method)
+            batches = verification_reports(graph, connected, ts, method=args.method)
             for (_, _, d), reports in zip(connected, batches):
                 for rep in reports:
                     total += 1
@@ -240,28 +221,28 @@ def _cmd_verify(args) -> int:
 
 def _cmd_exponent(args) -> int:
     graph = _load(args)
-    cfg = _config(args)
-    pairs = _select_pairs(graph, args.pairs, cfg.seed)
+    _validate(args)
+    pairs = _select_pairs(graph, args.pairs, args.seed)
     worst = 0.0
     skipped = 0
     with _open_out(args.out) as out:
         _emit(out, ["x", "y", "group", "slope", "d_E", "abs_error", "max_residual"])
         for x, y in pairs:
-            d = combinatorial_distance(graph, x, y, cutoff=cfg.cutoff)
+            d = combinatorial_distance(graph, x, y, cutoff=args.cutoff)
             if d == INFINITE:
                 skipped += 1
                 continue
             try:
-                fit = leading_exponent_fit(graph, x, y, cfg.t0, cfg.ratio, cfg.count, cfg.group)
+                fit = leading_exponent_fit(graph, x, y, args.t0, args.ratio, args.count, args.group)
             except ValueError as exc:
                 raise CliError(EXIT_USAGE, str(exc)) from exc
             err = abs(fit.slope - d)
             worst = max(worst, err)
-            _emit(out, [x, y, cfg.group, fit.slope, d, err, fit.max_residual])
+            _emit(out, [x, y, args.group, fit.slope, d, err, fit.max_residual])
     if skipped:
         print(f"graphheat: {skipped} disconnected pair(s) skipped", file=sys.stderr)
-    if worst > cfg.tol:
-        print(f"graphheat: worst slope error {worst!r} exceeds tolerance {cfg.tol!r}",
+    if worst > args.tol:
+        print(f"graphheat: worst slope error {worst!r} exceeds tolerance {args.tol!r}",
               file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
@@ -279,20 +260,20 @@ def _pair_overlay(graph, op, x, y, cutoff):
     return d, lead, (mxx + myy) / (2 * math.factorial(d + 1))
 
 
-def _cmd_sweep(args, unitary: bool) -> int:
+def _cmd_sweep(args) -> int:
     graph = _load(args)
-    cfg = _config(args)
-    pairs = _select_pairs(graph, args.pairs, cfg.seed)
-    ts = sorted(cfg.t_grid() + [0.0])
+    _validate(args)
+    pairs = _select_pairs(graph, args.pairs, args.seed)
+    ts = sorted([args.t0 * args.ratio ** k for k in range(args.count)] + [0.0])
     op = LaplacianOperator(graph)
     with _open_out(args.out) as out:
         _emit(out, ["x", "y", "t", "value", "leading", "bound", "method"])
         for x, y in pairs:
-            overlay = _pair_overlay(graph, op, x, y, cfg.cutoff)
+            overlay = _pair_overlay(graph, op, x, y, args.cutoff)
             for t in ts:
                 try:
-                    method = select_route(graph, t, cfg.method)
-                    if unitary:
+                    method = select_route(graph, t, args.method)
+                    if args.unitary:
                         value = abs(wave_element(graph, x, y, t, method=method))
                     else:
                         value = heat_element(graph, x, y, t, method=method)
@@ -308,20 +289,12 @@ def _cmd_sweep(args, unitary: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_heat(args) -> int:
-    return _cmd_sweep(args, unitary=False)
-
-
-def _cmd_wave(args) -> int:
-    return _cmd_sweep(args, unitary=True)
-
-
 def _cmd_moments(args) -> int:
     graph = _load(args)
-    cfg = _config(args)
+    _validate(args)
     if args.nmax < 0:
         raise CliError(EXIT_USAGE, "--nmax must be non-negative")
-    pairs = _select_pairs(graph, args.pairs, cfg.seed)
+    pairs = _select_pairs(graph, args.pairs, args.seed)
     op = LaplacianOperator(graph)
     with _open_out(args.out) as out:
         _emit(out, ["x", "y", "n", "moment", "d_L"])
@@ -376,11 +349,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("heat", help="heat propagator sweep with overlays")
     _add_common(p, 1.0, 0.5, 16)
-    p.set_defaults(handler=_cmd_heat)
+    p.set_defaults(handler=_cmd_sweep, unitary=False)
 
     p = subs.add_parser("wave", help="wave propagator sweep (modulus) with overlays")
     _add_common(p, 1.0, 0.5, 16)
-    p.set_defaults(handler=_cmd_wave)
+    p.set_defaults(handler=_cmd_sweep, unitary=True)
 
     p = subs.add_parser("moments", help="moment tables as CSV rows")
     _add_common(p, 1e-3, 0.1, 4)

@@ -10,7 +10,6 @@ described procedurally by a neighbor oracle over arbitrary integer ids.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Callable, Iterable, Sequence
 
 INFINITE = math.inf
@@ -140,9 +139,6 @@ class WeightedGraph:
     def edge_count(self) -> int:
         return sum(len(row) for row in self._adj) // 2
 
-    def label_of(self, x):
-        return x if self.labels is None else self.labels[x]
-
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, edges={self.edge_count})"
 
@@ -236,9 +232,6 @@ class ProceduralGraph:
         return f"ProceduralGraph(explored={len(self._rows)})"
 
 
-GraphSource = "WeightedGraph | ProceduralGraph"
-
-
 def validate(g: WeightedGraph) -> list[str]:
     """Check the graph axioms and return one description per violation.
 
@@ -275,59 +268,48 @@ def validate(g: WeightedGraph) -> list[str]:
     return problems
 
 
-def combinatorial_distance(source, x, y, cutoff: int | None = None):
-    """Length of a shortest edge path from x to y, or ``INFINITE``.
-
-    Breadth-first search over the edge set {b > 0}.  ``cutoff`` bounds the
-    search radius and is mandatory for procedural sources; finite graphs
-    default to their vertex count (no shorter path can exist beyond it).
-    """
+def _layers(source, x, cutoff):
+    """Yield the vertices at hop distance 0, 1, ... from x, one list per
+    distance, up to ``cutoff`` or the last nonempty layer: a breadth-first
+    search over the edge set {b > 0} that never expands the last layer."""
     source._check(x)
-    source._check(y)
     if cutoff is None:
         if not source.is_finite:
             raise ValueError("cutoff is required for distance queries on procedural sources")
         cutoff = source.n
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    if x == y:
-        return 0
-    seen = {x}
-    frontier = [x]
-    for depth in range(1, cutoff + 1):
+    seen, layer = {x}, [x]
+    for _ in range(cutoff):
+        yield layer
         nxt = []
-        for v in frontier:
+        for v in layer:
             for nbr, _ in source.neighbors(v):
-                if nbr in seen:
-                    continue
-                if nbr == y:
-                    return depth
-                seen.add(nbr)
-                nxt.append(nbr)
+                if nbr not in seen:
+                    seen.add(nbr)
+                    nxt.append(nbr)
         if not nxt:
-            break
-        frontier = nxt
-    return INFINITE
+            return
+        layer = nxt
+    yield layer
+
+
+def combinatorial_distance(source, x, y, cutoff: int | None = None):
+    """Length of a shortest edge path from x to y within ``cutoff``, or ``INFINITE``.
+
+    ``cutoff`` bounds the search radius and is mandatory for procedural
+    sources; finite graphs default to their vertex count (no shorter path can
+    exist beyond it).
+    """
+    source._check(y)
+    return next((d for d, layer in enumerate(_layers(source, x, cutoff)) if y in layer),
+                INFINITE)
 
 
 def distances_from(source, x, cutoff: int | None = None) -> dict:
-    """Hop distances from x to every vertex reachable within cutoff."""
-    source._check(x)
-    if cutoff is None:
-        if not source.is_finite:
-            raise ValueError("cutoff is required for distance queries on procedural sources")
-        cutoff = source.n
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        v = queue.popleft()
-        if dist[v] == cutoff:
-            continue
-        for nbr, _ in source.neighbors(v):
-            if nbr not in dist:
-                dist[nbr] = dist[v] + 1
-                queue.append(nbr)
-    return dist
+    """Hop distances from x to every vertex reachable within ``cutoff`` hops;
+    ``cutoff`` is as in :func:`combinatorial_distance`."""
+    return {v: d for d, layer in enumerate(_layers(source, x, cutoff)) for v in layer}
 
 
 def is_connected(g: WeightedGraph) -> bool:

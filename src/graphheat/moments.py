@@ -2,8 +2,10 @@
 
 Every moment is read from :func:`stream`, which advances a block of vectors
 v, one column each, to (L/s)^n v with one :meth:`LaplacianOperator.apply` per
-step.  Each column is bitwise the stream of its vector alone on a finite
-graph, so a stream over many basis vectors serves many pairs at once:
+step, and yields per order one array, the moments at the (vertex, column)
+targets its caller names, so no reader knows the block's layout or the
+neighborhood a procedural stream runs on.  Each column is bitwise the stream
+of its vector alone on a finite graph, so one stream serves many pairs:
 :meth:`PairMoments.shared` reads any number of pairs from one stream over
 their distinct vertices, and :func:`first_nonzero_orders` the first nonzero
 orders of many sources.  The array kernel keeps exact zeros (see
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import neighborhood
+from .graphs import distances_from, neighborhood
 from .operators import LaplacianOperator, _exact_sum, compiled
 
 INITIAL_RADIUS = 16  # of the first neighborhood a procedural stream runs on
@@ -58,20 +60,24 @@ class EnumerationBudgetError(RuntimeError):
     """path_sum_moment visited more sequences than its budget allows."""
 
 
-def stream(source, vectors, scale: float):
-    """Yield (positions, block) for n = 0, 1, ..., column j being (L/scale)^n vectors[j].
+def stream(source, vectors, scale: float, targets):
+    """Yield, for n = 0, 1, ..., the array of moments <1_v, (L/scale)^n vectors[j]>
+    at the (v, j) pairs of ``targets``, a sequence of pairs or an array of them.
 
-    ``vectors`` are {vertex: value} mappings; vertex v sits at row
-    positions[v] of the column-major block, which advances by one
-    :meth:`LaplacianOperator.apply` per step.  On a procedural source the rows
-    cover the :func:`neighborhood` of radius r around the vectors' supports,
-    where the streams equal the source's up to order r; at order r the radius
-    doubles and they go on from their current values.  No boundary entry is
-    nonzero before that, so the boundary rows, which miss the edges leaving
+    ``vectors`` are {vertex: value} mappings, advanced as the columns of one
+    block by one :meth:`LaplacianOperator.apply` per step.  On a procedural
+    source the block covers the :func:`neighborhood` of radius r around the
+    vectors' supports, where the streams equal the source's up to order r; at
+    order r the radius doubles and they go on from their current values.  No
+    entry outside the neighborhood is nonzero before that, so a target there
+    reads an exact 0.0 and the boundary rows, which miss the edges leaving
     the neighborhood, never act.
     """
     centers = sorted(set().union(*vectors))
     complex_values = any(isinstance(a, complex) for vec in vectors for a in vec.values())
+    targets = np.asarray(targets, dtype=np.intp).reshape(-1, 2)
+    measures = compiled(source).m[targets[:, 0]] if source.is_finite else np.array(
+        [source.measure(v) for v in targets[:, 0].tolist()])
     order, radius = 0, None if source.is_finite else INITIAL_RADIUS
     while True:
         graph = source if radius is None else neighborhood(source, centers, radius)
@@ -81,26 +87,25 @@ def stream(source, vectors, scale: float):
                          order="F")
         for j, vec in enumerate(vectors):
             block[[positions[v] for v in vec], j] = list(vec.values())
+        # a finite graph's vertex v is row v; a target outside a neighborhood (row -1) reads 0.0
+        rows = targets[:, 0] if radius is None else np.array(
+            [positions.get(v, -1) for v in targets[:, 0].tolist()], dtype=np.intp)
+        flat = rows + graph.n * targets[:, 1]
         op = LaplacianOperator(graph)
         for _ in itertools.count() if radius is None else range(radius - order):
-            yield positions, block
+            values = measures * block.ravel(order="F").take(flat)
+            values[rows < 0] = 0.0
+            yield values
             block = op.apply(block) / scale
         vectors = [dict(zip(labels, u.tolist())) for u in block.T]
         order, radius = radius, 2 * radius
-
-
-def _read(source, positions, u, v) -> float:
-    """<1_v, u> for an array u laid out by ``positions``."""
-    k = positions.get(v)
-    return 0.0 if k is None else source.measure(v) * float(u[k])
 
 
 class _SharedRows:
     """Per order, the scaled moments of many pairs, read from one block stream
     with a column for each distinct vertex: m(x) u_y[x] for the i-th pair (x, y)
     at index i, then m(v) u_v[v] for the j-th vertex v at index P + j, where u_v
-    is the column of 1_v and P the number of pairs.  The block itself is not
-    kept."""
+    is the column of 1_v and P the number of pairs."""
 
     def __init__(self, source, pairs):
         for x, y in pairs:
@@ -111,24 +116,10 @@ class _SharedRows:
         # the compiled scale of the graph, or of the vertices' 1-neighborhood
         self.scale = compiled(source if source.is_finite
                               else neighborhood(source, vertices, 1)).scale
-        self._steps = stream(source, [{v: 1.0} for v in vertices], self.scale)
-        # entry (row of x, column of y) for each pair, then (row of v, column of v)
-        self._targets = [x for x, _ in pairs] + vertices
         column = {v: j for j, v in enumerate(vertices)}
-        self._columns = np.array([column[y] for _, y in pairs] + list(range(len(vertices))))
-        self._measures = np.array([source.measure(v) for v in self._targets])
-        self._positions = None
+        targets = [(x, column[y]) for x, y in pairs] + [(v, column[v]) for v in vertices]
+        self.steps = stream(source, [{v: 1.0} for v in vertices], self.scale, targets)
         self.orders = []
-
-    def extend(self, n: int):
-        """Read every order up to n."""
-        while len(self.orders) <= n:
-            positions, block = next(self._steps)
-            if positions is not self._positions:  # a new layout: the first, or a larger ball
-                self._positions = positions
-                rows = np.array([positions[v] for v in self._targets], dtype=np.intp)
-                self._flat = rows + len(block) * self._columns
-            self.orders.append(self._measures * block.reshape(-1, order="F").take(self._flat))
 
 
 class PairMoments:
@@ -170,7 +161,8 @@ class PairMoments:
         rows = self._rows
         if len(rows) <= n:
             shared, (i, jx, jy) = self._shared, self._at
-            shared.extend(n)
+            while len(shared.orders) <= n:
+                shared.orders.append(next(shared.steps))
             for row in shared.orders[len(rows):n + 1]:
                 rows.append((float(row[i]), float(row[jx]), float(row[jy])))
         return rows[n]
@@ -187,8 +179,8 @@ def _moments_at(op: LaplacianOperator, x, y, n_max: int):
     g = op.graph
     g._check(x)
     g._check(y)
-    for _, (positions, block) in zip(range(n_max + 1), stream(g, [{y: 1.0}], 1.0)):
-        yield _read(g, positions, block[:, 0], x)
+    for _, values in zip(range(n_max + 1), stream(g, [{y: 1.0}], 1.0, [(x, 0)])):
+        yield float(values[0])
 
 
 def moment(op: LaplacianOperator, x, y, n: int) -> float:
@@ -231,31 +223,30 @@ def first_nonzero_orders(op: LaplacianOperator, sources, n_max: int):
 
     Returns (positions, orders, moments): orders[positions[v], j] is the first
     n <= n_max with <1_v, L^n 1_{sources[j]}> nonzero, or -1 if none is, and
-    moments[positions[v], j] that moment.  The stream stops at n_max, or on a
-    finite graph once every column has reached every vertex.
+    moments[positions[v], j] that moment.  The vertices are the graph's, or on
+    a procedural source those within n_max hops of a source.  The stream stops
+    at n_max, or once every vertex has been reached from every source.
     """
     g = op.graph
     for y in sources:
         g._check(y)
-    positions, labels = {}, []
-    orders, moments = np.full((0, len(sources)), -1), np.zeros((0, len(sources)))
+    labels = g.vertices if g.is_finite else sorted(
+        set().union(*(distances_from(g, y, cutoff=max(n_max, 0)) for y in sources)))
+    shape = (len(labels), len(sources))
+    orders, moments = np.full(shape, -1), np.zeros(shape)
+    # every (vertex, column), in the row-major order of ``shape``
+    targets = np.stack(np.meshgrid(labels, range(len(sources)), indexing="ij"), axis=-1)
     # far behind the front the unscaled entries may overflow; the front stays exact
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, (positions, block) in zip(range(n_max + 1),
-                                         stream(g, [{y: 1.0} for y in sources], 1.0)):
-            if len(orders) != len(block):  # the first layout, or a procedural stream's larger ball
-                grown = np.full(block.shape, -1), np.zeros(block.shape)
-                rows = [positions[v] for v in labels]
-                grown[0][rows], grown[1][rows] = orders, moments
-                orders, moments = grown
-                labels = list(positions)
-                measure = np.array([g.measure(v) for v in labels])
-            fresh = (block != 0) & (orders < 0)
+        for n, values in zip(range(n_max + 1),
+                             stream(g, [{y: 1.0} for y in sources], 1.0, targets)):
+            values = values.reshape(shape)
+            fresh = (values != 0) & (orders < 0)
             orders[fresh] = n
-            moments[fresh] = (measure[:, None] * block)[fresh]
-            if g.is_finite and (orders >= 0).all():
+            moments[fresh] = values[fresh]
+            if (orders >= 0).all():
                 break
-    return positions, orders, moments
+    return {v: i for i, v in enumerate(labels)}, orders, moments
 
 
 def path_sum_moment(op: LaplacianOperator, x, y, n: int, budget: int = 10_000_000) -> float:

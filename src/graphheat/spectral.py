@@ -3,7 +3,9 @@
 ``decompose`` diagonalizes the similar symmetric matrix M^{1/2} L M^{-1/2} =
 M^{-1/2} A M^{-1/2} and maps the orthonormal eigenvectors back with M^{-1/2},
 which makes them orthonormal in the m-weighted inner product.  All functional
-calculus runs through the resulting eigenpairs.
+calculus runs through the resulting eigenpairs.  The element functions take
+a decomposition, an operator, or a graph and resolve it to the graph; its
+eigenpairs are built once while it lives, or come from a decomposition passed in.
 
 Matrix elements of e^{-tL} and e^{-itL} come in two routes:
 
@@ -160,29 +162,30 @@ def decompose(graph: WeightedGraph, max_size: int = DENSE_SIZE_LIMIT) -> Spectra
     return SpectralDecomposition(graph, w, U, m)
 
 
-def _cached_decomposition(graph: WeightedGraph) -> SpectralDecomposition:
-    # the cache holds the arrays: a decomposition refers to its graph, which
-    # would keep the weak key, and so the entry, alive for good
+def _eigen(graph: WeightedGraph):
+    """(eigenvalues, eigenvectors, measures) of the graph, decomposed once while it lives.
+
+    The cache holds the arrays: a decomposition refers to its graph, which
+    would keep the weak key, and so the entry, alive for good.
+    """
     arrays = _DECOMPOSITIONS.get(graph)
-    if arrays is not None:
-        return SpectralDecomposition(graph, *arrays)
-    dec = decompose(graph)
-    _DECOMPOSITIONS[graph] = (dec.eigenvalues, dec.eigenvectors, dec.measures)
-    return dec
+    if arrays is None:
+        dec = decompose(graph)
+        arrays = _DECOMPOSITIONS[graph] = (dec.eigenvalues, dec.eigenvectors, dec.measures)
+    return arrays
 
 
 def _resolve(source):
-    """Accept a decomposition, an operator, or a graph; return (graph, dec or None)."""
+    """The graph of a decomposition, an operator, or a graph.  A decomposition
+    seeds the cache, so its graph is not decomposed again."""
     if isinstance(source, SpectralDecomposition):
-        return source.graph, source
+        _DECOMPOSITIONS[source.graph] = (source.eigenvalues, source.eigenvectors, source.measures)
+        return source.graph
     if isinstance(source, LaplacianOperator):
-        graph = source.graph
-    elif isinstance(source, (WeightedGraph, ProceduralGraph)):
-        graph = source
-    else:
-        raise TypeError(f"expected a decomposition, operator, or graph, got {type(source).__name__}")
-    cached = graph.is_finite and graph in _DECOMPOSITIONS
-    return graph, _cached_decomposition(graph) if cached else None
+        return source.graph
+    if isinstance(source, (WeightedGraph, ProceduralGraph)):
+        return source
+    raise TypeError(f"expected a decomposition, operator, or graph, got {type(source).__name__}")
 
 
 def functional_calculus(dec: SpectralDecomposition, func, f, g) -> complex:
@@ -247,7 +250,7 @@ def select_route(source, t, method: str) -> str:
     accuracy.  lambda_max is read from the decomposition only when t times the
     Gershgorin bound does not settle the comparison.
     """
-    graph, dec = _resolve(source)
+    graph = _resolve(source)
     if t < 0:
         raise ValueError("time must be non-negative")
     if method not in ("auto", "eigen", "series"):
@@ -261,8 +264,8 @@ def select_route(source, t, method: str) -> str:
         return "eigen"
     limit = 0.5 if method == "auto" else 2.0
     top = compiled(graph).bound
-    if dec is not None or t * top > limit * (1 - GATE_ROUNDING):
-        top = (dec or _cached_decomposition(graph)).largest_eigenvalue
+    if graph in _DECOMPOSITIONS or t * top > limit * (1 - GATE_ROUNDING):
+        top = float(_eigen(graph)[0][-1]) if graph.n else 0.0  # eigenvalues ascend
     if t * top <= limit:
         return "series"
     if method == "auto":
@@ -271,22 +274,21 @@ def select_route(source, t, method: str) -> str:
                      f"{top:.6g} exceeds 2, where term growth costs accuracy; use eigen")
 
 
-def pair_element(source, pm: PairMoments, t, route: str, unitary: bool,
-                 rel_tol: float = SERIES_RTOL):
+def pair_element(pm: PairMoments, t, route: str, unitary: bool):
     """<1_x, e^{-tL} 1_y> (e^{-itL} if ``unitary``) for pm's pair through ``route``.
 
     The series route reads pm's streams and accumulates terms until the
-    remainder bound drops below rel_tol times the current partial-sum scale,
-    with an absolute floor of SERIES_FLOOR; eigen reads the decomposition.
+    remainder bound drops below SERIES_RTOL times the current partial-sum
+    scale, with an absolute floor of SERIES_FLOOR; eigen reads the cached
+    eigenpairs of pm's graph.
     """
     if route == "eigen":
-        graph, dec = _resolve(source)
-        dec = dec or _cached_decomposition(graph)
-        x, y = pm.x, pm.y
-        coeffs = dec.eigenvectors[x] * dec.eigenvectors[y] * (graph.measure(x) * graph.measure(y))
+        graph, x, y = pm.source, pm.x, pm.y
+        eigenvalues, eigenvectors, _ = _eigen(graph)
+        coeffs = eigenvectors[x] * eigenvectors[y] * (graph.measure(x) * graph.measure(y))
         if unitary:
-            return complex(np.sum(np.exp(-1j * t * dec.eigenvalues) * coeffs))
-        return float(np.sum(np.exp(-t * dec.eigenvalues) * coeffs))
+            return complex(np.sum(np.exp(-1j * t * eigenvalues) * coeffs))
+        return float(np.sum(np.exp(-t * eigenvalues) * coeffs))
     phases = (1 + 0j, -1j, -1 + 0j, 1j) if unitary else (1.0, -1.0)
     ts = t * pm.scale
     coef = 1.0  # (t s)^n / n!, against moments scaled by s^-n
@@ -301,7 +303,7 @@ def pair_element(source, pm: PairMoments, t, route: str, unitary: bool,
         n += 1
         coef *= ts / n
         xy, xx, yy = pm[n]
-        if 0.5 * coef * (xx + yy) <= max(rel_tol * abs(running), SERIES_FLOOR):
+        if 0.5 * coef * (xx + yy) <= max(SERIES_RTOL * abs(running), SERIES_FLOOR):
             break
         if n >= MAX_SERIES_TERMS:
             raise ArithmeticError(
@@ -314,26 +316,26 @@ def pair_element(source, pm: PairMoments, t, route: str, unitary: bool,
 _LAST_PAIR = threading.local()
 
 
-def _element(source, x, y, t, method, rel_tol, unitary):
-    graph, _ = _resolve(source)
+def _element(source, x, y, t, method, unitary):
+    graph = _resolve(source)
     pm = getattr(_LAST_PAIR, "moments", None)
     # kept only after a success: a stream that raised cannot go on
     _LAST_PAIR.moments = None
     if pm is None or pm.source is not graph or (pm.x, pm.y) != (x, y):
         pm = PairMoments(graph, x, y)
-    value = pair_element(source, pm, t, select_route(source, t, method), unitary, rel_tol)
+    value = pair_element(pm, t, select_route(graph, t, method), unitary)
     _LAST_PAIR.moments = pm
     return value
 
 
-def heat_element(source, x, y, t, method: str = "auto", rel_tol: float = SERIES_RTOL) -> float:
+def heat_element(source, x, y, t, method: str = "auto") -> float:
     """<1_x, e^{-tL} 1_y>.  ``source`` is a decomposition, operator, or graph."""
-    return _element(source, x, y, t, method, rel_tol, unitary=False)
+    return _element(source, x, y, t, method, unitary=False)
 
 
-def wave_element(source, x, y, t, method: str = "auto", rel_tol: float = SERIES_RTOL) -> complex:
+def wave_element(source, x, y, t, method: str = "auto") -> complex:
     """<1_x, e^{-itL} 1_y>."""
-    return _element(source, x, y, t, method, rel_tol, unitary=True)
+    return _element(source, x, y, t, method, unitary=True)
 
 
 def propagate_heat(dec: SpectralDecomposition, f: WeightedVector, t) -> WeightedVector:

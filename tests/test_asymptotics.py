@@ -3,13 +3,15 @@ import math
 import pytest
 
 from conftest import random_unit_vector, random_vector
+from graphheat import asymptotics
 from graphheat import (LaplacianOperator, ScalarFunction, WeightedGraph,
-                       WeightedVector, decompose, heat_element,
+                       WeightedVector, combinatorial_distance, decompose, heat_element,
                        leading_exponent_fit, leading_term_check, moment,
                        moment_table, pair_verification_reports, path_graph,
                        random_connected_graph, semigroup_bound, taylor_bound,
                        unitary_bound, vanishing_order_check,
-                       varadhan_diagnostic, wave_element)
+                       varadhan_diagnostic, verification_reports, wave_element)
+from graphheat.spectral import select_route
 
 
 def closed_heat_p2(t):
@@ -184,6 +186,25 @@ def test_pair_reports_all_pass_on_random_graphs():
             for y in range(x, g.n):
                 for rep in pair_verification_reports(g, x, y, ts):
                     assert rep.passed, (seed, x, y, rep)
+
+
+def test_reports_choose_the_route_once_per_time(monkeypatch):
+    g = random_connected_graph(9, 0.4, 3, random_killing=True)
+    ts = [1e-3, 0.05, 0.3]
+    pairs = [(x, y, combinatorial_distance(g, x, y)) for x in range(3) for y in range(x, 9)]
+    expected = list(verification_reports(g, pairs, ts))
+    calls = []
+
+    def counting(source, t, method):
+        calls.append(t)
+        return select_route(source, t, method)
+
+    monkeypatch.setattr(asymptotics, "select_route", counting)
+    assert list(verification_reports(g, pairs, ts)) == expected
+    assert calls == ts
+    calls.clear()
+    vanishing_order_check(WeightedGraph(2), 0, 1, 3, ts)
+    assert calls == ts
 
 
 # -- leading exponent fits -------------------------------------------------

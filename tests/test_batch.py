@@ -178,7 +178,7 @@ def test_shared_pair_moments_equal_single_pair_moments():
 
 def _fresh(source, x, y, t, unitary, method):
     route = select_route(source, t, method)
-    return pair_element(source, PairMoments(source, x, y), t, route, unitary)
+    return pair_element(PairMoments(source, x, y), t, route, unitary)
 
 
 def _interleaved():

@@ -82,6 +82,15 @@ def test_distance_cutoff_truncates():
     assert combinatorial_distance(g, 0, 5, cutoff=5) == 5
 
 
+def test_negative_cutoff_is_rejected_by_every_distance_query():
+    g = path_graph(5)
+    for query in (lambda: combinatorial_distance(g, 0, 4, cutoff=-1),
+                  lambda: distances_from(g, 0, cutoff=-1)):
+        with pytest.raises(ValueError, match="cutoff must be non-negative"):
+            query()
+    assert distances_from(g, 0, cutoff=0) == {0: 0}
+
+
 def test_distance_unknown_vertex():
     g = path_graph(3)
     with pytest.raises(ValueError):

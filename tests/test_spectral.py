@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_vector
+from graphheat import spectral
 from graphheat import (LaplacianOperator, ScalarFunction, WeightedGraph,
                        WeightedVector, complete_graph, decompose,
                        functional_calculus, heat_element, inner, moment,
@@ -282,3 +283,19 @@ def test_wave_element_bounded_by_measures():
             for y in g.vertices:
                 bound = math.sqrt(g.measure(x) * g.measure(y))
                 assert abs(wave_element(dec, x, y, t)) <= bound * (1 + 1e-12)
+
+
+def test_a_decomposition_passed_in_is_not_built_again(monkeypatch):
+    g = path_graph(6)
+    built = []
+
+    def counting(graph, *args, **kwargs):
+        built.append(graph)
+        return decompose(graph, *args, **kwargs)
+
+    dec = decompose(g)
+    monkeypatch.setattr(spectral, "decompose", counting)
+    via_dec = heat_element(dec, 0, 5, 3.0)
+    assert heat_element(g, 0, 5, 3.0) == via_dec
+    assert wave_element(LaplacianOperator(g), 0, 5, 3.0) == wave_element(g, 0, 5, 3.0)
+    assert built == []

@@ -96,6 +96,18 @@ def test_ball_streams_after_two_doublings_match_the_finite_path():
                 == [finite_pm.moments(k) for k in range(orders)])
 
 
+def test_targets_outside_the_ball_read_exact_zeros():
+    # on the half-line ..., -2, -1, 0 the center 0 is the last row of every ball around it
+    half = ProceduralGraph(lambda u: [(u - 1, 1.0)] + ([(u + 1, 1.0)] if u < 0 else []),
+                           max_degree=2)
+    orders = 2 * INITIAL_RADIUS + 10
+    radius = 3 * orders  # no walk from 0 of at most ``orders`` steps meets the boundary
+    finite = ball(half, 0, radius)  # label v is vertex v + radius
+    for x in (-(orders - 3), -5, 0):
+        assert (moment_table(LaplacianOperator(half), x, 0, orders).values
+                == moment_table(LaplacianOperator(finite), x + radius, radius, orders).values)
+
+
 def test_streams_on_a_labelled_ball_use_vertex_ids():
     b = ball(_chain(), 0, 6)  # labels -6..6 differ from the vertex ids 0..12
     plain = WeightedGraph(b.n, list(b.edges()), [b.measure(v) for v in b.vertices])
@@ -117,7 +129,7 @@ def test_shared_streams_reproduce_single_elements():
                 pm = PairMoments(g, x, y)
                 for t in ts:
                     for unitary, single in ((False, heat_element), (True, wave_element)):
-                        shared = pair_element(g, pm, t, "series", unitary)
+                        shared = pair_element(pm, t, "series", unitary)
                         alone = single(g, x, y, t, method="series")
                         assert abs(shared - alone) <= 1e-13 * abs(alone)
                 reports = pair_verification_reports(g, x, y, ts, method="series")
