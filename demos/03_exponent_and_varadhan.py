@@ -32,5 +32,6 @@ split = gh.WeightedGraph(6, [(0, 1, 1.0), (1, 2, 0.7), (3, 4, 1.2), (4, 5, 1.0)]
 report = gh.vanishing_order_check(split, 0, 5, n=4, t_samples=[1e-3, 1e-2, 1e-1, 0.4])
 print(f"\ncross-component pair (0, 5): |element| <= {report.constant:.4f} * t^5 "
       f"at every sample -> {report.passed}")
-for t, h, w, bound in report.samples:
-    print(f"  t = {t:6.0e}   |heat| = {h}   |wave| = {w}   bound = {bound:.2e}")
+for heat, wave in zip(report.samples[::2], report.samples[1::2]):
+    print(f"  t = {heat.t:6.0e}   |heat| = {heat.lhs}   |wave| = {wave.lhs}   "
+          f"bound = {heat.rhs:.2e}")

@@ -14,6 +14,7 @@ representation.  Wave sweeps report the modulus of the complex element.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import math
 import random
@@ -25,8 +26,8 @@ from .generators import from_spec
 from .graphio import GraphFormatError, load_graph
 from .graphs import INFINITE, combinatorial_distance, distances_from
 from .moments import UnknownAbove, first_nonzero_orders, moment_table
-from .operators import LaplacianOperator
-from .spectral import heat_element, select_route, wave_element
+from .operators import LaplacianOperator, compiled
+from .spectral import _series_coefficient, heat_element, select_route, wave_element
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -114,23 +115,12 @@ def _select_pairs(graph, spec: str, seed) -> list[tuple[int, int]]:
 
 @contextmanager
 def _open_out(path: str):
+    """A CSV writer on ``path`` or on stdout for "-"; floats print as their repr."""
     if path == "-":
-        yield sys.stdout
+        yield csv.writer(sys.stdout, lineterminator="\n")
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _emit(out, fields) -> None:
-    out.write(",".join(_fmt(f) for f in fields) + "\n")
+            yield csv.writer(fh, lineterminator="\n")
 
 
 def _order_label(order) -> str:
@@ -153,7 +143,7 @@ def _cmd_distance(args) -> int:
     sources = sorted(by_source)
     positions, orders, _ = first_nonzero_orders(op, sources, cutoff)
     with _open_out(args.out) as out:
-        _emit(out, ["x", "y", "d_E", "d_L", "status"])
+        out.writerow(["x", "y", "d_E", "d_L", "status"])
         for j, x in enumerate(sources):
             dist = distances_from(graph, x, cutoff=cutoff)
             for y in sorted(by_source[x]):
@@ -167,8 +157,8 @@ def _cmd_distance(args) -> int:
                     order_text = str(order)
                 if not consistent:
                     mismatches += 1
-                _emit(out, [x, y, d_hop if d_hop != INFINITE else float("inf"),
-                            order_text, "ok" if consistent else "mismatch"])
+                out.writerow([x, y, d_hop if d_hop != INFINITE else float("inf"),
+                              order_text, "ok" if consistent else "mismatch"])
     if mismatches:
         print(f"graphheat: {mismatches} pair(s) where the moment order differs from the "
               "hop distance", file=sys.stderr)
@@ -196,7 +186,7 @@ def _cmd_verify(args) -> int:
     total = 0
     worst = None
     with _open_out(args.out) as out:
-        _emit(out, ["which", "x", "y", "d", "t", "n", "lhs", "rhs", "margin", "passed"])
+        out.writerow(["which", "x", "y", "d", "t", "n", "lhs", "rhs", "margin", "passed"])
         try:
             batches = verification_reports(graph, connected, ts, method=args.method)
             for (_, _, d), reports in zip(connected, batches):
@@ -206,8 +196,8 @@ def _cmd_verify(args) -> int:
                         failures += 1
                     if worst is None or _ratio(rep) > _ratio(worst):
                         worst = rep
-                    _emit(out, [rep.which, rep.x, rep.y, d, rep.t, rep.n,
-                                rep.lhs, rep.rhs, rep.margin, rep.passed])
+                    out.writerow([rep.which, rep.x, rep.y, d, rep.t, rep.n, rep.lhs, rep.rhs,
+                                  rep.margin, "true" if rep.passed else "false"])
         except ValueError as exc:
             raise CliError(EXIT_USAGE, str(exc)) from exc
     summary = (f"graphheat: {total - failures}/{total} checks passed on {len(connected)} "
@@ -226,7 +216,7 @@ def _cmd_exponent(args) -> int:
     worst = 0.0
     skipped = 0
     with _open_out(args.out) as out:
-        _emit(out, ["x", "y", "group", "slope", "d_E", "abs_error", "max_residual"])
+        out.writerow(["x", "y", "group", "slope", "d_E", "abs_error", "max_residual"])
         for x, y in pairs:
             d = combinatorial_distance(graph, x, y, cutoff=args.cutoff)
             if d == INFINITE:
@@ -234,11 +224,11 @@ def _cmd_exponent(args) -> int:
                 continue
             try:
                 fit = leading_exponent_fit(graph, x, y, args.t0, args.ratio, args.count, args.group)
-            except ValueError as exc:
+            except (ValueError, ArithmeticError) as exc:
                 raise CliError(EXIT_USAGE, str(exc)) from exc
             err = abs(fit.slope - d)
             worst = max(worst, err)
-            _emit(out, [x, y, args.group, fit.slope, d, err, fit.max_residual])
+            out.writerow([x, y, args.group, fit.slope, d, err, fit.max_residual])
     if skipped:
         print(f"graphheat: {skipped} disconnected pair(s) skipped", file=sys.stderr)
     if worst > args.tol:
@@ -249,15 +239,16 @@ def _cmd_exponent(args) -> int:
 
 
 def _pair_overlay(graph, op, x, y, cutoff):
-    """(d, leading coefficient, bound coefficient) or None when disconnected."""
+    """(d, s, |m_xy(d)|/s^d, (m_xx(d+1) + m_yy(d+1))/s^(d+1)) at the graph's scale s, or None."""
     d = combinatorial_distance(graph, x, y, cutoff=cutoff)
     if d == INFINITE:
         return None
-    tbl = moment_table(op, x, y, d)
-    lead = abs(tbl.values[d]) / math.factorial(d)
+    scale = compiled(graph).scale
+    exp = round(math.log2(scale))
+    lead = abs(moment_table(op, x, y, d).values[d])
     mxx = moment_table(op, x, x, d + 1).values[d + 1]
     myy = moment_table(op, y, y, d + 1).values[d + 1]
-    return d, lead, (mxx + myy) / (2 * math.factorial(d + 1))
+    return d, scale, math.ldexp(lead, -exp * d), math.ldexp(mxx + myy, -exp * (d + 1))
 
 
 def _cmd_sweep(args) -> int:
@@ -267,7 +258,7 @@ def _cmd_sweep(args) -> int:
     ts = sorted([args.t0 * args.ratio ** k for k in range(args.count)] + [0.0])
     op = LaplacianOperator(graph)
     with _open_out(args.out) as out:
-        _emit(out, ["x", "y", "t", "value", "leading", "bound", "method"])
+        out.writerow(["x", "y", "t", "value", "leading", "bound", "method"])
         for x, y in pairs:
             overlay = _pair_overlay(graph, op, x, y, args.cutoff)
             for t in ts:
@@ -282,10 +273,10 @@ def _cmd_sweep(args) -> int:
                 if overlay is None:
                     leading, bound = "", ""
                 else:
-                    d, lead_coef, bound_coef = overlay
-                    leading = t ** d * lead_coef
-                    bound = t ** (d + 1) * bound_coef
-                _emit(out, [x, y, t, value, leading, bound, method])
+                    d, scale, lead, diagonal = overlay
+                    leading = _series_coefficient(t * scale, d) * lead
+                    bound = 0.5 * _series_coefficient(t * scale, d + 1) * diagonal
+                out.writerow([x, y, t, value, leading, bound, method])
     return EXIT_OK
 
 
@@ -297,12 +288,12 @@ def _cmd_moments(args) -> int:
     pairs = _select_pairs(graph, args.pairs, args.seed)
     op = LaplacianOperator(graph)
     with _open_out(args.out) as out:
-        _emit(out, ["x", "y", "n", "moment", "d_L"])
+        out.writerow(["x", "y", "n", "moment", "d_L"])
         for x, y in pairs:
             tbl = moment_table(op, x, y, args.nmax)
             label = _order_label(tbl.order)
             for n, value in enumerate(tbl.values):
-                _emit(out, [x, y, n, value, label])
+                out.writerow([x, y, n, value, label])
     return EXIT_OK
 
 

@@ -156,20 +156,15 @@ class CompiledLaplacian:
         self.scale = 2.0 ** math.ceil(math.log2(self.bound)) if self.bound > 0 else 1.0
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """L f for an array of shape (n,), or for each column of an (n, k) block.
-
-        A block's columns go through the same products and ``bincount`` as a
-        single vector, so each is bitwise the 1-D result.
-        """
+        """L f for each column of an (n, k) block, or for an (n,) array taken as a
+        one-column block, so every column is bitwise L applied to it alone."""
         if np.iscomplexobj(f):
             return self.apply(f.real) + 1j * self.apply(f.imag)
+        block = f[:, None] if f.ndim == 1 else f
         n = len(self.m)
-        if f.ndim == 1:
-            offdiag = np.bincount(self.rows, self.w * f[self.cols], minlength=n)
-            return (self.diag * f - offdiag) / self.m
         offdiag = np.array([np.bincount(self.rows, self.w * column[self.cols], minlength=n)
-                            for column in f.T]).T
-        return (self.diag[:, None] * f - offdiag) / self.m[:, None]
+                            for column in block.T]).T
+        return ((self.diag[:, None] * block - offdiag) / self.m[:, None]).reshape(f.shape)
 
 
 _KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

@@ -39,8 +39,7 @@ import numpy as np
 
 from .graphs import ProceduralGraph, WeightedGraph
 from .moments import PairMoments
-from .operators import (DENSE_SIZE_LIMIT, LaplacianOperator, WeightedVector,
-                        _exact_sum, compiled, dense_matrices)
+from .operators import LaplacianOperator, WeightedVector, _exact_sum, compiled, dense_matrices
 
 # default stopping tolerance keeps series noise an order below the 1e-9
 # slack of bound reports even when the element dwarfs the bound (tight
@@ -139,14 +138,14 @@ class ScalarFunction:
 _DECOMPOSITIONS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def decompose(graph: WeightedGraph, max_size: int = DENSE_SIZE_LIMIT) -> SpectralDecomposition:
+def decompose(graph: WeightedGraph) -> SpectralDecomposition:
     """Eigendecomposition of the Laplacian in the m-weighted space.
 
     Rounding dust below EIGENVALUE_DUST * max(1, lambda_max) is clamped to
     zero; genuinely negative eigenvalues raise, since the operator is
     positive semidefinite by construction.
     """
-    A, M = dense_matrices(graph, max_size=max_size)
+    A, M = dense_matrices(graph)
     m = np.diag(M).copy()  # a view would keep the n x n M alive with the decomposition
     s = 1.0 / np.sqrt(m)
     S = A * s[:, None] * s[None, :]
@@ -309,6 +308,15 @@ def pair_element(pm: PairMoments, t, route: str, unitary: bool):
             raise ArithmeticError(
                 f"series did not meet its remainder target within {MAX_SERIES_TERMS} terms")
     return _exact_sum(terms)
+
+
+def _series_coefficient(ts, n: int) -> float:
+    """(t s)^n / n! at ts = t s by the recursion of :func:`pair_element`, so bitwise
+    the coefficient of its n-th term; no factorial is formed, so it holds at any n."""
+    coef = 1.0
+    for k in range(1, n + 1):
+        coef *= ts / k
+    return coef
 
 
 # the last pair's moments in each thread: successive elements of one pair

@@ -264,7 +264,9 @@ def test_vanishing_order_check_disconnected():
     g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     rep = vanishing_order_check(g, 0, 3, 5, [1e-3, 1e-2, 1e-1, 1.0])
     assert rep.passed
-    assert all(h == 0.0 and w == 0.0 for _, h, w, _ in rep.samples)
+    # one semigroup and one unitary report per time, whose lhs are |heat| and |wave|
+    assert [r.which for r in rep.samples] == ["semigroup", "unitary"] * 4
+    assert all(r.lhs == 0.0 for r in rep.samples)
     rep0 = vanishing_order_check(g, 0, 3, 0, [0.5])
     assert rep0.passed
 

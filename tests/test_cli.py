@@ -239,6 +239,14 @@ def test_grid_validation(capsys):
     assert "--count" in err
 
 
+def test_exponent_underflow_is_a_usage_error(capsys):
+    # at hop distance 70 the element sinks below the fit's floor at every grid time
+    code, _, err = run(capsys, "exponent", "--gen", "path:71", "--pairs", "0,70")
+    assert code == 2
+    assert err.startswith("graphheat: ") and "underflowed" in err
+    assert err.count("\n") == 1
+
+
 def test_all_pairs_cap_samples_with_seed():
     from graphheat import path_graph
     g = path_graph(150)  # 11175 pairs, above the 10000 cap
