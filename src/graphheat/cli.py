@@ -5,6 +5,15 @@ equality flag), ``verify`` (leading-order and short-time bound reports),
 ``exponent`` (log-log slope fits), ``heat``/``wave`` (propagator sweeps with
 leading-term and bound overlays), and ``moments`` (moment tables).
 
+Each subcommand takes only the options it reads.  All take the graph
+(``--input`` or ``--gen``), ``--pairs``, ``--seed`` and ``--out``; all but
+``moments`` take ``--cutoff``; ``verify``, ``exponent``, ``heat`` and ``wave``
+take the time grid ``--t0 --ratio --count``; ``verify``, ``heat`` and ``wave``
+take ``--method``; ``exponent`` takes ``--group`` and ``--tol``, and
+``moments`` ``--nmax``.  Any other option is a usage error.  :func:`main`
+loads the graph, checks the option values, selects the pairs and opens the
+output once, then hands the three to the subcommand.
+
 Exit codes: 0 success, 1 a theorem-backed check failed, 2 usage or parse
 error.  Identical invocations produce byte-identical CSV: pairs and times are
 emitted in sorted order and floats are formatted with shortest round-trip
@@ -44,15 +53,18 @@ class CliError(Exception):
 
 
 def _validate(args) -> None:
-    """Reject the values of the options every subcommand shares that no run can use."""
-    if args.t0 <= 0:
-        raise CliError(EXIT_USAGE, "--t0 must be positive")
-    if not 0 < args.ratio < 1:
-        raise CliError(EXIT_USAGE, "--ratio must lie strictly between 0 and 1")
-    if args.count < 3:
-        raise CliError(EXIT_USAGE, "--count must be at least 3")
-    if args.cutoff is not None and args.cutoff < 0:
+    """Reject the values no run can use, of the options the subcommand takes."""
+    if "t0" in args:
+        if args.t0 <= 0:
+            raise CliError(EXIT_USAGE, "--t0 must be positive")
+        if not 0 < args.ratio < 1:
+            raise CliError(EXIT_USAGE, "--ratio must lie strictly between 0 and 1")
+        if args.count < 3:
+            raise CliError(EXIT_USAGE, "--count must be at least 3")
+    if getattr(args, "cutoff", None) is not None and args.cutoff < 0:
         raise CliError(EXIT_USAGE, "--cutoff must be non-negative")
+    if getattr(args, "nmax", 0) < 0:
+        raise CliError(EXIT_USAGE, "--nmax must be non-negative")
 
 
 def _load(args):
@@ -130,35 +142,27 @@ def _order_label(order) -> str:
 # -- subcommands ---------------------------------------------------------
 
 
-def _cmd_distance(args) -> int:
-    graph = _load(args)
-    _validate(args)
-    pairs = _select_pairs(graph, args.pairs, args.seed)
+def _cmd_distance(args, graph, pairs, out) -> int:
     cutoff = args.cutoff if args.cutoff is not None else graph.n
-    op = LaplacianOperator(graph)
-    by_source: dict[int, list[int]] = {}
-    for x, y in pairs:
-        by_source.setdefault(x, []).append(y)
+    sources = sorted({x for x, _ in pairs})
+    positions, orders, _ = first_nonzero_orders(LaplacianOperator(graph), sources, cutoff)
     mismatches = 0
-    sources = sorted(by_source)
-    positions, orders, _ = first_nonzero_orders(op, sources, cutoff)
-    with _open_out(args.out) as out:
-        out.writerow(["x", "y", "d_E", "d_L", "status"])
-        for j, x in enumerate(sources):
-            dist = distances_from(graph, x, cutoff=cutoff)
-            for y in sorted(by_source[x]):
-                d_hop = dist.get(y, INFINITE)
-                order = int(orders[positions[y], j])
-                if order < 0:
-                    consistent = d_hop == INFINITE
-                    order_text = _order_label(UnknownAbove(cutoff))
-                else:
-                    consistent = d_hop == order
-                    order_text = str(order)
-                if not consistent:
-                    mismatches += 1
-                out.writerow([x, y, d_hop if d_hop != INFINITE else float("inf"),
-                              order_text, "ok" if consistent else "mismatch"])
+    out.writerow(["x", "y", "d_E", "d_L", "status"])
+    for j, (x, group) in enumerate(itertools.groupby(pairs, key=lambda pair: pair[0])):
+        dist = distances_from(graph, x, cutoff=cutoff)
+        for _, y in group:
+            d_hop = dist.get(y, INFINITE)
+            order = int(orders[positions[y], j])
+            if order < 0:
+                consistent = d_hop == INFINITE
+                order_text = _order_label(UnknownAbove(cutoff))
+            else:
+                consistent = d_hop == order
+                order_text = str(order)
+            if not consistent:
+                mismatches += 1
+            out.writerow([x, y, d_hop if d_hop != INFINITE else float("inf"),
+                          order_text, "ok" if consistent else "mismatch"])
     if mismatches:
         print(f"graphheat: {mismatches} pair(s) where the moment order differs from the "
               "hop distance", file=sys.stderr)
@@ -173,10 +177,7 @@ def _ratio(rep) -> float:
     return rep.lhs / rep.rhs if rep.rhs else math.inf
 
 
-def _cmd_verify(args) -> int:
-    graph = _load(args)
-    _validate(args)
-    pairs = _select_pairs(graph, args.pairs, args.seed)
+def _cmd_verify(args, graph, pairs, out) -> int:
     ts = sorted(args.t0 * args.ratio ** k for k in range(args.count))
     connected = []
     for x, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
@@ -185,21 +186,20 @@ def _cmd_verify(args) -> int:
     failures = 0
     total = 0
     worst = None
-    with _open_out(args.out) as out:
-        out.writerow(["which", "x", "y", "d", "t", "n", "lhs", "rhs", "margin", "passed"])
-        try:
-            batches = verification_reports(graph, connected, ts, method=args.method)
-            for (_, _, d), reports in zip(connected, batches):
-                for rep in reports:
-                    total += 1
-                    if not rep.passed:
-                        failures += 1
-                    if worst is None or _ratio(rep) > _ratio(worst):
-                        worst = rep
-                    out.writerow([rep.which, rep.x, rep.y, d, rep.t, rep.n, rep.lhs, rep.rhs,
-                                  rep.margin, "true" if rep.passed else "false"])
-        except ValueError as exc:
-            raise CliError(EXIT_USAGE, str(exc)) from exc
+    out.writerow(["which", "x", "y", "d", "t", "n", "lhs", "rhs", "margin", "passed"])
+    try:
+        batches = verification_reports(graph, connected, ts, method=args.method)
+        for (_, _, d), reports in zip(connected, batches):
+            for rep in reports:
+                total += 1
+                if not rep.passed:
+                    failures += 1
+                if worst is None or _ratio(rep) > _ratio(worst):
+                    worst = rep
+                out.writerow([rep.which, rep.x, rep.y, d, rep.t, rep.n, rep.lhs, rep.rhs,
+                              rep.margin, "true" if rep.passed else "false"])
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc)) from exc
     summary = (f"graphheat: {total - failures}/{total} checks passed on {len(connected)} "
                f"pair(s), {len(pairs) - len(connected)} disconnected pair(s) skipped")
     if worst is not None:
@@ -209,26 +209,22 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
-def _cmd_exponent(args) -> int:
-    graph = _load(args)
-    _validate(args)
-    pairs = _select_pairs(graph, args.pairs, args.seed)
+def _cmd_exponent(args, graph, pairs, out) -> int:
     worst = 0.0
     skipped = 0
-    with _open_out(args.out) as out:
-        out.writerow(["x", "y", "group", "slope", "d_E", "abs_error", "max_residual"])
-        for x, y in pairs:
-            d = combinatorial_distance(graph, x, y, cutoff=args.cutoff)
-            if d == INFINITE:
-                skipped += 1
-                continue
-            try:
-                fit = leading_exponent_fit(graph, x, y, args.t0, args.ratio, args.count, args.group)
-            except (ValueError, ArithmeticError) as exc:
-                raise CliError(EXIT_USAGE, str(exc)) from exc
-            err = abs(fit.slope - d)
-            worst = max(worst, err)
-            out.writerow([x, y, args.group, fit.slope, d, err, fit.max_residual])
+    out.writerow(["x", "y", "group", "slope", "d_E", "abs_error", "max_residual"])
+    for x, y in pairs:
+        d = combinatorial_distance(graph, x, y, cutoff=args.cutoff)
+        if d == INFINITE:
+            skipped += 1
+            continue
+        try:
+            fit = leading_exponent_fit(graph, x, y, args.t0, args.ratio, args.count, args.group)
+        except (ValueError, ArithmeticError) as exc:
+            raise CliError(EXIT_USAGE, str(exc)) from exc
+        err = abs(fit.slope - d)
+        worst = max(worst, err)
+        out.writerow([x, y, args.group, fit.slope, d, err, fit.max_residual])
     if skipped:
         print(f"graphheat: {skipped} disconnected pair(s) skipped", file=sys.stderr)
     if worst > args.tol:
@@ -251,71 +247,70 @@ def _pair_overlay(graph, op, x, y, cutoff):
     return d, scale, math.ldexp(lead, -exp * d), math.ldexp(mxx + myy, -exp * (d + 1))
 
 
-def _cmd_sweep(args) -> int:
-    graph = _load(args)
-    _validate(args)
-    pairs = _select_pairs(graph, args.pairs, args.seed)
+def _cmd_sweep(args, graph, pairs, out) -> int:
     ts = sorted([args.t0 * args.ratio ** k for k in range(args.count)] + [0.0])
     op = LaplacianOperator(graph)
-    with _open_out(args.out) as out:
-        out.writerow(["x", "y", "t", "value", "leading", "bound", "method"])
-        for x, y in pairs:
-            overlay = _pair_overlay(graph, op, x, y, args.cutoff)
-            for t in ts:
-                try:
-                    method = select_route(graph, t, args.method)
-                    if args.unitary:
-                        value = abs(wave_element(graph, x, y, t, method=method))
-                    else:
-                        value = heat_element(graph, x, y, t, method=method)
-                except ValueError as exc:
-                    raise CliError(EXIT_USAGE, str(exc)) from exc
-                if overlay is None:
-                    leading, bound = "", ""
+    out.writerow(["x", "y", "t", "value", "leading", "bound", "method"])
+    for x, y in pairs:
+        overlay = _pair_overlay(graph, op, x, y, args.cutoff)
+        for t in ts:
+            try:
+                method = select_route(graph, t, args.method)
+                if args.unitary:
+                    value = abs(wave_element(graph, x, y, t, method=method))
                 else:
-                    d, scale, lead, diagonal = overlay
-                    leading = _series_coefficient(t * scale, d) * lead
-                    bound = 0.5 * _series_coefficient(t * scale, d + 1) * diagonal
-                out.writerow([x, y, t, value, leading, bound, method])
+                    value = heat_element(graph, x, y, t, method=method)
+            except ValueError as exc:
+                raise CliError(EXIT_USAGE, str(exc)) from exc
+            if overlay is None:
+                leading, bound = "", ""
+            else:
+                d, scale, lead, diagonal = overlay
+                leading = _series_coefficient(t * scale, d) * lead
+                bound = 0.5 * _series_coefficient(t * scale, d + 1) * diagonal
+            out.writerow([x, y, t, value, leading, bound, method])
     return EXIT_OK
 
 
-def _cmd_moments(args) -> int:
-    graph = _load(args)
-    _validate(args)
-    if args.nmax < 0:
-        raise CliError(EXIT_USAGE, "--nmax must be non-negative")
-    pairs = _select_pairs(graph, args.pairs, args.seed)
+def _cmd_moments(args, graph, pairs, out) -> int:
     op = LaplacianOperator(graph)
-    with _open_out(args.out) as out:
-        out.writerow(["x", "y", "n", "moment", "d_L"])
-        for x, y in pairs:
-            tbl = moment_table(op, x, y, args.nmax)
-            label = _order_label(tbl.order)
-            for n, value in enumerate(tbl.values):
-                out.writerow([x, y, n, value, label])
+    out.writerow(["x", "y", "n", "moment", "d_L"])
+    for x, y in pairs:
+        tbl = moment_table(op, x, y, args.nmax)
+        label = _order_label(tbl.order)
+        for n, value in enumerate(tbl.values):
+            out.writerow([x, y, n, value, label])
     return EXIT_OK
 
 
 # -- wiring --------------------------------------------------------------
 
 
-def _add_common(sub, t0: float, ratio: float, count: int):
+def _subcommand(subs, name, handler, help_text, cutoff=True, grid=None, method=False,
+                **defaults):
+    """A subparser with the options every subcommand reads, then ``--cutoff``,
+    the time grid (``--t0 --ratio --count`` with the defaults ``grid``) and
+    ``--method`` where the subcommand reads them."""
+    sub = subs.add_parser(name, help=help_text)
+    sub.set_defaults(handler=handler, **defaults)
     sub.add_argument("--input", metavar="FILE", help="graph file to load")
     sub.add_argument("--gen", metavar="SPEC",
                      help="builtin generator, e.g. path:6 or random:10:0.4:7")
     sub.add_argument("--pairs", default="all",
                      help="all | 'x,y;x,y;...' | sample:k (seeded)")
-    sub.add_argument("--t0", type=float, default=t0, help="largest grid time")
-    sub.add_argument("--ratio", type=float, default=ratio, help="geometric grid ratio")
-    sub.add_argument("--count", type=int, default=count, help="grid size (>= 3)")
-    sub.add_argument("--method", choices=["eigen", "series", "auto"], default="auto")
-    sub.add_argument("--tol", type=float, default=0.05,
-                     help="slope tolerance for the exponent command")
     sub.add_argument("--seed", type=int, default=None, help="seed for pair sampling")
-    sub.add_argument("--cutoff", type=int, default=None,
-                     help="search radius for distances (defaults to the vertex count)")
     sub.add_argument("--out", default="-", metavar="FILE|-", help="CSV destination")
+    if cutoff:
+        sub.add_argument("--cutoff", type=int, default=None,
+                         help="search radius for distances (defaults to the vertex count)")
+    if grid is not None:
+        t0, ratio, count = grid
+        sub.add_argument("--t0", type=float, default=t0, help="largest grid time")
+        sub.add_argument("--ratio", type=float, default=ratio, help="geometric grid ratio")
+        sub.add_argument("--count", type=int, default=count, help="grid size (>= 3)")
+    if method:
+        sub.add_argument("--method", choices=["eigen", "series", "auto"], default="auto")
+    return sub
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -324,41 +319,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Weighted graph Laplacians: distance/moment tables, short-time "
                     "bound verification, exponent fits, and propagator sweeps.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("distance", help="hop distance vs first nonzero moment order")
-    _add_common(p, 1e-3, 0.1, 4)
-    p.set_defaults(handler=_cmd_distance)
-
-    p = subs.add_parser("verify", help="leading-order and short-time bound reports")
-    _add_common(p, 1e-1, 0.1, 4)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = subs.add_parser("exponent", help="log-log slope fits of the propagators")
-    _add_common(p, 1e-3, 0.1, 4)
+    _subcommand(subs, "distance", _cmd_distance, "hop distance vs first nonzero moment order")
+    _subcommand(subs, "verify", _cmd_verify, "leading-order and short-time bound reports",
+                grid=(1e-1, 0.1, 4), method=True)
+    p = _subcommand(subs, "exponent", _cmd_exponent, "log-log slope fits of the propagators",
+                    grid=(1e-3, 0.1, 4))
     p.add_argument("--group", choices=["heat", "wave"], default="heat")
-    p.set_defaults(handler=_cmd_exponent)
-
-    p = subs.add_parser("heat", help="heat propagator sweep with overlays")
-    _add_common(p, 1.0, 0.5, 16)
-    p.set_defaults(handler=_cmd_sweep, unitary=False)
-
-    p = subs.add_parser("wave", help="wave propagator sweep (modulus) with overlays")
-    _add_common(p, 1.0, 0.5, 16)
-    p.set_defaults(handler=_cmd_sweep, unitary=True)
-
-    p = subs.add_parser("moments", help="moment tables as CSV rows")
-    _add_common(p, 1e-3, 0.1, 4)
+    p.add_argument("--tol", type=float, default=0.05, help="slope tolerance")
+    _subcommand(subs, "heat", _cmd_sweep, "heat propagator sweep with overlays",
+                grid=(1.0, 0.5, 16), method=True, unitary=False)
+    _subcommand(subs, "wave", _cmd_sweep, "wave propagator sweep (modulus) with overlays",
+                grid=(1.0, 0.5, 16), method=True, unitary=True)
+    p = _subcommand(subs, "moments", _cmd_moments, "moment tables as CSV rows", cutoff=False)
     p.add_argument("--nmax", type=int, default=5, help="largest moment order")
-    p.set_defaults(handler=_cmd_moments)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        graph = _load(args)
+        _validate(args)
+        pairs = _select_pairs(graph, args.pairs, args.seed)
+        with _open_out(args.out) as out:
+            return args.handler(args, graph, pairs, out)
     except CliError as exc:
         print(f"graphheat: {exc.message}", file=sys.stderr)
         return exc.code

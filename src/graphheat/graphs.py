@@ -268,18 +268,22 @@ def validate(g: WeightedGraph) -> list[str]:
     return problems
 
 
-def _layers(source, x, cutoff):
-    """Yield the vertices at hop distance 0, 1, ... from x, one list per
-    distance, up to ``cutoff`` or the last nonempty layer: a breadth-first
-    search over the edge set {b > 0} that never expands the last layer."""
-    source._check(x)
+def _layers(source, starts, cutoff):
+    """Yield the vertices at hop distance 0, 1, ... from the nearest of
+    ``starts``, one list per distance, up to ``cutoff`` or the last nonempty
+    layer: one breadth-first search over the edge set {b > 0} that never
+    expands the last layer."""
+    starts = list(starts)
+    for x in starts:
+        source._check(x)
     if cutoff is None:
         if not source.is_finite:
             raise ValueError("cutoff is required for distance queries on procedural sources")
         cutoff = source.n
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    seen, layer = {x}, [x]
+    seen = set(starts)
+    layer = sorted(seen)
     for _ in range(cutoff):
         yield layer
         nxt = []
@@ -302,14 +306,14 @@ def combinatorial_distance(source, x, y, cutoff: int | None = None):
     exist beyond it).
     """
     source._check(y)
-    return next((d for d, layer in enumerate(_layers(source, x, cutoff)) if y in layer),
+    return next((d for d, layer in enumerate(_layers(source, [x], cutoff)) if y in layer),
                 INFINITE)
 
 
 def distances_from(source, x, cutoff: int | None = None) -> dict:
     """Hop distances from x to every vertex reachable within ``cutoff`` hops;
     ``cutoff`` is as in :func:`combinatorial_distance`."""
-    return {v: d for d, layer in enumerate(_layers(source, x, cutoff)) for v in layer}
+    return {v: d for d, layer in enumerate(_layers(source, [x], cutoff)) for v in layer}
 
 
 def is_connected(g: WeightedGraph) -> bool:
@@ -340,10 +344,7 @@ def neighborhood(source, centers, radius: int) -> WeightedGraph:
     """The :func:`ball` around several centers: the union of their balls, induced."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    members = set()
-    for x in centers:
-        members.update(distances_from(source, x, cutoff=radius))
-    members = sorted(members)
+    members = sorted(v for layer in _layers(source, centers, radius) for v in layer)
     index = {v: i for i, v in enumerate(members)}
     edges = []
     for v in members:

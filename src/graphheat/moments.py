@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import distances_from, neighborhood
+from .graphs import _layers, neighborhood
 from .operators import LaplacianOperator, _exact_sum, compiled
 
 INITIAL_RADIUS = 16  # of the first neighborhood a procedural stream runs on
@@ -225,13 +225,15 @@ def first_nonzero_orders(op: LaplacianOperator, sources, n_max: int):
     n <= n_max with <1_v, L^n 1_{sources[j]}> nonzero, or -1 if none is, and
     moments[positions[v], j] that moment.  The vertices are the graph's, or on
     a procedural source those within n_max hops of a source.  The stream stops
-    at n_max, or once every vertex has been reached from every source.
+    at n_max, once every vertex has been reached from every source, or at the
+    first order that reaches no new (vertex, source) entry: the first nonzero
+    order is the hop distance, and a hop layer that is empty stays empty.
     """
     g = op.graph
     for y in sources:
         g._check(y)
     labels = g.vertices if g.is_finite else sorted(
-        set().union(*(distances_from(g, y, cutoff=max(n_max, 0)) for y in sources)))
+        v for layer in _layers(g, sources, max(n_max, 0)) for v in layer)
     shape = (len(labels), len(sources))
     orders, moments = np.full(shape, -1), np.zeros(shape)
     # every (vertex, column), in the row-major order of ``shape``
@@ -244,7 +246,7 @@ def first_nonzero_orders(op: LaplacianOperator, sources, n_max: int):
             fresh = (values != 0) & (orders < 0)
             orders[fresh] = n
             moments[fresh] = values[fresh]
-            if (orders >= 0).all():
+            if not fresh.any() or (orders >= 0).all():
                 break
     return {v: i for i, v in enumerate(labels)}, orders, moments
 

@@ -263,7 +263,7 @@ def select_route(source, t, method: str) -> str:
         return "eigen"
     limit = 0.5 if method == "auto" else 2.0
     top = compiled(graph).bound
-    if graph in _DECOMPOSITIONS or t * top > limit * (1 - GATE_ROUNDING):
+    if t * top > limit * (1 - GATE_ROUNDING):
         top = float(_eigen(graph)[0][-1]) if graph.n else 0.0  # eigenvalues ascend
     if t * top <= limit:
         return "series"

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphheat import (INFINITE, LaplacianOperator, ProceduralGraph,
-                       WeightedGraph, combinatorial_distance,
+                       WeightedGraph, combinatorial_distance, distances_from,
                        first_nonzero_moments, first_nonzero_orders, from_spec,
                        heat_element, integer_line, pair_verification_reports,
                        random_connected_graph, save_graph, spectral,
@@ -105,7 +105,9 @@ def test_verify_and_distance_match_the_per_pair_reference(tmp_path, capsys, extr
 
     code, out, _ = _run(capsys, ["verify", "--input", path] + extra)
     assert (out, code) == _verify_reference(graph, pairs, cutoff, method)
-    code, out, _ = _run(capsys, ["distance", "--input", path] + extra)
+    # distance takes no --method
+    shared = [arg for key, value in options.items() if key != "--method" for arg in (key, value)]
+    code, out, _ = _run(capsys, ["distance", "--input", path] + shared)
     assert (out, code) == _distance_reference(graph, pairs, graph.n if cutoff is None else cutoff)
 
 
@@ -254,6 +256,20 @@ def test_first_orders_on_the_line_follow_the_growing_ball():
     for j, y in enumerate([0, 3, -50]):
         assert {v: (int(orders[k, j]), float(moments[k, j])) for v, k in positions.items()
                 if orders[k, j] >= 0} == first_nonzero_moments(op, y, n_max)
+
+
+def test_first_orders_stop_at_the_first_order_that_reaches_nothing_new(monkeypatch):
+    graph = from_spec("random:40:0.1:1:c")  # has an isolated vertex
+    calls = []
+    apply = LaplacianOperator.apply
+    monkeypatch.setattr(LaplacianOperator, "apply",
+                        lambda self, block: calls.append(1) or apply(self, block))
+    sources = list(graph.vertices)
+    positions, orders, _ = first_nonzero_orders(LaplacianOperator(graph), sources, graph.n)
+    dists = [distances_from(graph, y) for y in sources]
+    assert len(calls) <= max(max(dist.values()) for dist in dists) + 1
+    for j, dist in enumerate(dists):
+        assert {v: int(orders[k, j]) for v, k in positions.items() if orders[k, j] >= 0} == dist
 
 
 def test_another_thread_does_not_evict_this_threads_stream(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -237,6 +238,46 @@ def test_grid_validation(capsys):
     code, _, err = run(capsys, "verify", "--gen", "path:2", "--count", "2")
     assert code == 2
     assert "--count" in err
+
+
+# every option slot a subcommand used to take without reading
+@pytest.mark.parametrize("argv", [
+    ["distance", "--count", "2"],
+    ["distance", "--method", "eigen"],
+    ["distance", "--tol", "0.1"],
+    ["moments", "--cutoff", "-1"],
+    ["moments", "--t0", "0.1"],
+    ["exponent", "--method", "eigen"],
+    ["verify", "--tol", "0.1"],
+    ["heat", "--tol", "0.1"],
+    ["wave", "--tol", "0.1"],
+], ids=" ".join)
+def test_an_option_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--gen", "path:3"] + argv[1:])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+SHARED_OPTIONS = {"--input", "--gen", "--pairs", "--seed", "--out"}
+GRID_OPTIONS = {"--t0", "--ratio", "--count"}
+SWEEP_OPTIONS = SHARED_OPTIONS | GRID_OPTIONS | {"--cutoff", "--method"}
+OPTIONS = {
+    "distance": SHARED_OPTIONS | {"--cutoff"},
+    "verify": SWEEP_OPTIONS,
+    "heat": SWEEP_OPTIONS,
+    "wave": SWEEP_OPTIONS,
+    "exponent": SHARED_OPTIONS | GRID_OPTIONS | {"--cutoff", "--group", "--tol"},
+    "moments": SHARED_OPTIONS | {"--nmax"},
+}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_help_lists_the_options_the_subcommand_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z0-9]+", capsys.readouterr().out)) == OPTIONS[command] | {"--help"}
 
 
 def test_exponent_underflow_is_a_usage_error(capsys):

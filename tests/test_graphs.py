@@ -6,6 +6,7 @@ from graphheat import (INFINITE, ProceduralGraph, WeightedGraph, ball,
                        combinatorial_distance, degree, distances_from,
                        integer_line, is_connected, path_graph,
                        random_connected_graph, random_graph, validate)
+from graphheat.graphs import neighborhood
 
 
 def test_constructor_mirrors_edges():
@@ -156,6 +157,13 @@ def test_ball_on_integer_line():
     b = ball(line, 0, 2)
     assert b.labels == (-2, -1, 0, 1, 2)
     assert b.edge_count == 4
+
+
+def test_neighborhood_is_the_union_of_the_center_balls():
+    line = integer_line()
+    for r in range(6):
+        union = set().union(*(ball(line, x, r).labels for x in (0, 3, 40)))
+        assert neighborhood(line, [0, 3, 40], r).labels == tuple(sorted(union))
 
 
 def test_ball_matches_distance_sets():
