@@ -16,7 +16,11 @@ more than 1e-9 * rhs.
 A pair's report at order n has the series' own n-th term as its leading
 term and that term's remainder bound, the series route's stopping bound, as
 its bound, both over the moments scaled by s^n, so they hold at any hop
-distance; :func:`verification_reports` reads many pairs from one block stream.
+distance.  One builder forms every report as arrays over a block of pairs
+read from one block stream, with the elements of
+:func:`~graphheat.spectral.block_elements`: :func:`verification_blocks` yields
+them PAIR_BLOCK pairs at a time, and every other check reads them as
+:class:`BoundReport` lists, a one-pair check as a block of one pair.
 """
 
 from __future__ import annotations
@@ -27,14 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import INFINITE, combinatorial_distance
-from .moments import PairMoments, stream
+from .moments import PairMoments, PairRows, stream
 from .operators import WeightedVector, _exact_sum
 from .spectral import (ScalarFunction, SpectralDecomposition, _resolve, _series_coefficient,
-                       functional_calculus, heat_element, pair_element, select_route)
+                       block_elements, functional_calculus, heat_element, pair_element,
+                       select_route)
 
 PASS_SLACK_REL = 1e-9
 PASS_SLACK_ABS = 1e-300
 UNDERFLOW_FLOOR = 1e-280
+TAGS = ("heat_leading", "wave_leading", "semigroup", "unitary")
+PAIR_BLOCK = 64  # pairs per array of verification_blocks, which bounds its memory
 
 
 @dataclass(frozen=True)
@@ -55,7 +62,12 @@ class BoundReport:
 
     @property
     def passed(self) -> bool:
-        return self.lhs <= self.rhs * (1 + PASS_SLACK_REL) + PASS_SLACK_ABS
+        return passes(self.lhs, self.rhs)
+
+
+def passes(lhs, rhs):
+    """Whether lhs is within rhs up to the slack; on floats or arrays alike."""
+    return lhs <= rhs * (1 + PASS_SLACK_REL) + PASS_SLACK_ABS
 
 
 @dataclass(frozen=True)
@@ -120,42 +132,57 @@ def taylor_bound(dec: SpectralDecomposition, func: ScalarFunction,
     return BoundReport("taylor", None, None, None, order, lhs, rhs)
 
 
-def _order_reports(pm: PairMoments, n: int, times, routes, which):
-    """The reports of pm's pair at order n: for each t, one per tag of ``which``.
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan arise as in Python floats
+def _order_reports(rows: PairRows, block, orders, ts, routes):
+    """(lhs, rhs) of the pairs ``block`` (a slice) of the rows at their ``orders``,
+    shaped (pair, t, tag) over TAGS, for the times ``ts`` taken through ``routes``.
 
-    The leading term is the series' own n-th term (t s)^n/n! pm[n][0] and the
-    bound its remainder bound 1/2 (t s)^(n+1)/(n+1)! (pm[n+1][1] + pm[n+1][2]),
-    both in the scaled moments with the coefficients of :func:`pair_element`,
-    so neither overflows at any order.  Every moment below n must vanish.
+    A pair's leading term at order n is the series' own n-th term
+    (t s)^n/n! xy_n and its bound that term's remainder bound
+    1/2 (t s)^(n+1)/(n+1)! (xx_{n+1} + yy_{n+1}), in the scaled moments with the
+    coefficients of :func:`pair_element`, so neither overflows at any order.
+    Every moment of a pair below its order must vanish.
     """
-    if n < 0:
+    at, orders = rows.at[block], np.asarray(orders, dtype=np.intp)
+    if (orders < 0).any():
         raise ValueError("moment order must be non-negative")
-    k = next((k for k in range(n) if pm[k][0] != 0.0), None)
-    if k is not None:
-        raise ValueError(f"bound requires every moment below n to vanish; "
-                         f"moment {k} is {pm.moments(k)[0]}")
-    xy = pm[n][0]
-    _, xx, yy = pm[n + 1]
-    reports = []
-    for t, route in zip(times, routes):
-        h, w = pair_element(pm, t, route, False), pair_element(pm, t, route, True)
-        ts = t * pm.scale
-        lead = _series_coefficient(ts, n) * xy
-        rhs = 0.5 * _series_coefficient(ts, n + 1) * (xx + yy)
-        lhs = {"heat_leading": abs(h - abs(lead)), "wave_leading": abs(abs(w) - abs(lead)),
-               "semigroup": abs(h - (1.0, -1.0)[n % 2] * lead),
-               "unitary": abs(w - (1 + 0j, -1j, -1 + 0j, 1j)[n % 4] * lead)}
-        for tag in which:
-            if tag not in lhs:
-                raise ValueError(f"unknown report tag {tag!r}")
-            reports.append(BoundReport(tag, pm.x, pm.y, t, n, lhs[tag], rhs))
-    return reports
+    top, pair = int(orders.max()), np.arange(len(at))
+    table = np.stack([rows[k][at] for k in range(top + 2)])  # (order, pair, (xy, xx, yy))
+    below = np.argwhere((table[:top, :, 0] != 0.0) & (np.arange(top)[:, None] < orders))
+    if len(below):
+        k, i = below[0].tolist()
+        raise ValueError(f"bound requires every moment below n to vanish; moment {k} "
+                         f"is {math.ldexp(table[k, i, 0], rows.exp * k)}")
+    coef = [np.ones(len(ts))]  # (t s)^k / k! by the recursion of pair_element
+    for k in range(1, top + 2):
+        coef.append(coef[-1] * (np.multiply(ts, rows.scale) / k))
+    coef, after = np.array(coef), table[orders + 1, pair]
+    lead = coef[orders] * table[orders, pair, 0][:, None]
+    rhs = 0.5 * coef[orders + 1] * (after[:, 1] + after[:, 2])[:, None]
+    h, w = (block_elements(rows, block, ts, routes, unitary) for unitary in (False, True))
+    quarter = (orders % 4)[:, None]  # e^{-itL}'s n-th phase (-i)^n: 1, -i, -1, i
+    lhs = np.stack([np.abs(h - np.abs(lead)), np.abs(np.hypot(w.real, w.imag) - np.abs(lead)),
+                    np.abs(h - np.where(quarter % 2, -lead, lead)),
+                    np.hypot(w.real - np.choose(quarter, [lead, 0.0, -lead, 0.0]),
+                             w.imag - np.choose(quarter, [0.0, -lead, 0.0, lead]))], axis=-1)
+    return lhs, np.broadcast_to(rhs[..., None], lhs.shape)
 
 
-def _order_bound(source, x, y, t, n, unitary):
+def _pair_reports(x, y, n, ts, lhs, rhs, which):
+    """One pair's (t, tag) arrays of :func:`_order_reports` as BoundReports, per t one
+    per tag of ``which``."""
+    for tag in which:
+        if tag not in TAGS:
+            raise ValueError(f"unknown report tag {tag!r}")
+    return [BoundReport(tag, x, y, t, n, lhs_t[TAGS.index(tag)], rhs_t[0])
+            for t, lhs_t, rhs_t in zip(ts, lhs.tolist(), rhs.tolist()) for tag in which]
+
+
+def _order_bound(source, x, y, t, n, tag):
     graph = _resolve(source)
-    return _order_reports(PairMoments(graph, x, y), n, [t], [select_route(graph, t, "auto")],
-                          ("unitary" if unitary else "semigroup",))[0]
+    lhs, rhs = _order_reports(PairRows(graph, [(x, y)]), slice(None), [n], [t],
+                              [select_route(graph, t, "auto")])
+    return _pair_reports(x, y, n, [t], lhs[0], rhs[0], (tag,))[0]
 
 
 def semigroup_bound(source, x, y, t, n: int) -> BoundReport:
@@ -164,12 +191,12 @@ def semigroup_bound(source, x, y, t, n: int) -> BoundReport:
     lhs: |<1_x, e^{-tL} 1_y> - (-t)^n <1_x, L^n 1_y> / n!|
     rhs: t^(n+1) (<1_x, L^(n+1) 1_x> + <1_y, L^(n+1) 1_y>) / (2 (n+1)!)
     """
-    return _order_bound(source, x, y, t, n, unitary=False)
+    return _order_bound(source, x, y, t, n, "semigroup")
 
 
 def unitary_bound(source, x, y, t, n: int) -> BoundReport:
     """Short-time bound for the unitary group; same right-hand side as the semigroup."""
-    return _order_bound(source, x, y, t, n, unitary=True)
+    return _order_bound(source, x, y, t, n, "unitary")
 
 
 def leading_term_check(source, x, y, t, cutoff=None) -> tuple[BoundReport, BoundReport]:
@@ -184,9 +211,7 @@ def leading_term_check(source, x, y, t, cutoff=None) -> tuple[BoundReport, Bound
     return reports[0], reports[1]
 
 
-def pair_verification_reports(source, x, y, ts, cutoff=None,
-                              which=("heat_leading", "wave_leading", "semigroup", "unitary"),
-                              method="auto"):
+def pair_verification_reports(source, x, y, ts, cutoff=None, which=TAGS, method="auto"):
     """Bound reports for one vertex pair across a t grid, sharing moment work.
 
     The semigroup/unitary reports run at the pair's hop distance d (their
@@ -202,26 +227,35 @@ def pair_verification_reports(source, x, y, ts, cutoff=None,
     return next(verification_reports(graph, [(x, y, d)], ts, which, method))
 
 
-def verification_reports(source, pairs, ts,
-                         which=("heat_leading", "wave_leading", "semigroup", "unitary"),
-                         method="auto"):
-    """The reports of :func:`pair_verification_reports` for many connected pairs.
+def verification_reports(source, pairs, ts, which=TAGS, method="auto"):
+    """The reports of :func:`pair_verification_reports` for many connected pairs,
+    one list per (x, y, d) triple of ``pairs``, read from :func:`verification_blocks`."""
+    for block, lhs, rhs in verification_blocks(source, pairs, ts, method):
+        for (x, y, d), lhs_p, rhs_p in zip(block, lhs, rhs):
+            yield _pair_reports(x, y, d, ts, lhs_p, rhs_p, which)
 
-    ``pairs`` holds (x, y, d) triples, d being the pair's hop distance; one
-    list of reports is yielded per triple, in order.  Every pair reads its
-    moments from one block stream over the pairs' distinct vertices (see
-    :meth:`PairMoments.shared`), and its elements through the same series
-    evaluator and stopping rule as a single pair, so each report is bitwise
-    the one-pair report.  The route is chosen once per t.
+
+def verification_blocks(source, pairs, ts, method="auto"):
+    """Yield (triples, lhs, rhs) for each PAIR_BLOCK of the (x, y, d) triples ``pairs``,
+    d being the pair's hop distance: its reports' sides as (pair, t, tag) arrays.
+
+    Every pair reads its moments from one block stream over the pairs' distinct
+    vertices (see :class:`PairRows`), and each value is bitwise the one-pair
+    value.  The route is chosen once per t.
     """
     graph = _resolve(source)
     pairs = list(pairs)
     routes = [select_route(graph, t, method) for t in ts]
-    for (x, y, d), pm in zip(pairs, PairMoments.shared(graph, [(x, y) for x, y, _ in pairs])):
-        if pm[d][0] == 0.0:
-            raise ArithmeticError(f"moment at the hop distance {d} vanished for pair ({x}, {y}); "
-                                  "this contradicts the graph structure and signals a bug")
-        yield _order_reports(pm, d, ts, routes, which)
+    rows = PairRows(graph, [(x, y) for x, y, _ in pairs]) if pairs else None
+    for start in range(0, len(pairs), PAIR_BLOCK):
+        triples = pairs[start:start + PAIR_BLOCK]
+        for i, (x, y, d) in enumerate(triples, start):
+            if rows[d][i] == 0.0:  # the pair's own moment sits at index i
+                raise ArithmeticError(
+                    f"the moment of pair ({x}, {y}) at its hop distance {d} underflowed to 0.0; "
+                    f"in exact arithmetic it is nonzero, with sign (-1)^{d}")
+        yield (triples, *_order_reports(rows, slice(start, start + PAIR_BLOCK),
+                                        [d for *_, d in triples], ts, routes))
 
 
 def leading_exponent_fit(source, x, y, t0: float = 1e-3, ratio: float = 0.1,
@@ -281,8 +315,9 @@ def vanishing_order_check(source, x, y, n: int, t_samples,
         raise ValueError(f"pair ({x}, {y}) has a nonzero moment at order {order} <= {n}; "
                          "the vanishing-order witness does not apply")
     ts = list(t_samples)
-    samples = _order_reports(pm, n, ts, [select_route(graph, t, method) for t in ts],
-                             ("semigroup", "unitary"))
+    lhs, rhs = _order_reports(pm.rows, slice(None), [n], ts,
+                              [select_route(graph, t, method) for t in ts])
+    samples = _pair_reports(x, y, n, ts, lhs[0], rhs[0], ("semigroup", "unitary"))
     _, xx, yy = pm[n + 1]
     # the reports' bound at t = 1
     constant = 0.5 * _series_coefficient(pm.scale, n + 1) * (xx + yy)

@@ -30,7 +30,9 @@ import random
 import sys
 from contextlib import contextmanager
 
-from .asymptotics import leading_exponent_fit, verification_reports
+import numpy as np
+
+from .asymptotics import TAGS, leading_exponent_fit, passes, verification_blocks
 from .generators import from_spec
 from .graphio import GraphFormatError, load_graph
 from .graphs import INFINITE, combinatorial_distance, distances_from
@@ -127,12 +129,12 @@ def _select_pairs(graph, spec: str, seed) -> list[tuple[int, int]]:
 
 @contextmanager
 def _open_out(path: str):
-    """A CSV writer on ``path`` or on stdout for "-"; floats print as their repr."""
+    """The text file ``path``, or stdout for "-"."""
     if path == "-":
-        yield csv.writer(sys.stdout, lineterminator="\n")
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield csv.writer(fh, lineterminator="\n")
+            yield fh
 
 
 def _order_label(order) -> str:
@@ -142,7 +144,8 @@ def _order_label(order) -> str:
 # -- subcommands ---------------------------------------------------------
 
 
-def _cmd_distance(args, graph, pairs, out) -> int:
+def _cmd_distance(args, graph, pairs, fh) -> int:
+    out = csv.writer(fh, lineterminator="\n")  # floats print as their repr
     cutoff = args.cutoff if args.cutoff is not None else graph.n
     sources = sorted({x for x, _ in pairs})
     positions, orders, _ = first_nonzero_orders(LaplacianOperator(graph), sources, cutoff)
@@ -170,46 +173,47 @@ def _cmd_distance(args, graph, pairs, out) -> int:
     return EXIT_OK
 
 
-def _ratio(rep) -> float:
-    """lhs/rhs of a report; 0 when lhs is exactly 0, even at rhs = 0."""
-    if rep.lhs == 0.0:
-        return 0.0
-    return rep.lhs / rep.rhs if rep.rhs else math.inf
-
-
-def _cmd_verify(args, graph, pairs, out) -> int:
+def _cmd_verify(args, graph, pairs, fh) -> int:
     ts = sorted(args.t0 * args.ratio ** k for k in range(args.count))
     connected = []
     for x, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
         dist = distances_from(graph, x, cutoff=args.cutoff)
         connected += [(x, y, dist[y]) for _, y in group if y in dist]
-    failures = 0
-    total = 0
-    worst = None
-    out.writerow(["which", "x", "y", "d", "t", "n", "lhs", "rhs", "margin", "passed"])
+    total = failures = 0
+    worst = None  # (lhs/rhs, which, x, y, t) at the first largest ratio
+    t_text = [repr(t) for t in ts]
+    fh.write("which,x,y,d,t,n,lhs,rhs,margin,passed\n")
     try:
-        batches = verification_reports(graph, connected, ts, method=args.method)
-        for (_, _, d), reports in zip(connected, batches):
-            for rep in reports:
-                total += 1
-                if not rep.passed:
-                    failures += 1
-                if worst is None or _ratio(rep) > _ratio(worst):
-                    worst = rep
-                out.writerow([rep.which, rep.x, rep.y, d, rep.t, rep.n, rep.lhs, rep.rhs,
-                              rep.margin, "true" if rep.passed else "false"])
-    except ValueError as exc:
+        for triples, lhs, rhs in verification_blocks(graph, connected, ts, method=args.method):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                margin = rhs - lhs
+                # lhs/rhs, 0 where lhs is exactly 0 even at rhs = 0
+                ratio = np.where(lhs == 0.0, 0.0, np.where(rhs != 0.0, lhs / rhs, np.inf))
+            passed = passes(lhs, rhs).ravel().tolist()
+            total, failures = total + len(passed), failures + passed.count(False)
+            top = np.unravel_index(np.argmax(ratio), ratio.shape)
+            if worst is None or ratio[top] > worst[0]:
+                worst = (float(ratio[top]), TAGS[top[2]], *triples[top[0]][:2], ts[top[1]])
+            # the columns as text, one repr per float; a (pair, t)'s tags share its rhs
+            heads = [f"{tag},{x},{y},{d},{t},{d}"
+                     for x, y, d in triples for t in t_text for tag in TAGS]
+            bounds = [text for text in map(repr, rhs[..., 0].ravel().tolist()) for _ in TAGS]
+            flags = [("false", "true")[flag] for flag in passed]
+            columns = zip(heads, map(repr, lhs.ravel().tolist()), bounds,
+                          map(repr, margin.ravel().tolist()), flags)
+            fh.write("".join([f"{a},{b},{c},{d},{e}\n" for a, b, c, d, e in columns]))
+    except (ValueError, ArithmeticError) as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
     summary = (f"graphheat: {total - failures}/{total} checks passed on {len(connected)} "
                f"pair(s), {len(pairs) - len(connected)} disconnected pair(s) skipped")
     if worst is not None:
-        summary += (f"; worst lhs/rhs {_ratio(worst)!r} at {worst.which} "
-                    f"{worst.x},{worst.y} t={worst.t!r}")
+        summary += "; worst lhs/rhs {!r} at {} {},{} t={!r}".format(*worst)
     print(summary, file=sys.stderr)
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
-def _cmd_exponent(args, graph, pairs, out) -> int:
+def _cmd_exponent(args, graph, pairs, fh) -> int:
+    out = csv.writer(fh, lineterminator="\n")  # floats print as their repr
     worst = 0.0
     skipped = 0
     out.writerow(["x", "y", "group", "slope", "d_E", "abs_error", "max_residual"])
@@ -247,7 +251,8 @@ def _pair_overlay(graph, op, x, y, cutoff):
     return d, scale, math.ldexp(lead, -exp * d), math.ldexp(mxx + myy, -exp * (d + 1))
 
 
-def _cmd_sweep(args, graph, pairs, out) -> int:
+def _cmd_sweep(args, graph, pairs, fh) -> int:
+    out = csv.writer(fh, lineterminator="\n")  # floats print as their repr
     ts = sorted([args.t0 * args.ratio ** k for k in range(args.count)] + [0.0])
     op = LaplacianOperator(graph)
     out.writerow(["x", "y", "t", "value", "leading", "bound", "method"])
@@ -272,7 +277,8 @@ def _cmd_sweep(args, graph, pairs, out) -> int:
     return EXIT_OK
 
 
-def _cmd_moments(args, graph, pairs, out) -> int:
+def _cmd_moments(args, graph, pairs, fh) -> int:
+    out = csv.writer(fh, lineterminator="\n")  # floats print as their repr
     op = LaplacianOperator(graph)
     out.writerow(["x", "y", "n", "moment", "d_L"])
     for x, y in pairs:
@@ -341,8 +347,8 @@ def main(argv=None) -> int:
         graph = _load(args)
         _validate(args)
         pairs = _select_pairs(graph, args.pairs, args.seed)
-        with _open_out(args.out) as out:
-            return args.handler(args, graph, pairs, out)
+        with _open_out(args.out) as fh:
+            return args.handler(args, graph, pairs, fh)
     except CliError as exc:
         print(f"graphheat: {exc.message}", file=sys.stderr)
         return exc.code

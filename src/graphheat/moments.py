@@ -6,9 +6,9 @@ step, and yields per order one array, the moments at the (vertex, column)
 targets its caller names, so no reader knows the block's layout or the
 neighborhood a procedural stream runs on.  Each column is bitwise the stream
 of its vector alone on a finite graph, so one stream serves many pairs:
-:meth:`PairMoments.shared` reads any number of pairs from one stream over
-their distinct vertices, and :func:`first_nonzero_orders` the first nonzero
-orders of many sources.  The array kernel keeps exact zeros (see
+:class:`PairRows` reads any number of pairs from one stream over their
+distinct vertices, and :func:`first_nonzero_orders` the first nonzero orders
+of many sources.  The array kernel keeps exact zeros (see
 :mod:`graphheat.operators`), so a moment is the float 0.0 precisely when no
 walk of length n joins x and y, and the first nonzero order is found by exact
 comparison.  On connected graphs it is the hop distance, and the moment there
@@ -16,8 +16,8 @@ has sign (-1)^distance: every shortest-walk product has that sign, so no
 cancellation can occur at the critical order.
 
 The moment readers stream with s = 1, since their values are the moments
-themselves.  :class:`PairMoments`, which feeds the series route, divides by
-the Gershgorin bound rounded up to a power of two: its vectors stay bounded
+themselves.  :class:`PairRows`, which feeds the series route, divides by the
+Gershgorin bound rounded up to a power of two: its vectors stay bounded
 and the division is exact, so s^n (L/s)^n v has the digits of L^n v.
 
 ``path_sum_moment`` recomputes a moment by brute-force enumeration of the
@@ -101,77 +101,79 @@ def stream(source, vectors, scale: float, targets):
         order, radius = radius, 2 * radius
 
 
-class _SharedRows:
+class PairRows:
     """Per order, the scaled moments of many pairs, read from one block stream
-    with a column for each distinct vertex: m(x) u_y[x] for the i-th pair (x, y)
-    at index i, then m(v) u_v[v] for the j-th vertex v at index P + j, where u_v
-    is the column of 1_v and P the number of pairs."""
+    with a column for each distinct vertex.
+
+    ``self[n]`` holds m(x) u_y[x] for the i-th pair (x, y) at index i, then
+    m(v) u_v[v] for the j-th vertex v at index P + j, where u_v is the column of
+    1_v, P the number of pairs and s = ``self.scale``; ``at[i]`` holds the
+    indices of the i-th pair's (xy, xx, yy).  The stream runs only as far as
+    the highest order asked for, and every order read is kept, so all pairs,
+    times and propagators share one stream.
+    """
 
     def __init__(self, source, pairs):
         for x, y in pairs:
             source._check(x)
             source._check(y)
         vertices = sorted({v for pair in pairs for v in pair})
-        self.diagonal_at = {v: len(pairs) + j for j, v in enumerate(vertices)}
+        column = {v: j for j, v in enumerate(vertices)}
+        self.source, self.vertices = source, np.array(vertices, dtype=np.intp)
+        self.at = np.array([(i, len(pairs) + column[x], len(pairs) + column[y])
+                            for i, (x, y) in enumerate(pairs)], dtype=np.intp).reshape(-1, 3)
         # the compiled scale of the graph, or of the vertices' 1-neighborhood
         self.scale = compiled(source if source.is_finite
                               else neighborhood(source, vertices, 1)).scale
-        column = {v: j for j, v in enumerate(vertices)}
+        self.exp = round(math.log2(self.scale))
         targets = [(x, column[y]) for x, y in pairs] + [(v, column[v]) for v in vertices]
-        self.steps = stream(source, [{v: 1.0} for v in vertices], self.scale, targets)
-        self.orders = []
+        self._steps = stream(source, [{v: 1.0} for v in vertices], self.scale, targets)
+        self._orders = []
+
+    def __getitem__(self, n: int) -> np.ndarray:
+        while len(self._orders) <= n:
+            self._orders.append(next(self._steps))
+        return self._orders[n]
+
+    def pairs(self, block) -> np.ndarray:
+        """The x and the y of the pairs ``block`` (a slice of the pairs), as two arrays."""
+        return self.vertices[self.at[block, 1:] - len(self.at)].T
 
 
 class PairMoments:
     """Moments of one vertex pair, read lazily from a stream of basis vectors.
 
     ``self[n]`` is (<1_x, L^n 1_y>, <1_x, L^n 1_x>, <1_y, L^n 1_y>) / s^n with
-    s = ``self.scale``.  The stream runs only as far as the highest order
-    asked for, so every time and both propagators of a pair read the same
-    one; :meth:`shared` reads many pairs from one stream.
+    s = ``self.scale``, read from ``self.rows``, the pair's own
+    :class:`PairRows` or those of :meth:`of`, so every time and both
+    propagators of the pair read the same stream.
     """
 
     def __init__(self, source, x, y):
-        self._bind(source, x, y, _SharedRows(source, [(x, y)]), 0)
-
-    def _bind(self, source, x, y, shared: _SharedRows, index: int):
-        self.source, self.x, self.y = source, x, y
-        self.scale = shared.scale
-        self._exp = round(math.log2(self.scale))
-        self._shared = shared
-        self._at = (index, shared.diagonal_at[x], shared.diagonal_at[y])
-        self._rows = []
+        self._read(PairRows(source, [(x, y)]), 0, x, y)
 
     @classmethod
-    def shared(cls, source, pairs):
-        """Yield one :class:`PairMoments` per pair, in order, all read from
-        one block stream over the pairs' distinct vertices.  Each order keeps
-        one number per pair and one per vertex; a pair's own rows live only
-        as long as its object."""
-        pairs = list(pairs)
-        if not pairs:
-            return
-        shared = _SharedRows(source, pairs)
-        for i, (x, y) in enumerate(pairs):
-            pm = cls.__new__(cls)
-            pm._bind(source, x, y, shared, i)
-            yield pm
+    def of(cls, rows: PairRows, i: int):
+        """The i-th pair of ``rows``, read from their stream."""
+        pm = cls.__new__(cls)
+        pm._read(rows, i, *rows.pairs(slice(i, i + 1))[:, 0].tolist())
+        return pm
+
+    def _read(self, rows: PairRows, i: int, x, y):
+        self.source, self.x, self.y, self.scale = rows.source, x, y, rows.scale
+        self.rows, self._at, self._values = rows, rows.at[i], []
 
     def __getitem__(self, n: int):
-        rows = self._rows
-        if len(rows) <= n:
-            shared, (i, jx, jy) = self._shared, self._at
-            while len(shared.orders) <= n:
-                shared.orders.append(next(shared.steps))
-            for row in shared.orders[len(rows):n + 1]:
-                rows.append((float(row[i]), float(row[jx]), float(row[jy])))
-        return rows[n]
+        values, rows = self._values, self.rows
+        while len(values) <= n:
+            values.append(tuple(rows[len(values)][self._at].tolist()))
+        return values[n]
 
     def moments(self, n: int):
         """(<1_x, L^n 1_y>, <1_x, L^n 1_x>, <1_y, L^n 1_y>), unscaled."""
         if n < 0:
             raise ValueError("moment order must be non-negative")
-        return tuple(math.ldexp(v, self._exp * n) for v in self[n])
+        return tuple(math.ldexp(v, self.rows.exp * n) for v in self[n])
 
 
 def _moments_at(op: LaplacianOperator, x, y, n_max: int):

@@ -1,7 +1,8 @@
 """All-pairs commands read one block stream; single elements reuse their pair's stream.
 
 The CLI's `verify` and `distance` output must equal, byte for byte, the rows
-built here pair by pair from the one-pair functions.
+built here pair by pair from the one-pair functions, and `verify`'s array
+evaluator must equal the scalar series loop `pair_element` element by element.
 """
 
 import sys
@@ -12,16 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphheat import (INFINITE, LaplacianOperator, ProceduralGraph,
+from graphheat import (INFINITE, BoundReport, LaplacianOperator, ProceduralGraph,
                        WeightedGraph, combinatorial_distance, distances_from,
                        first_nonzero_moments, first_nonzero_orders, from_spec,
-                       heat_element, integer_line, pair_verification_reports,
-                       random_connected_graph, save_graph, spectral,
+                       heat_element, integer_line, random_connected_graph, save_graph, spectral,
                        wave_element)
 from graphheat.cli import _select_pairs, main
-from graphheat.moments import INITIAL_RADIUS, PairMoments
+from graphheat.moments import INITIAL_RADIUS, PairMoments, PairRows
 from graphheat.operators import compiled
-from graphheat.spectral import pair_element, select_route
+from graphheat.spectral import (MAX_SERIES_TERMS, _series_coefficient, block_elements,
+                                pair_element, select_route)
 
 TS = sorted(0.1 * 0.1 ** k for k in range(4))  # the verify default grid
 
@@ -46,6 +47,21 @@ def _csv(rows):
     return "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
 
 
+def _pair_reference(graph, x, y, d, ts, method):
+    """(tag, t, lhs, rhs) per t and tag, from pair_element's scalar loop element by element."""
+    pm = PairMoments(graph, x, y)
+    xy, (_, xx, yy) = pm[d][0], pm[d + 1]
+    for t in ts:
+        route = select_route(graph, t, method)
+        h, w = pair_element(pm, t, route, False), pair_element(pm, t, route, True)
+        lead = _series_coefficient(t * pm.scale, d) * xy
+        rhs = 0.5 * _series_coefficient(t * pm.scale, d + 1) * (xx + yy)
+        yield "heat_leading", t, abs(h - abs(lead)), rhs
+        yield "wave_leading", t, abs(abs(w) - abs(lead)), rhs
+        yield "semigroup", t, abs(h - (1.0, -1.0)[d % 2] * lead), rhs
+        yield "unitary", t, abs(w - (1 + 0j, -1j, -1 + 0j, 1j)[d % 4] * lead), rhs
+
+
 def _verify_reference(graph, pairs, cutoff=None, method="auto"):
     rows = [["which", "x", "y", "d", "t", "n", "lhs", "rhs", "margin", "passed"]]
     failed = False
@@ -53,7 +69,8 @@ def _verify_reference(graph, pairs, cutoff=None, method="auto"):
         d = combinatorial_distance(graph, x, y, cutoff=cutoff)
         if d == INFINITE:
             continue
-        for rep in pair_verification_reports(graph, x, y, TS, cutoff=cutoff, method=method):
+        for tag, t, lhs, rhs in _pair_reference(graph, x, y, d, TS, method):
+            rep = BoundReport(tag, x, y, t, d, lhs, rhs)
             failed |= not rep.passed
             rows.append([rep.which, rep.x, rep.y, d, rep.t, rep.n, rep.lhs, rep.rhs,
                          rep.margin, rep.passed])
@@ -172,10 +189,64 @@ def test_block_kernel_columns_equal_the_vector_kernel(seed, n, k, killing):
 def test_shared_pair_moments_equal_single_pair_moments():
     g = _spread_graph()
     pairs = [(5, 2), (2, 5), (3, 3), (0, 8), (9, 9), (0, 9), (2, 7)]
-    for pm in PairMoments.shared(g, pairs):
-        alone = PairMoments(g, pm.x, pm.y)
-        assert pm.scale == alone.scale
-        assert [pm[n] for n in range(12)] == [alone[n] for n in range(12)]
+    rows = PairRows(g, pairs)
+    for i, (x, y) in enumerate(pairs):
+        alone = PairMoments(g, x, y)
+        assert rows.scale == alone.scale
+        assert [tuple(rows[n][rows.at[i]].tolist()) for n in range(12)] == \
+            [alone[n] for n in range(12)]
+
+
+_SPREAD = st.floats(-8, 8)
+
+
+@st.composite
+def _spread_graphs(draw):
+    """Weights, measures and killing over 1e-8..1e8; the last vertex has no edges."""
+    n = draw(st.integers(2, 7))
+    edges = {(min(u, v), max(u, v)): 10.0 ** e for u, v, e in draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _SPREAD), max_size=2 * n))
+        if u != v}
+    measure = [10.0 ** e for e in draw(st.lists(_SPREAD, min_size=n + 1, max_size=n + 1))]
+    killing = [0.0 if e is None else 10.0 ** e for e in draw(
+        st.lists(st.one_of(st.none(), _SPREAD), min_size=n + 1, max_size=n + 1))]
+    return WeightedGraph(n + 1, [(u, v, w) for (u, v), w in edges.items()], measure, killing)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_spread_graphs(), st.lists(st.tuples(st.floats(0, 1), st.booleans()), min_size=1,
+                                  max_size=4))
+def test_block_elements_equal_the_scalar_loop_bitwise(graph, grid):
+    top = spectral.decompose(graph).largest_eigenvalue
+    limit = 2 / top if top > 0 else 1.0  # the series limit
+    # from 1e-6 up to the limit, on either route
+    ts = [1e-6 * (limit / 1e-6) ** f for f, _ in grid]
+    routes = ["eigen" if eigen else "series" for _, eigen in grid]
+    isolated = graph.n - 1
+    pairs = [(x, y) for x in graph.vertices for y in graph.vertices]
+    rows, alone = PairRows(graph, pairs), [PairMoments(graph, x, y) for x, y in pairs]
+    for unitary in (False, True):
+        try:
+            want = np.array([[pair_element(pm, t, route, unitary)
+                              for t, route in zip(ts, routes)] for pm in alone])
+        except ArithmeticError:  # past MAX_SERIES_TERMS
+            with pytest.raises(ArithmeticError, match=str(MAX_SERIES_TERMS)):
+                block_elements(rows, slice(None), ts, routes, unitary)
+            continue
+        got = block_elements(rows, slice(None), ts, routes, unitary)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # across components the series is exactly 0.0, stopping on SERIES_FLOOR
+        for i, (x, y) in enumerate(pairs):
+            if (x == isolated) != (y == isolated):
+                assert all(got[i, j] == 0.0 for j, r in enumerate(routes) if r == "series")
+
+
+def test_the_wave_modulus_is_pythons_abs():
+    # np.abs rounds this modulus one unit away from abs(); np.hypot, which
+    # the reports use, agrees with it
+    z = np.array([complex(-0.1321048632913019, -0.5022445517110371)])
+    assert np.abs(z)[0] != abs(z[0].item())
+    assert np.hypot(z.real, z.imag)[0] == abs(z[0].item())
 
 
 def _fresh(source, x, y, t, unitary, method):

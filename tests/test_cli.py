@@ -288,6 +288,17 @@ def test_exponent_underflow_is_a_usage_error(capsys):
     assert err.count("\n") == 1
 
 
+def test_verify_moment_underflow_is_a_usage_error(tmp_path, capsys):
+    # <1_0, L^2 1_2> = 1e-400 is below the smallest double
+    path = tmp_path / "g.txt"
+    path.write_text("graph 4\n" + "".join(f"v {i} 1 0\n" for i in range(4))
+                    + "e 0 1 1e-200\ne 1 2 1e-200\ne 2 3 1.0\n")
+    code, _, err = run(capsys, "verify", "--input", str(path))
+    assert code == 2
+    assert err.startswith("graphheat: ") and "(0, 2)" in err and "underflowed" in err
+    assert err.count("\n") == 1
+
+
 def test_all_pairs_cap_samples_with_seed():
     from graphheat import path_graph
     g = path_graph(150)  # 11175 pairs, above the 10000 cap
