@@ -266,6 +266,14 @@ def leading_exponent_fit(source, x, y, t0: float = 1e-3, ratio: float = 0.1,
     so on finite graphs t0 * lambda_max must stay <= 1/2.  The slope estimates
     the hop distance; with the series evaluator the fit bias is O(t0).
     """
+    return next(exponent_fits(source, [(x, y)], t0, ratio, count, group))
+
+
+def exponent_fits(source, pairs, t0: float = 1e-3, ratio: float = 0.1,
+                  count: int = 4, group: str = "heat"):
+    """Yield the :func:`leading_exponent_fit` of each (x, y) of ``pairs``, bitwise, all
+    read from one :class:`PairRows` stream; the grid is checked and the route chosen
+    once, when the first fit is taken."""
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     if not 0 < ratio < 1:
@@ -277,22 +285,24 @@ def leading_exponent_fit(source, x, y, t0: float = 1e-3, ratio: float = 0.1,
     graph = _resolve(source)
     if graph.is_finite and select_route(graph, t0, "auto") == "eigen":
         raise ValueError(f"t0={t0} is too large for the series route: t0 * lambda_max > 1/2")
-    pm = PairMoments(graph, x, y)
+    rows = PairRows(graph, pairs)
     grid = [t0 * ratio ** k for k in range(count)]
-    logs = []
-    for tk in grid:
-        value = abs(pair_element(pm, tk, "series", unitary=(group == "wave")))
-        if value <= UNDERFLOW_FLOOR:
-            raise ArithmeticError(
-                f"element underflowed at t={tk} after {len(logs)} of {count} grid points "
-                f"(|value|={value}); collected grid {grid[:len(logs)]}")
-        logs.append(math.log(value))
     xs = np.log(grid)
-    ys = np.array(logs)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    residuals = np.abs(ys - (slope * xs + intercept))
-    return ExponentFit(x, y, group, tuple(grid), tuple(logs),
-                       float(slope), float(intercept), float(np.max(residuals)))
+    for i, (x, y) in enumerate(pairs):
+        pm = PairMoments.of(rows, i)
+        logs = []
+        for tk in grid:
+            value = abs(pair_element(pm, tk, "series", unitary=(group == "wave")))
+            if value <= UNDERFLOW_FLOOR:
+                raise ArithmeticError(
+                    f"element underflowed at t={tk} after {len(logs)} of {count} grid points "
+                    f"(|value|={value}); collected grid {grid[:len(logs)]}")
+            logs.append(math.log(value))
+        ys = np.array(logs)
+        slope, intercept = np.polyfit(xs, ys, 1)
+        residuals = np.abs(ys - (slope * xs + intercept))
+        yield ExponentFit(x, y, group, tuple(grid), tuple(logs),
+                          float(slope), float(intercept), float(np.max(residuals)))
 
 
 def vanishing_order_check(source, x, y, n: int, t_samples,

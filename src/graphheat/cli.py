@@ -32,7 +32,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .asymptotics import TAGS, leading_exponent_fit, passes, verification_blocks
+from .asymptotics import TAGS, exponent_fits, passes, verification_blocks
 from .generators import from_spec
 from .graphio import GraphFormatError, load_graph
 from .graphs import INFINITE, combinatorial_distance, distances_from
@@ -87,17 +87,28 @@ def _load(args):
     raise CliError(EXIT_USAGE, "one of --input FILE or --gen SPEC is required")
 
 
+def _pairs_at(n: int, indices) -> list[tuple[int, int]]:
+    """The pairs x < y of n vertices at the given positions of their sorted list,
+    sorted, found by walking its rows (n - 1 pairs from 0, n - 2 from 1, ...)."""
+    pairs, x, start = [], 0, 0
+    for k in sorted(indices):
+        while k >= start + n - 1 - x:
+            start, x = start + n - 1 - x, x + 1
+        pairs.append((x, x + 1 + k - start))
+    return pairs
+
+
 def _select_pairs(graph, spec: str, seed) -> list[tuple[int, int]]:
-    n = graph.n
+    total = graph.n * (graph.n - 1) // 2
     if spec == "all":
-        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-        if len(pairs) > PAIR_CAP:
-            if seed is None:
-                raise CliError(EXIT_USAGE,
-                               f"all-pairs selection has {len(pairs)} pairs, above the cap "
-                               f"{PAIR_CAP}; provide --seed to sample")
-            pairs = sorted(random.Random(seed).sample(pairs, PAIR_CAP))
-        return pairs
+        if total <= PAIR_CAP:
+            return _pairs_at(graph.n, range(total))
+        if seed is None:
+            raise CliError(EXIT_USAGE,
+                           f"all-pairs selection has {total} pairs, above the cap "
+                           f"{PAIR_CAP}; provide --seed to sample")
+        # a range samples the same positions as the list of pairs would
+        return _pairs_at(graph.n, random.Random(seed).sample(range(total), PAIR_CAP))
     if spec.startswith("sample:"):
         try:
             k = int(spec.split(":", 1)[1])
@@ -107,8 +118,7 @@ def _select_pairs(graph, spec: str, seed) -> list[tuple[int, int]]:
             raise CliError(EXIT_USAGE, "sample size must be non-negative")
         if seed is None:
             raise CliError(EXIT_USAGE, "--pairs sample:k requires --seed for reproducibility")
-        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-        return sorted(random.Random(seed).sample(pairs, min(k, len(pairs))))
+        return _pairs_at(graph.n, random.Random(seed).sample(range(total), min(k, total)))
     pairs = []
     for item in spec.split(";"):
         item = item.strip()
@@ -215,22 +225,22 @@ def _cmd_verify(args, graph, pairs, fh) -> int:
 def _cmd_exponent(args, graph, pairs, fh) -> int:
     out = csv.writer(fh, lineterminator="\n")  # floats print as their repr
     worst = 0.0
-    skipped = 0
+    connected = [(x, y, d) for x, y in pairs
+                 if (d := combinatorial_distance(graph, x, y, cutoff=args.cutoff)) != INFINITE]
+    fits = exponent_fits(graph, [(x, y) for x, y, _ in connected], args.t0, args.ratio,
+                         args.count, args.group)
     out.writerow(["x", "y", "group", "slope", "d_E", "abs_error", "max_residual"])
-    for x, y in pairs:
-        d = combinatorial_distance(graph, x, y, cutoff=args.cutoff)
-        if d == INFINITE:
-            skipped += 1
-            continue
-        try:
-            fit = leading_exponent_fit(graph, x, y, args.t0, args.ratio, args.count, args.group)
-        except (ValueError, ArithmeticError) as exc:
-            raise CliError(EXIT_USAGE, str(exc)) from exc
-        err = abs(fit.slope - d)
-        worst = max(worst, err)
-        out.writerow([x, y, args.group, fit.slope, d, err, fit.max_residual])
-    if skipped:
-        print(f"graphheat: {skipped} disconnected pair(s) skipped", file=sys.stderr)
+    try:
+        # connected leads the zip, so a run without connected pairs takes no fit
+        for (x, y, d), fit in zip(connected, fits):
+            err = abs(fit.slope - d)
+            worst = max(worst, err)
+            out.writerow([x, y, args.group, fit.slope, d, err, fit.max_residual])
+    except (ValueError, ArithmeticError) as exc:
+        raise CliError(EXIT_USAGE, str(exc)) from exc
+    if len(connected) < len(pairs):
+        print(f"graphheat: {len(pairs) - len(connected)} disconnected pair(s) skipped",
+              file=sys.stderr)
     if worst > args.tol:
         print(f"graphheat: worst slope error {worst!r} exceeds tolerance {args.tol!r}",
               file=sys.stderr)

@@ -4,8 +4,9 @@ Every moment is read from :func:`stream`, which advances a block of vectors
 v, one column each, to (L/s)^n v with one :meth:`LaplacianOperator.apply` per
 step, and yields per order one array, the moments at the (vertex, column)
 targets its caller names, so no reader knows the block's layout or the
-neighborhood a procedural stream runs on.  Each column is bitwise the stream
-of its vector alone on a finite graph, so one stream serves many pairs:
+hop ball it runs on; that ball grows with the orders, so a stream costs what
+its support costs.  Each column is bitwise the stream of its vector alone on
+the whole graph, so one stream serves many pairs:
 :class:`PairRows` reads any number of pairs from one stream over their
 distinct vertices, and :func:`first_nonzero_orders` the first nonzero orders
 of many sources.  The array kernel keeps exact zeros (see
@@ -36,7 +37,7 @@ import numpy as np
 from .graphs import _layers, neighborhood
 from .operators import LaplacianOperator, _exact_sum, compiled
 
-INITIAL_RADIUS = 16  # of the first neighborhood a procedural stream runs on
+INITIAL_RADIUS = 16  # of the first neighborhood a stream runs on
 
 
 @dataclass(frozen=True)
@@ -65,39 +66,44 @@ def stream(source, vectors, scale: float, targets):
     at the (v, j) pairs of ``targets``, a sequence of pairs or an array of them.
 
     ``vectors`` are {vertex: value} mappings, advanced as the columns of one
-    block by one :meth:`LaplacianOperator.apply` per step.  On a procedural
-    source the block covers the :func:`neighborhood` of radius r around the
-    vectors' supports, where the streams equal the source's up to order r; at
-    order r the radius doubles and they go on from their current values.  No
-    entry outside the neighborhood is nonzero before that, so a target there
-    reads an exact 0.0 and the boundary rows, which miss the edges leaving
-    the neighborhood, never act.
+    block by one :meth:`LaplacianOperator.apply` per step on the
+    :func:`neighborhood` of radius r around their supports; at order r the
+    radius doubles.  A finite source moves to the whole graph once c (1 + D +
+    D(D-1) + ... + D(D-1)^(r-1)), c being the number of centers and D the
+    largest degree, reaches its vertex count: the ball could then cover it.  No
+    entry outside the k-ball is nonzero at order k, so a target outside the
+    neighborhood reads an exact 0.0, a row inside sums what the whole graph's
+    does (see :mod:`graphheat.operators`), and the boundary rows, which miss the
+    edges leaving the neighborhood, never act before the radius doubles.
     """
     centers = sorted(set().union(*vectors))
     complex_values = any(isinstance(a, complex) for vec in vectors for a in vec.values())
     targets = np.asarray(targets, dtype=np.intp).reshape(-1, 2)
-    measures = compiled(source).m[targets[:, 0]] if source.is_finite else np.array(
-        [source.measure(v) for v in targets[:, 0].tolist()])
-    order, radius = 0, None if source.is_finite else INITIAL_RADIUS
+    degree = compiled(source).degree if source.is_finite else 0
+    labels = np.array(centers, dtype=np.intp)  # the vertex of each row of the block
+    block = np.zeros((len(labels), len(vectors)), dtype=complex if complex_values else float)
+    for j, vec in enumerate(vectors):
+        block[np.searchsorted(labels, list(vec)), j] = list(vec.values())
+    order, radius = 0, INITIAL_RADIUS
     while True:
-        graph = source if radius is None else neighborhood(source, centers, radius)
-        labels = range(graph.n) if radius is None else graph.labels
-        positions = {v: i for i, v in enumerate(labels)}
-        block = np.zeros((graph.n, len(vectors)), dtype=complex if complex_values else float,
-                         order="F")
-        for j, vec in enumerate(vectors):
-            block[[positions[v] for v in vec], j] = list(vec.values())
-        # a finite graph's vertex v is row v; a target outside a neighborhood (row -1) reads 0.0
-        rows = targets[:, 0] if radius is None else np.array(
-            [positions.get(v, -1) for v in targets[:, 0].tolist()], dtype=np.intp)
-        flat = rows + graph.n * targets[:, 1]
+        if source.is_finite and len(centers) * (1 + sum(
+                degree * (degree - 1) ** k for k in range(radius))) >= source.n:
+            graph, radius, rows = source, None, np.arange(source.n)
+        else:
+            graph = neighborhood(source, centers, radius)
+            rows = np.array(graph.labels, dtype=np.intp)
+        # the block grows onto the new rows; every row it leaves out holds 0.0
+        grown = np.zeros((len(rows), len(vectors)), dtype=block.dtype, order="F")
+        grown[np.searchsorted(rows, labels)] = block
+        block, labels = grown, rows
+        at = np.searchsorted(labels, targets[:, 0]).clip(max=len(labels) - 1)
+        inside, measures = labels[at] == targets[:, 0], compiled(graph).m[at]
         op = LaplacianOperator(graph)
         for _ in itertools.count() if radius is None else range(radius - order):
-            values = measures * block.ravel(order="F").take(flat)
-            values[rows < 0] = 0.0
+            values = measures * block[at, targets[:, 1]]
+            values[~inside] = 0.0
             yield values
             block = op.apply(block) / scale
-        vectors = [dict(zip(labels, u.tolist())) for u in block.T]
         order, radius = radius, 2 * radius
 
 

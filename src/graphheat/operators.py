@@ -16,10 +16,16 @@ moment <1_x, L^n 1_y> is exactly 0.0 below the hop distance and the first
 nonzero order is read without thresholds.  At the critical order the entry
 sums only shortest-path products, all of sign (-1)^d: no cancellation, so the
 plain sum is accurate to a few ulps per step.
+
+The same zeros let a stream run on a hop ball with the whole graph's bits: a
+row whose neighbors all lie in the ball sums the same terms in the same order
+there, and the terms it leaves out are w * +0.0, which leave a bincount sum
+(started at +0.0, so never -0.0) as it is; see :func:`graphheat.moments.stream`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 
@@ -138,18 +144,19 @@ class CompiledLaplacian:
     """A finite graph's Laplacian as edge arrays, built once per graph by :func:`compiled`.
 
     ``bound`` is the Gershgorin bound of M^-1/2 A M^-1/2, an upper bound for
-    lambda_max, and ``scale`` the smallest power of two at or above it.
+    lambda_max, ``scale`` the smallest power of two at or above it, and
+    ``degree`` the largest number of neighbors of a vertex.
     """
 
     def __init__(self, graph):
-        self.rows = np.repeat(np.arange(graph.n), [len(graph.neighbors(x)) for x in graph.vertices])
-        self.cols = np.fromiter((y for x in graph.vertices for y, _ in graph.neighbors(x)),
-                                np.intp, len(self.rows))
-        self.w = np.fromiter((w for x in graph.vertices for _, w in graph.neighbors(x)),
+        adj = graph._adj  # read directly: the per-vertex queries check every id
+        self.rows = np.repeat(np.arange(graph.n), [len(row) for row in adj])
+        self.degree = int(np.bincount(self.rows).max(initial=0))
+        self.cols = np.fromiter(itertools.chain.from_iterable(adj), np.intp, len(self.rows))
+        self.w = np.fromiter(itertools.chain.from_iterable(row.values() for row in adj),
                              float, len(self.rows))
-        self.m = np.array([graph.measure(x) for x in graph.vertices], dtype=float)
-        self.diag = np.array([graph.weight_sum(x) + graph.killing(x) for x in graph.vertices],
-                             dtype=float)
+        self.m = np.array(graph._m, dtype=float)
+        self.diag = np.array(graph._wsum, dtype=float) + np.array(graph._c, dtype=float)
         radius = np.bincount(self.rows, self.w / np.sqrt(self.m[self.rows] * self.m[self.cols]),
                              minlength=graph.n)
         self.bound = float(np.max(self.diag / self.m + radius)) if graph.n else 0.0

@@ -1,8 +1,13 @@
+import csv
+import io
 import math
+import random
 import re
 
 import pytest
 
+from graphheat import (INFINITE, LaplacianOperator, combinatorial_distance, from_spec,
+                       leading_exponent_fit, moments, path_graph)
 from graphheat.cli import CliError, _select_pairs, main
 
 P3_TEXT = """\
@@ -300,7 +305,6 @@ def test_verify_moment_underflow_is_a_usage_error(tmp_path, capsys):
 
 
 def test_all_pairs_cap_samples_with_seed():
-    from graphheat import path_graph
     g = path_graph(150)  # 11175 pairs, above the 10000 cap
     with pytest.raises(CliError):
         _select_pairs(g, "all", None)
@@ -308,6 +312,95 @@ def test_all_pairs_cap_samples_with_seed():
     assert len(pairs) == 10000
     assert pairs == sorted(pairs)
     assert pairs == _select_pairs(g, "all", 3)  # seeded, reproducible
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 40, 150])
+def test_sampled_pairs_are_those_the_full_pair_list_gives(n):
+    g = path_graph(n)
+    everything = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    for seed in (0, 1, 7):
+        for k in (0, 1, 3, len(everything) // 2, len(everything), len(everything) + 5):
+            expected = sorted(random.Random(seed).sample(everything, min(k, len(everything))))
+            assert _select_pairs(g, f"sample:{k}", seed) == expected, (seed, k)
+        if len(everything) > 10_000:
+            expected = sorted(random.Random(seed).sample(everything, 10_000))
+            assert _select_pairs(g, "all", seed) == expected
+        else:
+            assert _select_pairs(g, "all", seed) == everything
+
+
+def _count_balls(monkeypatch):
+    built = []
+    real = moments.neighborhood
+    monkeypatch.setattr(moments, "neighborhood", lambda *args: built.append(args) or real(*args))
+    return built
+
+
+def test_streams_that_a_ball_could_not_shrink_build_none(monkeypatch, capsys):
+    # a 16-ball around the 40 vertices (largest degree 8), or around one of the 200
+    # (largest degree 14), could hold the whole graph
+    built = _count_balls(monkeypatch)
+    code, _, _ = run(capsys, "verify", "--gen", "random:40:0.1:1:c")
+    assert code == 0
+    code, _, _ = run(capsys, "heat", "--gen", "random:200:0.03:1", "--pairs", "sample:3",
+                     "--seed", "1")
+    assert code == 0
+    assert built == []
+
+
+def test_exponent_on_a_long_cycle_runs_on_balls(monkeypatch, capsys):
+    # the parent's per-pair streams over the whole cycle took 1,364,000 block entries
+    entries = []
+    real = LaplacianOperator.apply
+    monkeypatch.setattr(LaplacianOperator, "apply",
+                        lambda self, f: entries.append(real(self, f).size) or real(self, f))
+    pairs = ";".join(f"1464,{1464 + d}" for d in range(21))
+    code, _, _ = run(capsys, "exponent", "--gen", "cycle:2000", "--pairs", pairs)
+    assert code == 0
+    assert 0 < sum(entries) <= 1_364_000 // 10
+
+
+def _exponent_pair_by_pair(spec, pairs, seed, group="heat", cutoff=None, tol=0.05):
+    """(exit code, CSV) of ``exponent``, one leading_exponent_fit and one
+    combinatorial_distance per pair."""
+    graph = from_spec(spec)
+    fh = io.StringIO()
+    out = csv.writer(fh, lineterminator="\n")
+    out.writerow(["x", "y", "group", "slope", "d_E", "abs_error", "max_residual"])
+    worst = 0.0
+    for x, y in _select_pairs(graph, pairs, seed):
+        d = combinatorial_distance(graph, x, y, cutoff=cutoff)
+        if d == INFINITE:
+            continue
+        try:
+            fit = leading_exponent_fit(graph, x, y, group=group)
+        except (ValueError, ArithmeticError):
+            return 2, fh.getvalue()
+        worst = max(worst, abs(fit.slope - d))
+        out.writerow([x, y, group, fit.slope, d, abs(fit.slope - d), fit.max_residual])
+    return int(worst > tol), fh.getvalue()
+
+
+CYCLE_PAIRS = ";".join(f"1464,{1464 + d}" for d in range(21))
+
+
+@pytest.mark.parametrize("spec, pairs, options", [
+    ("cycle:2000", CYCLE_PAIRS, {}),
+    ("cycle:2000", CYCLE_PAIRS, {"group": "wave"}),
+    ("random:40:0.1:1:c", "sample:60", {}),
+    ("random:40:0.1:1:c", "0,30;1,2;30,39;3,17;5,6", {"group": "wave"}),  # 30 is isolated
+    ("random:40:0.1:1:c", "all", {"cutoff": 2}),
+    ("random:40:0.1:1:c", "1,2;3,17", {"tol": 0.0}),
+    ("path:71", "0,70", {}),
+    ("path:71", "0,5;0,70;1,3", {}),  # the row before the underflow is written
+], ids=["cycle", "cycle-wave", "sample", "isolated-wave", "cutoff", "tol", "underflow",
+        "row-then-underflow"])
+def test_exponent_rows_equal_the_pair_by_pair_fits(capsys, spec, pairs, options):
+    argv = ["exponent", "--gen", spec, "--pairs", pairs, "--seed", "4"]
+    for name, value in options.items():
+        argv += [f"--{name}", str(value)]
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == _exponent_pair_by_pair(spec, pairs, 4, **options)
 
 
 # above the dense size limit the series route needs no decomposition

@@ -1,6 +1,7 @@
 """The compiled Laplacian kernel, the moment streams read from it, and the route gate."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,7 +12,10 @@ from graphheat import (LaplacianOperator, ProceduralGraph, WeightedGraph, ball,
                        integer_line, moment_table, pair_verification_reports,
                        path_graph, path_sum_moment, random_connected_graph,
                        spectral_radius_bound, wave_element)
-from graphheat.moments import INITIAL_RADIUS, PairMoments, first_nonzero_moments
+from graphheat import moments
+from graphheat.moments import (INITIAL_RADIUS, PairMoments, PairRows, first_nonzero_moments,
+                               first_nonzero_orders)
+from graphheat.operators import compiled
 from graphheat.spectral import pair_element, select_route
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -78,6 +82,21 @@ def _chain():
                            measure_fn=lambda u: 1.0 + (u % 5) / 4.0, max_degree=2)
 
 
+def _whole_graph(g, sources, scale):
+    """Yield, per order n, m(v) ((L/scale)^n 1_s)(v) for every vertex v (rows) and
+    source s (columns), by applying the whole graph's compiled kernel again and again."""
+    kernel = compiled(g)
+    block = np.zeros((g.n, len(sources)))
+    block[sources, range(len(sources))] = 1.0
+    while True:
+        yield kernel.m[:, None] * block
+        block = kernel.apply(block) / scale
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
 def test_ball_streams_after_two_doublings_match_the_finite_path():
     orders = 2 * INITIAL_RADIUS + 5  # past the radii INITIAL_RADIUS and 2 INITIAL_RADIUS
     n = 4 * orders
@@ -89,11 +108,95 @@ def test_ball_streams_after_two_doublings_match_the_finite_path():
             lazy = moment_table(LaplacianOperator(source), 0, y, orders).values
             assert lazy == moment_table(LaplacianOperator(finite), offset, offset + y,
                                         orders).values
+            # both sides run on balls; the whole finite path is the reference
+            whole = _whole_graph(finite, [offset + y], 1.0)
+            assert _bits(lazy) == _bits([next(whole)[offset, 0] for _ in range(orders + 1)])
         lazy_pm = PairMoments(source, -2, 3)
         finite_pm = PairMoments(finite, offset - 2, offset + 3)
         # the scales may differ, but powers of two rescale exactly
         assert ([lazy_pm.moments(k) for k in range(orders)]
                 == [finite_pm.moments(k) for k in range(orders)])
+
+
+def _banded_graph(draw, kind, length, n):
+    """A path, cycle or ladder (``length`` rungs) on the first vertices, largest
+    degree 2, 2 or 3, then an isolated vertex, all with spread weights, measures and
+    killing, then plain isolated vertices up to n."""
+    if kind == "ladder":
+        core = 2 * length
+        pairs = ([(u, u + 2) for u in range(core - 2)]
+                 + [(2 * i, 2 * i + 1) for i in range(length)])
+    else:
+        core = length
+        pairs = [(u, u + 1) for u in range(length - 1)] + [(length - 1, 0)] * (kind == "cycle")
+
+    def values(strategy, k):
+        return draw(st.lists(strategy, min_size=k, max_size=k))
+
+    edges = [(u, v, w) for (u, v), w in zip(pairs, values(spread(), len(pairs)))]
+    measure = values(spread(), core + 1) + [1.0] * (n - core - 1)
+    killing = values(st.one_of(st.just(0.0), spread()), core + 1) + [0.0] * (n - core - 1)
+    return WeightedGraph(n, edges, measure, killing)
+
+
+def _ball_streams_match_the_whole_graph(g, x, y, orders):
+    """Check moment_table, PairRows and first_nonzero_orders on g bitwise against
+    :func:`_whole_graph`; return the radii of the balls the first two built."""
+    op, sources = LaplacianOperator(g), sorted({x, y})
+    column = {v: j for j, v in enumerate(sources)}
+    # unscaled moments over spread weights overflow, and do so alike on both sides
+    with np.errstate(over="ignore", invalid="ignore"), \
+            mock.patch.object(moments, "neighborhood", wraps=moments.neighborhood) as built:
+        table = moment_table(op, x, y, orders).values
+        whole = _whole_graph(g, [y], 1.0)
+        assert _bits(table) == _bits([next(whole)[x, 0] for _ in range(orders + 1)])
+        radii = [[call.args[2] for call in built.call_args_list]]
+        built.reset_mock()
+        rows = PairRows(g, [(x, y)])
+        whole = _whole_graph(g, sources, compiled(g).scale)
+        for n in range(orders + 1):
+            block = next(whole)
+            assert _bits(rows[n]) == _bits([block[x, column[y]]]
+                                           + [block[v, column[v]] for v in sources]), n
+        radii.append([call.args[2] for call in built.call_args_list])
+        positions, found, first = first_nonzero_orders(op, sources, orders)
+        expected_orders = np.full((g.n, len(sources)), -1)
+        expected = np.zeros((g.n, len(sources)))
+        for n, block in zip(range(orders + 1), _whole_graph(g, sources, 1.0)):
+            fresh = (block != 0) & (expected_orders < 0)
+            expected_orders[fresh] = n
+            expected[fresh] = block[fresh]
+            if not fresh.any() or (expected_orders >= 0).all():
+                break
+    assert positions == {v: v for v in g.vertices}
+    assert np.array_equal(found, expected_orders) and _bits(first) == _bits(expected)
+    return radii
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from(["path", "cycle"]), st.integers(131, 257))
+def test_ball_streams_of_paths_and_cycles_match_the_whole_graph(data, kind, n):
+    # 131 <= n <= 257 vertices, largest degree 2: a c-center r-ball holds at most
+    # c (1 + 2r), so one center takes the balls of radius 16, 32 and 64 and then the
+    # whole graph, two centers the balls of radius 16 and 32 and then the whole graph
+    length = data.draw(st.integers(3, n - 1))
+    g = _banded_graph(data.draw, kind, length, n)
+    x, y = data.draw(st.integers(0, length)), data.draw(st.integers(0, length))
+    orders = 8 * INITIAL_RADIUS + 6  # past the switch at 128
+    radii = [INITIAL_RADIUS, 2 * INITIAL_RADIUS, 4 * INITIAL_RADIUS]
+    assert _ball_streams_match_the_whole_graph(g, x, y, orders) == [radii, radii[:4 - len({x, y})]]
+
+
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(st.data(), st.integers(3, 40))
+def test_ball_streams_of_ladders_match_the_whole_graph(data, rungs):
+    # largest degree 3: a 16-ball around one center (x = y) holds at most
+    # 1 + 3 (2^16 - 1) vertices, and a 32-ball could cover the graph
+    n = 1 + 3 * (2 ** INITIAL_RADIUS - 1) + 1
+    g = _banded_graph(data.draw, "ladder", rungs, n)
+    y = data.draw(st.integers(0, 2 * rungs))
+    radii = _ball_streams_match_the_whole_graph(g, y, y, 2 * INITIAL_RADIUS + 6)
+    assert radii == [[INITIAL_RADIUS], [INITIAL_RADIUS]]
 
 
 def test_targets_outside_the_ball_read_exact_zeros():
