@@ -16,11 +16,11 @@ more than 1e-9 * rhs.
 A pair's report at order n has the series' own n-th term as its leading
 term and that term's remainder bound, the series route's stopping bound, as
 its bound, both over the moments scaled by s^n, so they hold at any hop
-distance.  One builder forms every report as arrays over a block of pairs
-read from one block stream, with the elements of
-:func:`~graphheat.spectral.block_elements`: :func:`verification_blocks` yields
-them PAIR_BLOCK pairs at a time, and every other check reads them as
-:class:`BoundReport` lists, a one-pair check as a block of one pair.
+distance.  Every report and fit reads its pairs from one block stream, as
+arrays of :func:`~graphheat.spectral.block_elements` PAIR_BLOCK pairs at a
+time: one builder forms the reports, which :func:`verification_blocks` yields
+and every other check reads as :class:`BoundReport` lists (a one-pair check as
+a block of one pair), and :func:`exponent_fits` fits the elements.
 """
 
 from __future__ import annotations
@@ -31,17 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import INFINITE, combinatorial_distance
-from .moments import PairMoments, PairRows, stream
+from .moments import PairRows, stream
 from .operators import WeightedVector, _exact_sum
 from .spectral import (ScalarFunction, SpectralDecomposition, _resolve, _series_coefficient,
-                       block_elements, functional_calculus, heat_element, pair_element,
+                       _series_gate, block_elements, functional_calculus, heat_element,
                        select_route)
 
 PASS_SLACK_REL = 1e-9
 PASS_SLACK_ABS = 1e-300
 UNDERFLOW_FLOOR = 1e-280
 TAGS = ("heat_leading", "wave_leading", "semigroup", "unitary")
-PAIR_BLOCK = 64  # pairs per array of verification_blocks, which bounds its memory
+PAIR_BLOCK = 64  # pairs per array of verification_blocks and exponent_fits: bounds memory
 
 
 @dataclass(frozen=True)
@@ -263,17 +263,18 @@ def leading_exponent_fit(source, x, y, t0: float = 1e-3, ratio: float = 0.1,
     """Fit the exponent of |element| ~ const * t^slope on a geometric grid.
 
     Forces the series route (the grid lives where eigen evaluation cancels),
-    so on finite graphs t0 * lambda_max must stay <= 1/2.  The slope estimates
-    the hop distance; with the series evaluator the fit bias is O(t0).
+    so t0 * lambda_max must stay <= 1/2, and on procedural sources t0 times the
+    Gershgorin bound of the pair's 1-neighborhood <= 2.  The slope estimates the
+    hop distance; with the series evaluator the fit bias is O(t0).
     """
     return next(exponent_fits(source, [(x, y)], t0, ratio, count, group))
 
 
 def exponent_fits(source, pairs, t0: float = 1e-3, ratio: float = 0.1,
                   count: int = 4, group: str = "heat"):
-    """Yield the :func:`leading_exponent_fit` of each (x, y) of ``pairs``, bitwise, all
-    read from one :class:`PairRows` stream; the grid is checked and the route chosen
-    once, when the first fit is taken."""
+    """Yield the :func:`leading_exponent_fit` of each (x, y) of ``pairs`` in order,
+    bitwise, from one :class:`PairRows` stream, PAIR_BLOCK pairs at a time; the grid
+    is checked and the route chosen once, when the first fit is taken."""
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     if not 0 < ratio < 1:
@@ -286,23 +287,27 @@ def exponent_fits(source, pairs, t0: float = 1e-3, ratio: float = 0.1,
     if graph.is_finite and select_route(graph, t0, "auto") == "eigen":
         raise ValueError(f"t0={t0} is too large for the series route: t0 * lambda_max > 1/2")
     rows = PairRows(graph, pairs)
+    if not graph.is_finite:
+        _series_gate(t0, rows.bound)
     grid = [t0 * ratio ** k for k in range(count)]
     xs = np.log(grid)
-    for i, (x, y) in enumerate(pairs):
-        pm = PairMoments.of(rows, i)
-        logs = []
-        for tk in grid:
-            value = abs(pair_element(pm, tk, "series", unitary=(group == "wave")))
-            if value <= UNDERFLOW_FLOOR:
+    for start in range(0, len(pairs), PAIR_BLOCK):
+        values = block_elements(rows, slice(start, start + PAIR_BLOCK), grid,
+                                ["series"] * count, unitary=(group == "wave"))
+        # |value| as Python's abs takes it, for either propagator
+        for (x, y), row in zip(pairs[start:start + PAIR_BLOCK],
+                               np.hypot(values.real, values.imag).tolist()):
+            low = next((k for k, value in enumerate(row) if value <= UNDERFLOW_FLOOR), None)
+            if low is not None:
                 raise ArithmeticError(
-                    f"element underflowed at t={tk} after {len(logs)} of {count} grid points "
-                    f"(|value|={value}); collected grid {grid[:len(logs)]}")
-            logs.append(math.log(value))
-        ys = np.array(logs)
-        slope, intercept = np.polyfit(xs, ys, 1)
-        residuals = np.abs(ys - (slope * xs + intercept))
-        yield ExponentFit(x, y, group, tuple(grid), tuple(logs),
-                          float(slope), float(intercept), float(np.max(residuals)))
+                    f"element underflowed at t={grid[low]} after {low} of {count} grid "
+                    f"points (|value|={row[low]}); collected grid {grid[:low]}")
+            logs = [math.log(value) for value in row]
+            ys = np.array(logs)
+            slope, intercept = np.polyfit(xs, ys, 1)
+            residuals = np.abs(ys - (slope * xs + intercept))
+            yield ExponentFit(x, y, group, tuple(grid), tuple(logs),
+                              float(slope), float(intercept), float(np.max(residuals)))
 
 
 def vanishing_order_check(source, x, y, n: int, t_samples,
@@ -319,18 +324,18 @@ def vanishing_order_check(source, x, y, n: int, t_samples,
     about magnitudes, not exactness.
     """
     graph = _resolve(source)
-    pm = PairMoments(graph, x, y)
-    order = next((k for k in range(n + 1) if pm[k][0] != 0.0), None)
+    rows = PairRows(graph, [(x, y)])
+    order = next((k for k in range(n + 1) if rows[k][0] != 0.0), None)
     if order is not None:
         raise ValueError(f"pair ({x}, {y}) has a nonzero moment at order {order} <= {n}; "
                          "the vanishing-order witness does not apply")
     ts = list(t_samples)
-    lhs, rhs = _order_reports(pm.rows, slice(None), [n], ts,
+    lhs, rhs = _order_reports(rows, slice(None), [n], ts,
                               [select_route(graph, t, method) for t in ts])
     samples = _pair_reports(x, y, n, ts, lhs[0], rhs[0], ("semigroup", "unitary"))
-    _, xx, yy = pm[n + 1]
+    _, xx, yy = rows.floats(0, n + 1)
     # the reports' bound at t = 1
-    constant = 0.5 * _series_coefficient(pm.scale, n + 1) * (xx + yy)
+    constant = 0.5 * _series_coefficient(rows.scale, n + 1) * (xx + yy)
     return VanishingOrderReport(x, y, n, constant, tuple(samples))
 
 

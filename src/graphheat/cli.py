@@ -189,7 +189,7 @@ def _cmd_verify(args, graph, pairs, fh) -> int:
     for x, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
         dist = distances_from(graph, x, cutoff=args.cutoff)
         connected += [(x, y, dist[y]) for _, y in group if y in dist]
-    total = failures = 0
+    total = failures = vacuous = 0
     worst = None  # (lhs/rhs, which, x, y, t) at the first largest ratio
     t_text = [repr(t) for t in ts]
     fh.write("which,x,y,d,t,n,lhs,rhs,margin,passed\n")
@@ -201,6 +201,7 @@ def _cmd_verify(args, graph, pairs, fh) -> int:
                 ratio = np.where(lhs == 0.0, 0.0, np.where(rhs != 0.0, lhs / rhs, np.inf))
             passed = passes(lhs, rhs).ravel().tolist()
             total, failures = total + len(passed), failures + passed.count(False)
+            vacuous += int(np.count_nonzero((lhs == 0.0) & (rhs == 0.0)))
             top = np.unravel_index(np.argmax(ratio), ratio.shape)
             if worst is None or ratio[top] > worst[0]:
                 worst = (float(ratio[top]), TAGS[top[2]], *triples[top[0]][:2], ts[top[1]])
@@ -216,6 +217,8 @@ def _cmd_verify(args, graph, pairs, fh) -> int:
         raise CliError(EXIT_USAGE, str(exc)) from exc
     summary = (f"graphheat: {total - failures}/{total} checks passed on {len(connected)} "
                f"pair(s), {len(pairs) - len(connected)} disconnected pair(s) skipped")
+    if vacuous:  # 0 <= 0 says nothing of t^d, as where element, term and bound underflow
+        summary += f", {vacuous} vacuous (lhs = rhs = 0.0)"
     if worst is not None:
         summary += "; worst lhs/rhs {!r} at {} {},{} t={!r}".format(*worst)
     print(summary, file=sys.stderr)

@@ -42,17 +42,7 @@ def random_graph(n: int, p: float, seed: int,
                  mmin: float = DEFAULT_MEASURE_RANGE[0], mmax: float = DEFAULT_MEASURE_RANGE[1],
                  random_killing: bool = False) -> WeightedGraph:
     """Each pair becomes an edge with probability p, with uniform weights."""
-    if not 0 <= p <= 1:
-        raise ValueError("edge probability must lie in [0, 1]")
-    rng = random.Random(seed)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.append((u, v, rng.uniform(wmin, wmax)))
-    measure = [rng.uniform(mmin, mmax) for _ in range(n)]
-    killing = [rng.uniform(0.0, 1.0) for _ in range(n)] if random_killing else 0.0
-    return WeightedGraph(n, edges, measure, killing)
+    return _draw_rest(random.Random(seed), n, p, [], (wmin, wmax), (mmin, mmax), random_killing)
 
 
 def random_connected_graph(n: int, p: float, seed: int,
@@ -60,20 +50,22 @@ def random_connected_graph(n: int, p: float, seed: int,
                            mmin: float = DEFAULT_MEASURE_RANGE[0], mmax: float = DEFAULT_MEASURE_RANGE[1],
                            random_killing: bool = False) -> WeightedGraph:
     """Random spanning tree plus independent extra edges with probability p."""
+    rng = random.Random(seed)
+    tree = [(rng.randrange(v), v, rng.uniform(wmin, wmax)) for v in range(1, n)]
+    return _draw_rest(rng, n, p, tree, (wmin, wmax), (mmin, mmax), random_killing)
+
+
+def _draw_rest(rng, n, p, edges, weights, measures, random_killing) -> WeightedGraph:
+    """Add to ``edges`` each other pair with probability p, then draw measures and killing."""
     if not 0 <= p <= 1:
         raise ValueError("edge probability must lie in [0, 1]")
-    rng = random.Random(seed)
-    present = set()
-    edges = []
-    for v in range(1, n):
-        u = rng.randrange(v)
-        present.add((u, v))
-        edges.append((u, v, rng.uniform(wmin, wmax)))
+    present = {(u, v) for u, v, _ in edges}
     for u in range(n):
         for v in range(u + 1, n):
-            if (u, v) not in present and rng.random() < p:
-                edges.append((u, v, rng.uniform(wmin, wmax)))
-    measure = [rng.uniform(mmin, mmax) for _ in range(n)]
+            # with no edge present, a lookup per pair would nearly double random_graph's time
+            if (not present or (u, v) not in present) and rng.random() < p:
+                edges.append((u, v, rng.uniform(*weights)))
+    measure = [rng.uniform(*measures) for _ in range(n)]
     killing = [rng.uniform(0.0, 1.0) for _ in range(n)] if random_killing else 0.0
     return WeightedGraph(n, edges, measure, killing)
 
@@ -106,13 +98,9 @@ def from_spec(spec: str) -> WeightedGraph:
             if args and args[-1] == "c":
                 random_killing = True
                 args = args[:-1]
-            if len(args) == 3:
+            if len(args) in (3, 7):  # n:p:seed, then optionally wmin:wmax:mmin:mmax
                 n, p, seed = int(args[0]), float(args[1]), int(args[2])
-                return random_graph(n, p, seed, random_killing=random_killing)
-            if len(args) == 7:
-                n, p, seed = int(args[0]), float(args[1]), int(args[2])
-                wmin, wmax, mmin, mmax = (float(a) for a in args[3:7])
-                return random_graph(n, p, seed, wmin, wmax, mmin, mmax,
+                return random_graph(n, p, seed, *(float(a) for a in args[3:]),
                                     random_killing=random_killing)
             raise ValueError("random spec is random:n:p:seed[:wmin:wmax:mmin:mmax][:c]")
     except (ValueError, TypeError) as exc:

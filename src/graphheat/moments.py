@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,9 +115,9 @@ class PairRows:
     ``self[n]`` holds m(x) u_y[x] for the i-th pair (x, y) at index i, then
     m(v) u_v[v] for the j-th vertex v at index P + j, where u_v is the column of
     1_v, P the number of pairs and s = ``self.scale``; ``at[i]`` holds the
-    indices of the i-th pair's (xy, xx, yy).  The stream runs only as far as
-    the highest order asked for, and every order read is kept, so all pairs,
-    times and propagators share one stream.
+    indices of the i-th pair's (xy, xx, yy), and ``pairs[i]`` the pair.  The
+    stream runs only as far as the highest order asked for, and every order
+    read is kept, so all pairs, times and propagators share one stream.
     """
 
     def __init__(self, source, pairs):
@@ -125,61 +126,29 @@ class PairRows:
             source._check(y)
         vertices = sorted({v for pair in pairs for v in pair})
         column = {v: j for j, v in enumerate(vertices)}
-        self.source, self.vertices = source, np.array(vertices, dtype=np.intp)
+        self.source, self.pairs = source, list(pairs)
+        self.vertices = np.array(vertices, dtype=np.intp)
         self.at = np.array([(i, len(pairs) + column[x], len(pairs) + column[y])
                             for i, (x, y) in enumerate(pairs)], dtype=np.intp).reshape(-1, 3)
-        # the compiled scale of the graph, or of the vertices' 1-neighborhood
-        self.scale = compiled(source if source.is_finite
-                              else neighborhood(source, vertices, 1)).scale
+        # the compiled bound and scale of the graph, or of the vertices' 1-neighborhood
+        kernel = compiled(source if source.is_finite else neighborhood(source, vertices, 1))
+        self.bound, self.scale = kernel.bound, kernel.scale
         self.exp = round(math.log2(self.scale))
         targets = [(x, column[y]) for x, y in pairs] + [(v, column[v]) for v in vertices]
         self._steps = stream(source, [{v: 1.0} for v in vertices], self.scale, targets)
-        self._orders = []
+        self._orders, self._floats = [], defaultdict(list)
 
     def __getitem__(self, n: int) -> np.ndarray:
         while len(self._orders) <= n:
             self._orders.append(next(self._steps))
         return self._orders[n]
 
-    def pairs(self, block) -> np.ndarray:
-        """The x and the y of the pairs ``block`` (a slice of the pairs), as two arrays."""
-        return self.vertices[self.at[block, 1:] - len(self.at)].T
-
-
-class PairMoments:
-    """Moments of one vertex pair, read lazily from a stream of basis vectors.
-
-    ``self[n]`` is (<1_x, L^n 1_y>, <1_x, L^n 1_x>, <1_y, L^n 1_y>) / s^n with
-    s = ``self.scale``, read from ``self.rows``, the pair's own
-    :class:`PairRows` or those of :meth:`of`, so every time and both
-    propagators of the pair read the same stream.
-    """
-
-    def __init__(self, source, x, y):
-        self._read(PairRows(source, [(x, y)]), 0, x, y)
-
-    @classmethod
-    def of(cls, rows: PairRows, i: int):
-        """The i-th pair of ``rows``, read from their stream."""
-        pm = cls.__new__(cls)
-        pm._read(rows, i, *rows.pairs(slice(i, i + 1))[:, 0].tolist())
-        return pm
-
-    def _read(self, rows: PairRows, i: int, x, y):
-        self.source, self.x, self.y, self.scale = rows.source, x, y, rows.scale
-        self.rows, self._at, self._values = rows, rows.at[i], []
-
-    def __getitem__(self, n: int):
-        values, rows = self._values, self.rows
+    def floats(self, i: int, n: int) -> tuple:
+        """The i-th pair's (xy, xx, yy) of ``self[n]`` as Python floats, converted once."""
+        values = self._floats[i]
         while len(values) <= n:
-            values.append(tuple(rows[len(values)][self._at].tolist()))
+            values.append(tuple(self[len(values)][self.at[i]].tolist()))
         return values[n]
-
-    def moments(self, n: int):
-        """(<1_x, L^n 1_y>, <1_x, L^n 1_x>, <1_y, L^n 1_y>), unscaled."""
-        if n < 0:
-            raise ValueError("moment order must be non-negative")
-        return tuple(math.ldexp(v, self.rows.exp * n) for v in self[n])
 
 
 def _moments_at(op: LaplacianOperator, x, y, n_max: int):

@@ -19,19 +19,21 @@ Matrix elements of e^{-tL} and e^{-itL} come in two routes:
   nonzero term already has the size of the result, so there is no leading
   cancellation, and the exact zeros of the moment streams make elements across
   disconnected components exactly 0.0.  The moments come from the streams
-  (L/s)^n of :class:`~graphheat.moments.PairMoments` and meet the bounded
+  (L/s)^n of :class:`~graphheat.moments.PairRows` and meet the bounded
   coefficients (t s)^n / n!; one pair's streams serve every t and both
   propagators, and :func:`heat_element` / :func:`wave_element` keep the last
-  pair's streams in each thread, so a sweep over t reads them once.
+  pair's rows in each thread, so a sweep over t reads them once.
 * ``auto`` picks series when t * lambda_max <= 1/2 and eigen otherwise; see
-  :func:`select_route`.
+  :func:`select_route`.  On a procedural source the series is rejected once t
+  times the Gershgorin bound of the pair's 1-neighborhood exceeds 2.
 
 Two evaluators run these routes with the same arithmetic, so their values
-agree bitwise.  :func:`pair_element` takes one element in scalar Python, the
-cheap way for one pair, where numpy's per-call cost makes an element about 25
-times dearer.  :func:`block_elements` takes many pairs and times of one
-:class:`~graphheat.moments.PairRows` as arrays, with the series' stopping rule
-as a mask of the elements still running; all-pairs verification reads it.
+agree bitwise, and only this module picks one.  :func:`block_elements` takes
+the pairs and times of a block of :class:`~graphheat.moments.PairRows` as
+arrays, with the series' stopping rule as a mask of the elements still
+running; every report and fit reads it.  For one pair, and in
+:func:`heat_element` / :func:`wave_element`, :func:`pair_element` takes each
+element in scalar Python, where numpy's per-call cost makes it 25 times dearer.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import ProceduralGraph, WeightedGraph
-from .moments import PairMoments, PairRows
+from .moments import PairRows
 from .operators import LaplacianOperator, WeightedVector, _exact_sum, compiled, dense_matrices
 
 # default stopping tolerance keeps series noise an order below the 1e-9
@@ -272,38 +274,42 @@ def select_route(source, t, method: str) -> str:
     top = compiled(graph).bound
     if t * top > limit * (1 - GATE_ROUNDING):
         top = float(_eigen(graph)[0][-1]) if graph.n else 0.0  # eigenvalues ascend
-    if t * top <= limit:
-        return "series"
-    if method == "auto":
-        return "eigen"
-    raise ValueError(f"series evaluation rejected at t={t}: t times the top-eigenvalue bound "
-                     f"{top:.6g} exceeds 2, where term growth costs accuracy; use eigen")
+    if method == "series":
+        _series_gate(t, top)
+    return "series" if t * top <= limit else "eigen"
 
 
-def pair_element(pm: PairMoments, t, route: str, unitary: bool):
-    """<1_x, e^{-tL} 1_y> (e^{-itL} if ``unitary``) for pm's pair through ``route``.
+def _series_gate(t, top) -> None:
+    """Reject the series at t once t times ``top``, a top-eigenvalue bound, exceeds 2."""
+    if t * top > 2:
+        raise ValueError(f"series evaluation rejected at t={t}: t times the top-eigenvalue bound "
+                         f"{top:.6g} exceeds 2, where term growth costs accuracy; use eigen")
 
-    The series route reads pm's streams and accumulates terms until the
-    remainder bound drops below SERIES_RTOL times the current partial-sum
-    scale, with an absolute floor of SERIES_FLOOR; eigen reads the cached
-    eigenpairs of pm's graph.
+
+def pair_element(rows: PairRows, i: int, t, route: str, unitary: bool):
+    """<1_x, e^{-tL} 1_y> (e^{-itL} if ``unitary``) of the i-th pair of rows via ``route``.
+
+    The series route reads the rows' stream as Python floats and accumulates
+    terms until the remainder bound drops below SERIES_RTOL times the current
+    partial-sum scale, with an absolute floor of SERIES_FLOOR; eigen reads the
+    cached eigenpairs of the rows' graph.
     """
     if route == "eigen":
-        return _eigen_sum(pm.source, pm.x, pm.y, t, unitary).item()
+        return _eigen_sum(rows.source, *rows.pairs[i], t, unitary).item()
     phases = (1 + 0j, -1j, -1 + 0j, 1j) if unitary else (1.0, -1.0)
-    ts = t * pm.scale
+    ts = t * rows.scale
     coef = 1.0  # (t s)^n / n!, against moments scaled by s^-n
     terms = []
     running = 0j if unitary else 0.0
     n = 0
-    xy = pm[0][0]
+    xy = rows.floats(i, 0)[0]
     while True:
         term = phases[n % len(phases)] * (coef * xy)
         terms.append(term)
         running += term
         n += 1
         coef *= ts / n
-        xy, xx, yy = pm[n]
+        xy, xx, yy = rows.floats(i, n)
         if 0.5 * coef * (xx + yy) <= max(SERIES_RTOL * abs(running), SERIES_FLOOR):
             break
         if n >= MAX_SERIES_TERMS:
@@ -318,14 +324,15 @@ def block_elements(rows: PairRows, block, ts, routes, unitary: bool) -> np.ndarr
     ts, at = np.asarray(ts, dtype=float), rows.at[block]
     out = np.zeros((len(at), len(ts)), dtype=complex if unitary else float)
     if len(at) == 1:  # one pair: Python floats cost less than numpy's per-call overhead
-        pm = PairMoments.of(rows, int(at[0, 0]))
-        out[0] = [pair_element(pm, t, route, unitary) for t, route in zip(ts.tolist(), routes)]
+        i = int(at[0, 0])
+        out[0] = [pair_element(rows, i, t, r, unitary) for t, r in zip(ts.tolist(), routes)]
         return out
     series = np.array([route == "series" for route in routes], dtype=bool)
     if series.any():
         out[:, series] = _series_block(rows, at, ts[series] * rows.scale, unitary)
     if not series.all():
-        out[:, ~series] = np.stack([_eigen_sum(rows.source, *rows.pairs(block), t, unitary)
+        x, y = np.array(rows.pairs[block], dtype=np.intp).reshape(-1, 2).T
+        out[:, ~series] = np.stack([_eigen_sum(rows.source, x, y, t, unitary)
                                     for t in ts[~series]], axis=1)
     return out
 
@@ -376,20 +383,23 @@ def _series_coefficient(ts, n: int) -> float:
     return coef
 
 
-# the last pair's moments in each thread: successive elements of one pair
-# (a sweep over t, heat then wave) read one stream
+# the last pair's rows and their (graph, x, y) in each thread: successive
+# elements of one pair (a sweep over t, heat then wave) read one stream
 _LAST_PAIR = threading.local()
 
 
 def _element(source, x, y, t, method, unitary):
     graph = _resolve(source)
-    pm = getattr(_LAST_PAIR, "moments", None)
+    key, rows = getattr(_LAST_PAIR, "pair", (None, None))
     # kept only after a success: a stream that raised cannot go on
-    _LAST_PAIR.moments = None
-    if pm is None or pm.source is not graph or (pm.x, pm.y) != (x, y):
-        pm = PairMoments(graph, x, y)
-    value = pair_element(pm, t, select_route(graph, t, method), unitary)
-    _LAST_PAIR.moments = pm
+    _LAST_PAIR.pair = None, None
+    if key != (graph, x, y):
+        key, rows = (graph, x, y), PairRows(graph, [(x, y)])
+    route = select_route(graph, t, method)
+    if not graph.is_finite:
+        _series_gate(t, rows.bound)
+    value = pair_element(rows, 0, t, route, unitary)
+    _LAST_PAIR.pair = key, rows
     return value
 
 

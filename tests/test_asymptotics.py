@@ -257,6 +257,18 @@ def test_exponent_fit_underflow_reports_truncation():
         leading_exponent_fit(g, 0, 70)
 
 
+def test_exponent_fits_raise_at_an_underflowing_pair_after_the_earlier_fits():
+    g = path_graph(80)
+    pairs = [(0, 1), (0, 2), (0, 60), (0, 3)]  # one block; (0, 60) underflows at t = 1e-4
+    with pytest.raises(ArithmeticError, match="after 1 of 4 grid points") as alone:
+        leading_exponent_fit(g, 0, 60)
+    fits = asymptotics.exponent_fits(g, pairs)
+    assert [next(fits) for _ in range(2)] == [leading_exponent_fit(g, x, y) for x, y in pairs[:2]]
+    with pytest.raises(ArithmeticError) as blocked:
+        next(fits)
+    assert str(blocked.value) == str(alone.value)
+
+
 # -- vanishing order and the t log p diagnostic ----------------------------
 
 

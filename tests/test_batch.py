@@ -19,7 +19,7 @@ from graphheat import (INFINITE, BoundReport, LaplacianOperator, ProceduralGraph
                        heat_element, integer_line, random_connected_graph, save_graph, spectral,
                        wave_element)
 from graphheat.cli import _select_pairs, main
-from graphheat.moments import INITIAL_RADIUS, PairMoments, PairRows
+from graphheat.moments import INITIAL_RADIUS, PairRows
 from graphheat.operators import compiled
 from graphheat.spectral import (MAX_SERIES_TERMS, _series_coefficient, block_elements,
                                 pair_element, select_route)
@@ -49,13 +49,13 @@ def _csv(rows):
 
 def _pair_reference(graph, x, y, d, ts, method):
     """(tag, t, lhs, rhs) per t and tag, from pair_element's scalar loop element by element."""
-    pm = PairMoments(graph, x, y)
-    xy, (_, xx, yy) = pm[d][0], pm[d + 1]
+    rows = PairRows(graph, [(x, y)])
+    xy, (_, xx, yy) = rows.floats(0, d)[0], rows.floats(0, d + 1)
     for t in ts:
         route = select_route(graph, t, method)
-        h, w = pair_element(pm, t, route, False), pair_element(pm, t, route, True)
-        lead = _series_coefficient(t * pm.scale, d) * xy
-        rhs = 0.5 * _series_coefficient(t * pm.scale, d + 1) * (xx + yy)
+        h, w = pair_element(rows, 0, t, route, False), pair_element(rows, 0, t, route, True)
+        lead = _series_coefficient(t * rows.scale, d) * xy
+        rhs = 0.5 * _series_coefficient(t * rows.scale, d + 1) * (xx + yy)
         yield "heat_leading", t, abs(h - abs(lead)), rhs
         yield "wave_leading", t, abs(abs(w) - abs(lead)), rhs
         yield "semigroup", t, abs(h - (1.0, -1.0)[d % 2] * lead), rhs
@@ -165,6 +165,19 @@ def test_verify_summary_without_checks_has_no_worst_ratio(capsys):
                    "0 disconnected pair(s) skipped\n")
 
 
+def test_verify_summary_counts_the_vacuous_checks(capsys):
+    # from hop distance 76 at t = 1e-4 the element, its leading term and its bound
+    # all underflow to 0.0
+    argv = ["verify", "--gen", "path:400", "--pairs", "sample:50", "--seed", "1"]
+    code, out, err = _run(capsys, argv)
+    graph = from_spec("path:400")
+    assert (out, code) == _verify_reference(graph, _select_pairs(graph, "sample:50", 1))
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert (len(rows), sum(row[6:8] == ["0.0", "0.0"] for row in rows)) == (800, 424)
+    assert err.startswith("graphheat: 800/800 checks passed on 50 pair(s), 0 disconnected "
+                          "pair(s) skipped, 424 vacuous (lhs = rhs = 0.0); worst lhs/rhs ")
+
+
 def test_verify_series_past_its_limit_is_a_usage_error(capsys):
     code, out, err = _run(capsys, ["verify", "--gen", "random:12:0.3:1", "--method", "series",
                                    "--t0", "10"])
@@ -191,10 +204,10 @@ def test_shared_pair_moments_equal_single_pair_moments():
     pairs = [(5, 2), (2, 5), (3, 3), (0, 8), (9, 9), (0, 9), (2, 7)]
     rows = PairRows(g, pairs)
     for i, (x, y) in enumerate(pairs):
-        alone = PairMoments(g, x, y)
+        alone = PairRows(g, [(x, y)])
         assert rows.scale == alone.scale
         assert [tuple(rows[n][rows.at[i]].tolist()) for n in range(12)] == \
-            [alone[n] for n in range(12)]
+            [alone.floats(0, n) for n in range(12)]
 
 
 _SPREAD = st.floats(-8, 8)
@@ -224,11 +237,11 @@ def test_block_elements_equal_the_scalar_loop_bitwise(graph, grid):
     routes = ["eigen" if eigen else "series" for _, eigen in grid]
     isolated = graph.n - 1
     pairs = [(x, y) for x in graph.vertices for y in graph.vertices]
-    rows, alone = PairRows(graph, pairs), [PairMoments(graph, x, y) for x, y in pairs]
+    rows, alone = PairRows(graph, pairs), [PairRows(graph, [pair]) for pair in pairs]
     for unitary in (False, True):
         try:
-            want = np.array([[pair_element(pm, t, route, unitary)
-                              for t, route in zip(ts, routes)] for pm in alone])
+            want = np.array([[pair_element(one, 0, t, route, unitary)
+                              for t, route in zip(ts, routes)] for one in alone])
         except ArithmeticError:  # past MAX_SERIES_TERMS
             with pytest.raises(ArithmeticError, match=str(MAX_SERIES_TERMS)):
                 block_elements(rows, slice(None), ts, routes, unitary)
@@ -251,7 +264,7 @@ def test_the_wave_modulus_is_pythons_abs():
 
 def _fresh(source, x, y, t, unitary, method):
     route = select_route(source, t, method)
-    return pair_element(PairMoments(source, x, y), t, route, unitary)
+    return pair_element(PairRows(source, [(x, y)]), 0, t, route, unitary)
 
 
 def _interleaved():
@@ -312,9 +325,11 @@ def test_a_stream_that_raised_is_not_reused():
     chain = ProceduralGraph(neighbors, max_degree=2)
     small = _fresh(chain, 0, 1, 1e-3, False, "series")
     assert heat_element(chain, 0, 1, 1e-3, method="series") == small
-    for _ in range(2):  # the stream leaves its first ball at order INITIAL_RADIUS
+    # at t = 0.5 the series passes the gate (t times the bound 4 is 2) and runs
+    # past order INITIAL_RADIUS, where the stream leaves its first ball
+    for _ in range(2):
         with pytest.raises(ValueError, match="outside the chain"):
-            heat_element(chain, 0, 1, 3.0, method="series")
+            heat_element(chain, 0, 1, 0.5, method="series")
     assert heat_element(chain, 0, 1, 1e-3, method="series") == small
 
 
@@ -346,12 +361,12 @@ def test_first_orders_stop_at_the_first_order_that_reaches_nothing_new(monkeypat
 def test_another_thread_does_not_evict_this_threads_stream(monkeypatch):
     built = []
 
-    class Counting(PairMoments):
-        def __init__(self, source, x, y):
-            built.append((x, y))
-            super().__init__(source, x, y)
+    class Counting(PairRows):
+        def __init__(self, source, pairs):
+            built.extend(pairs)
+            super().__init__(source, pairs)
 
-    monkeypatch.setattr(spectral, "PairMoments", Counting)
+    monkeypatch.setattr(spectral, "PairRows", Counting)
     g = random_connected_graph(8, 0.4, 2)
     heat_element(g, 0, 5, 1e-2)
     other = threading.Thread(target=heat_element, args=(g, 1, 2, 1e-2))

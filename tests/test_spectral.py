@@ -214,6 +214,20 @@ def test_auto_needs_finite_graph():
     assert value > 0
 
 
+def test_series_gate_on_procedural_sources():
+    from graphheat import integer_line, leading_exponent_fit
+    line = integer_line()  # the Gershgorin bound of every 1-ball is 4
+    # at t = 12 the alternating terms cancel to -1422 against e^-24 I_0(24) = 0.0819
+    for element in (heat_element, wave_element):
+        with pytest.raises(ValueError, match="series evaluation rejected at t=12.0"):
+            element(line, 0, 0, 12.0, method="series")
+    with pytest.raises(ValueError, match="series evaluation rejected at t=0.75"):
+        leading_exponent_fit(line, 0, 3, t0=0.75)
+    # t times the bound at 2 still runs, to the accuracy of the series
+    exact = math.exp(-1.0) * sum(0.25 ** k / math.factorial(k) ** 2 for k in range(30))
+    assert abs(heat_element(line, 0, 0, 0.5, method="series") - exact) <= 1e-14 * exact
+
+
 def test_negative_time_rejected():
     g = path_graph(2)
     with pytest.raises(ValueError, match="non-negative"):

@@ -13,7 +13,7 @@ from graphheat import (LaplacianOperator, ProceduralGraph, WeightedGraph, ball,
                        path_graph, path_sum_moment, random_connected_graph,
                        spectral_radius_bound, wave_element)
 from graphheat import moments
-from graphheat.moments import (INITIAL_RADIUS, PairMoments, PairRows, first_nonzero_moments,
+from graphheat.moments import (INITIAL_RADIUS, PairRows, first_nonzero_moments,
                                first_nonzero_orders)
 from graphheat.operators import compiled
 from graphheat.spectral import pair_element, select_route
@@ -60,16 +60,21 @@ def test_moments_vanish_below_the_hop_distance_with_sign_at_it(g):
         assert {v: n for v, (n, _) in firsts.items()} == dist
         for x in g.vertices:
             table = moment_table(op, x, y, g.n).values
-            pm = PairMoments(g, x, y)
+            rows = PairRows(g, [(x, y)])
             if x not in dist:
                 assert all(v == 0.0 for v in table)
-                assert all(pm[k][0] == 0.0 for k in range(g.n + 1))
+                assert all(rows.floats(0, k)[0] == 0.0 for k in range(g.n + 1))
                 continue
             d = dist[x]
             assert all(v == 0.0 for v in table[:d])
-            assert all(pm[k][0] == 0.0 for k in range(d))
+            assert all(rows.floats(0, k)[0] == 0.0 for k in range(d))
             assert (-1) ** d * table[d] > 0
-            assert pm.moments(d)[0] == table[d] == firsts[x][1]
+            assert _unscaled(rows, d)[0] == table[d] == firsts[x][1]
+
+
+def _unscaled(rows, n):
+    """The n-th moments (xy, xx, yy) of the one pair of ``rows``, unscaled."""
+    return tuple(math.ldexp(v, rows.exp * n) for v in rows[n][rows.at[0]].tolist())
 
 
 def _weight(u):
@@ -111,11 +116,11 @@ def test_ball_streams_after_two_doublings_match_the_finite_path():
             # both sides run on balls; the whole finite path is the reference
             whole = _whole_graph(finite, [offset + y], 1.0)
             assert _bits(lazy) == _bits([next(whole)[offset, 0] for _ in range(orders + 1)])
-        lazy_pm = PairMoments(source, -2, 3)
-        finite_pm = PairMoments(finite, offset - 2, offset + 3)
+        lazy_rows = PairRows(source, [(-2, 3)])
+        finite_rows = PairRows(finite, [(offset - 2, offset + 3)])
         # the scales may differ, but powers of two rescale exactly
-        assert ([lazy_pm.moments(k) for k in range(orders)]
-                == [finite_pm.moments(k) for k in range(orders)])
+        assert ([_unscaled(lazy_rows, k) for k in range(orders)]
+                == [_unscaled(finite_rows, k) for k in range(orders)])
 
 
 def _banded_graph(draw, kind, length, n):
@@ -229,10 +234,10 @@ def test_shared_streams_reproduce_single_elements():
         dist = {x: distances_from(g, x) for x in g.vertices}
         for x in g.vertices:
             for y in range(x, g.n):
-                pm = PairMoments(g, x, y)
+                rows = PairRows(g, [(x, y)])
                 for t in ts:
                     for unitary, single in ((False, heat_element), (True, wave_element)):
-                        shared = pair_element(pm, t, "series", unitary)
+                        shared = pair_element(rows, 0, t, "series", unitary)
                         alone = single(g, x, y, t, method="series")
                         assert abs(shared - alone) <= 1e-13 * abs(alone)
                 reports = pair_verification_reports(g, x, y, ts, method="series")
