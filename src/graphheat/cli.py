@@ -154,28 +154,35 @@ def _order_label(order) -> str:
 # -- subcommands ---------------------------------------------------------
 
 
+def _hop_distances(graph, pairs, cutoff):
+    """Yield (x, y, d) for the sorted pairs, d being their hop distance within ``cutoff``
+    or INFINITE: one search from each x, which stops once it has reached all its ys."""
+    for x, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
+        ys = [y for _, y in group]
+        dist = distances_from(graph, x, cutoff=cutoff, targets=ys)
+        yield from ((x, y, dist.get(y, INFINITE)) for y in ys)
+
+
 def _cmd_distance(args, graph, pairs, fh) -> int:
     out = csv.writer(fh, lineterminator="\n")  # floats print as their repr
     cutoff = args.cutoff if args.cutoff is not None else graph.n
     sources = sorted({x for x, _ in pairs})
     positions, orders, _ = first_nonzero_orders(LaplacianOperator(graph), sources, cutoff)
+    column = {x: j for j, x in enumerate(sources)}
     mismatches = 0
     out.writerow(["x", "y", "d_E", "d_L", "status"])
-    for j, (x, group) in enumerate(itertools.groupby(pairs, key=lambda pair: pair[0])):
-        dist = distances_from(graph, x, cutoff=cutoff)
-        for _, y in group:
-            d_hop = dist.get(y, INFINITE)
-            order = int(orders[positions[y], j])
-            if order < 0:
-                consistent = d_hop == INFINITE
-                order_text = _order_label(UnknownAbove(cutoff))
-            else:
-                consistent = d_hop == order
-                order_text = str(order)
-            if not consistent:
-                mismatches += 1
-            out.writerow([x, y, d_hop if d_hop != INFINITE else float("inf"),
-                          order_text, "ok" if consistent else "mismatch"])
+    for x, y, d_hop in _hop_distances(graph, pairs, cutoff):
+        order = int(orders[positions[y], column[x]])
+        if order < 0:
+            consistent = d_hop == INFINITE
+            order_text = _order_label(UnknownAbove(cutoff))
+        else:
+            consistent = d_hop == order
+            order_text = str(order)
+        if not consistent:
+            mismatches += 1
+        out.writerow([x, y, d_hop if d_hop != INFINITE else float("inf"),
+                      order_text, "ok" if consistent else "mismatch"])
     if mismatches:
         print(f"graphheat: {mismatches} pair(s) where the moment order differs from the "
               "hop distance", file=sys.stderr)
@@ -185,10 +192,7 @@ def _cmd_distance(args, graph, pairs, fh) -> int:
 
 def _cmd_verify(args, graph, pairs, fh) -> int:
     ts = sorted(args.t0 * args.ratio ** k for k in range(args.count))
-    connected = []
-    for x, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
-        dist = distances_from(graph, x, cutoff=args.cutoff)
-        connected += [(x, y, dist[y]) for _, y in group if y in dist]
+    connected = [pair for pair in _hop_distances(graph, pairs, args.cutoff) if pair[2] != INFINITE]
     total = failures = vacuous = 0
     worst = None  # (lhs/rhs, which, x, y, t) at the first largest ratio
     t_text = [repr(t) for t in ts]
@@ -228,8 +232,7 @@ def _cmd_verify(args, graph, pairs, fh) -> int:
 def _cmd_exponent(args, graph, pairs, fh) -> int:
     out = csv.writer(fh, lineterminator="\n")  # floats print as their repr
     worst = 0.0
-    connected = [(x, y, d) for x, y in pairs
-                 if (d := combinatorial_distance(graph, x, y, cutoff=args.cutoff)) != INFINITE]
+    connected = [pair for pair in _hop_distances(graph, pairs, args.cutoff) if pair[2] != INFINITE]
     fits = exponent_fits(graph, [(x, y) for x, y, _ in connected], args.t0, args.ratio,
                          args.count, args.group)
     out.writerow(["x", "y", "group", "slope", "d_E", "abs_error", "max_residual"])

@@ -176,10 +176,10 @@ class ProceduralGraph:
             raise ValueError(f"unknown vertex id {x!r}")
 
     def _row(self, x) -> dict[int, float]:
-        self._check(x)
         row = self._rows.get(x)
-        if row is not None:
+        if row is not None and isinstance(x, int):  # a cached row's id was checked
             return row
+        self._check(x)
         row = {}
         for y, w in self._neighbor_fn(x):
             y, w = int(y), float(w)
@@ -310,10 +310,17 @@ def combinatorial_distance(source, x, y, cutoff: int | None = None):
                 INFINITE)
 
 
-def distances_from(source, x, cutoff: int | None = None) -> dict:
+def distances_from(source, x, cutoff: int | None = None, targets=None) -> dict:
     """Hop distances from x to every vertex reachable within ``cutoff`` hops;
-    ``cutoff`` is as in :func:`combinatorial_distance`."""
-    return {v: d for d, layer in enumerate(_layers(source, [x], cutoff)) for v in layer}
+    ``cutoff`` is as in :func:`combinatorial_distance`.  Given ``targets``, the
+    search stops at the layer that reaches the last of them."""
+    dist, left = {}, {None} if targets is None else set(targets)  # None is never reached
+    for d, layer in enumerate(_layers(source, [x], cutoff)):
+        dist.update(dict.fromkeys(layer, d))
+        left.difference_update(layer)
+        if not left:
+            break
+    return dist
 
 
 def is_connected(g: WeightedGraph) -> bool:
@@ -341,16 +348,12 @@ def ball(source, x, radius: int) -> WeightedGraph:
 
 
 def neighborhood(source, centers, radius: int) -> WeightedGraph:
-    """The :func:`ball` around several centers: the union of their balls, induced."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    members = sorted(v for layer in _layers(source, centers, radius) for v in layer)
-    index = {v: i for i, v in enumerate(members)}
-    edges = []
-    for v in members:
-        for nbr, w in source.neighbors(v):
-            if v < nbr and nbr in index:
-                edges.append((index[v], index[nbr], w))
-    m = [source.measure(v) for v in members]
-    c = [source.killing(v) for v in members]
-    return WeightedGraph(len(members), edges, m, c, labels=members)
+    """The :func:`ball` around several centers: the union of their balls, induced,
+    materialized from :func:`graphheat.operators.induced_ball`."""
+    from .operators import induced_ball  # operators builds on this module
+
+    labels, kernel = induced_ball(source, centers, radius)
+    upper = kernel.rows < kernel.cols
+    edges = zip(kernel.rows[upper].tolist(), kernel.cols[upper].tolist(), kernel.w[upper].tolist())
+    c = [source.killing(v) for v in labels.tolist()]
+    return WeightedGraph(len(labels), edges, kernel.m.tolist(), c, labels=labels.tolist())

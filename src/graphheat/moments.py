@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _layers, neighborhood
-from .operators import LaplacianOperator, _exact_sum, compiled
+from .graphs import _layers
+from .operators import LaplacianOperator, _exact_sum, compiled, induced_ball
 
 INITIAL_RADIUS = 16  # of the first neighborhood a stream runs on
 
@@ -67,15 +67,16 @@ def stream(source, vectors, scale: float, targets):
     at the (v, j) pairs of ``targets``, a sequence of pairs or an array of them.
 
     ``vectors`` are {vertex: value} mappings, advanced as the columns of one
-    block by one :meth:`LaplacianOperator.apply` per step on the
-    :func:`neighborhood` of radius r around their supports; at order r the
-    radius doubles.  A finite source moves to the whole graph once c (1 + D +
-    D(D-1) + ... + D(D-1)^(r-1)), c being the number of centers and D the
-    largest degree, reaches its vertex count: the ball could then cover it.  No
-    entry outside the k-ball is nonzero at order k, so a target outside the
-    neighborhood reads an exact 0.0, a row inside sums what the whole graph's
-    does (see :mod:`graphheat.operators`), and the boundary rows, which miss the
-    edges leaving the neighborhood, never act before the radius doubles.
+    block by one :meth:`LaplacianOperator.apply` per step on the hop ball of
+    radius r around their supports, which :func:`induced_ball` slices from
+    arrays that already exist; at order r the radius doubles.  A finite source
+    moves to the whole graph once c (1 + D + D(D-1) + ... + D(D-1)^(r-1)), c
+    being the number of centers and D the largest degree, reaches its vertex
+    count: the ball could then cover it.  No entry outside the k-ball is nonzero
+    at order k, so a target outside the ball reads an exact 0.0, a row inside
+    sums what the whole graph's does (see :mod:`graphheat.operators`), and the
+    boundary rows, which miss the edges leaving the ball, never act before the
+    radius doubles.
     """
     centers = sorted(set().union(*vectors))
     complex_values = any(isinstance(a, complex) for vec in vectors for a in vec.values())
@@ -89,17 +90,16 @@ def stream(source, vectors, scale: float, targets):
     while True:
         if source.is_finite and len(centers) * (1 + sum(
                 degree * (degree - 1) ** k for k in range(radius))) >= source.n:
-            graph, radius, rows = source, None, np.arange(source.n)
+            kernel, radius, rows = compiled(source), None, np.arange(source.n)
         else:
-            graph = neighborhood(source, centers, radius)
-            rows = np.array(graph.labels, dtype=np.intp)
+            rows, kernel = induced_ball(source, centers, radius)
         # the block grows onto the new rows; every row it leaves out holds 0.0
         grown = np.zeros((len(rows), len(vectors)), dtype=block.dtype, order="F")
         grown[np.searchsorted(rows, labels)] = block
         block, labels = grown, rows
         at = np.searchsorted(labels, targets[:, 0]).clip(max=len(labels) - 1)
-        inside, measures = labels[at] == targets[:, 0], compiled(graph).m[at]
-        op = LaplacianOperator(graph)
+        inside, measures = labels[at] == targets[:, 0], kernel.m[at]
+        op = LaplacianOperator(kernel)
         for _ in itertools.count() if radius is None else range(radius - order):
             values = measures * block[at, targets[:, 1]]
             values[~inside] = 0.0
@@ -131,7 +131,7 @@ class PairRows:
         self.at = np.array([(i, len(pairs) + column[x], len(pairs) + column[y])
                             for i, (x, y) in enumerate(pairs)], dtype=np.intp).reshape(-1, 3)
         # the compiled bound and scale of the graph, or of the vertices' 1-neighborhood
-        kernel = compiled(source if source.is_finite else neighborhood(source, vertices, 1))
+        kernel = compiled(source) if source.is_finite else induced_ball(source, vertices, 1)[1]
         self.bound, self.scale = kernel.bound, kernel.scale
         self.exp = round(math.log2(self.scale))
         targets = [(x, column[y]) for x, y in pairs] + [(v, column[v]) for v in vertices]

@@ -21,17 +21,21 @@ The same zeros let a stream run on a hop ball with the whole graph's bits: a
 row whose neighbors all lie in the ball sums the same terms in the same order
 there, and the terms it leaves out are w * +0.0, which leave a bincount sum
 (started at +0.0, so never -0.0) as it is; see :func:`graphheat.moments.stream`.
+:func:`induced_ball` builds such a ball's kernel as a slice of arrays that
+already exist: a finite graph's compiled ones, or those of the region of a
+procedural source explored so far, into which each vertex enters once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 import weakref
 
 import numpy as np
 
-from .graphs import neighborhood
+from .graphs import _layers
 
 DENSE_SIZE_LIMIT = 2000
 
@@ -141,25 +145,19 @@ def inner(f: WeightedVector, g: WeightedVector):
 
 
 class CompiledLaplacian:
-    """A finite graph's Laplacian as edge arrays, built once per graph by :func:`compiled`.
+    """A finite graph's Laplacian as edge arrays (rows, cols, w) sorted by row and
+    column, measures m and diag = sum_y b(x,y) + c(x), built once per graph by :func:`compiled`.
 
     ``bound`` is the Gershgorin bound of M^-1/2 A M^-1/2, an upper bound for
     lambda_max, ``scale`` the smallest power of two at or above it, and
     ``degree`` the largest number of neighbors of a vertex.
     """
 
-    def __init__(self, graph):
-        adj = graph._adj  # read directly: the per-vertex queries check every id
-        self.rows = np.repeat(np.arange(graph.n), [len(row) for row in adj])
-        self.degree = int(np.bincount(self.rows).max(initial=0))
-        self.cols = np.fromiter(itertools.chain.from_iterable(adj), np.intp, len(self.rows))
-        self.w = np.fromiter(itertools.chain.from_iterable(row.values() for row in adj),
-                             float, len(self.rows))
-        self.m = np.array(graph._m, dtype=float)
-        self.diag = np.array(graph._wsum, dtype=float) + np.array(graph._c, dtype=float)
-        radius = np.bincount(self.rows, self.w / np.sqrt(self.m[self.rows] * self.m[self.cols]),
-                             minlength=graph.n)
-        self.bound = float(np.max(self.diag / self.m + radius)) if graph.n else 0.0
+    def __init__(self, rows, cols, w, m, diag):
+        self.rows, self.cols, self.w, self.m, self.diag = rows, cols, w, m, diag
+        self.degree = int(np.bincount(rows).max(initial=0))
+        radius = np.bincount(rows, w / np.sqrt(m[rows] * m[cols]), minlength=len(m))
+        self.bound = float((diag / m + radius).max()) if len(m) else 0.0
         self.scale = 2.0 ** math.ceil(math.log2(self.bound)) if self.bound > 0 else 1.0
 
     def apply(self, f: np.ndarray) -> np.ndarray:
@@ -178,13 +176,82 @@ _KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def compiled(graph) -> CompiledLaplacian:
-    """The graph's edge arrays, cached while the graph lives."""
+    """The graph's edge arrays, cached while the graph lives; a kernel is its own."""
+    if isinstance(graph, CompiledLaplacian):
+        return graph
     if not graph.is_finite:
         raise ValueError("array form requires a finite graph")
     kernel = _KERNELS.get(graph)
     if kernel is None:
-        kernel = _KERNELS[graph] = CompiledLaplacian(graph)
+        adj = graph._adj  # read directly: the per-vertex queries check every id
+        rows = np.repeat(np.arange(graph.n), [len(row) for row in adj])
+        cols = np.fromiter(itertools.chain.from_iterable(adj), np.intp, len(rows))
+        w = np.fromiter(itertools.chain.from_iterable(map(dict.values, adj)), float, len(rows))
+        kernel = _KERNELS[graph] = CompiledLaplacian(
+            rows, cols, w, np.array(graph._m, dtype=float),
+            np.array(graph._wsum, dtype=float) + np.array(graph._c, dtype=float))
     return kernel
+
+
+class _Explored:
+    """A procedural source's explored rows laid out as compiled ones, with neighbor
+    ids for cols; ``position`` maps a vertex to its row.  Each vertex enters once,
+    its row, measure and killing term through the oracles' own checks."""
+
+    def __init__(self):
+        self.position, self.lock = {}, threading.Lock()
+        self.rows, self.cols = np.zeros((2, 0), dtype=np.intp)
+        self.m = self.diag = self.w = np.zeros(0)
+
+    def positions(self, source, ids):
+        with self.lock:  # the arrays only grow, so positions taken here stay valid
+            new = [v for v in ids if v not in self.position]
+            if new:  # rows first, then measures and killing terms, as the oracles check them
+                rows = [source._row(v) for v in new]
+                m = [source.measure(v) for v in new]
+                diag = [math.fsum(row.values()) + source.killing(v) for v, row in zip(new, rows)]
+                at = range(len(self.m), len(self.m) + len(new))
+                self.position.update(zip(new, at))
+                self.m, self.diag = np.append(self.m, m), np.append(self.diag, diag)
+                self.rows = np.append(self.rows, np.repeat(at, [len(row) for row in rows]))
+                chain = itertools.chain.from_iterable
+                self.cols = np.append(self.cols, np.fromiter(chain(rows), np.intp))
+                self.w = np.append(self.w, np.fromiter(chain(map(dict.values, rows)), float))
+            return np.fromiter(map(self.position.__getitem__, ids), np.intp, len(ids))
+
+
+_EXPLORED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def induced_ball(source, centers, radius: int):
+    """(labels, kernel): the ids within ``radius`` hops of ``centers``, ascending, and the
+    compiled graph they induce, label i being its vertex i: the rows of a finite graph or
+    of a procedural source's explored region, sliced; a row the ball cuts keeps the edges
+    inside and for diag their weights' correctly rounded sum plus c, as compiling would."""
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    ids = sorted(v for layer in _layers(source, centers, radius) for v in layer)
+    labels = np.array(ids, dtype=np.intp)
+    if source.is_finite:
+        store, at = compiled(source), labels
+    else:
+        store = _EXPLORED.get(source) or _EXPLORED.setdefault(source, _Explored())
+        at = store.positions(source, ids)
+    # numpy's methods cost less per call than its functions
+    start, counts = store.rows.searchsorted(at), store.rows.searchsorted(at + 1)
+    counts -= start
+    flat = (start + counts - counts.cumsum()).repeat(counts)
+    flat += np.arange(len(flat))  # the entries of the ball's rows in the store
+    nbrs = store.cols[flat]
+    cols = labels.searchsorted(nbrs)
+    inside = labels.take(cols, mode="clip") == nbrs
+    rows = np.arange(len(ids)).repeat(counts)[inside]
+    cols, w, diag = cols[inside], store.w[flat[inside]], store.diag[at]
+    kept = np.bincount(rows, minlength=len(ids))
+    ends = kept.cumsum()
+    for i in (kept < counts).nonzero()[0].tolist():
+        diag[i] = math.fsum(w[ends[i] - kept[i]:ends[i]].tolist()) + source.killing(ids[i])
+    return labels, CompiledLaplacian(rows, cols, w, store.m[at], diag)
 
 
 class LaplacianOperator:
@@ -198,20 +265,19 @@ class LaplacianOperator:
 
     def apply(self, f):
         """L f for an array on a finite graph's vertices or for a :class:`WeightedVector`,
-        returning the same kind; a vector on a procedural source is applied on
-        the 1-ball around its support, which holds every entry of L f."""
+        returning the same kind; a vector is applied on the 1-ball around its support,
+        which holds every entry of L f with the whole graph's bits (see the module
+        docstring).  ``graph`` may also be a :class:`CompiledLaplacian`, for arrays."""
         if not isinstance(f, WeightedVector):
             return compiled(self.graph).apply(f)
         if f.graph is not self.graph:
             raise ValueError("vector lives on a different graph")
-        g = self.graph
-        if g.is_finite:
-            return WeightedVector.from_array(g, compiled(g).apply(f.to_array()))
-        window = neighborhood(g, f.support, 1)
-        position = {v: i for i, v in enumerate(window.labels)}
-        arr = WeightedVector(window, {position[v]: val for v, val in f.items()})
-        out = compiled(window).apply(arr.to_array())
-        return WeightedVector(g, dict(zip(window.labels, out.tolist())))
+        labels, kernel = induced_ball(self.graph, f.support, 1)
+        values = list(f._values.values())
+        arr = np.zeros(len(labels), dtype=complex if any(isinstance(v, complex) for v in values)
+                       else float)
+        arr[labels.searchsorted(list(f.support))] = values
+        return WeightedVector(f.graph, dict(zip(labels.tolist(), kernel.apply(arr).tolist())))
 
     def matrix_element(self, x, y) -> float:
         """<1_x, L 1_y>: minus the edge weight off the diagonal, row sum plus killing on it."""

@@ -15,7 +15,8 @@ Matrix elements of e^{-tL} and e^{-itL} come in two routes:
   where the short-time behavior lives.
 * ``series`` sums the Taylor terms (-t)^n <1_x, L^n 1_y> / n! with a stopping
   rule driven by the rigorous remainder bound
-  t^{K+1} (<1_x, L^{K+1} 1_x> + <1_y, L^{K+1} 1_y>) / (2 (K+1)!).  The first
+  t^{K+1} (<1_x, L^{K+1} 1_x> + <1_y, L^{K+1} 1_y>) / (2 (K+1)!), and raises
+  once the running sum or that bound is not finite (it overflowed).  The first
   nonzero term already has the size of the result, so there is no leading
   cancellation, and the exact zeros of the moment streams make elements across
   disconnected components exactly 0.0.  The moments come from the streams
@@ -286,6 +287,7 @@ def _series_gate(t, top) -> None:
                          f"{top:.6g} exceeds 2, where term growth costs accuracy; use eigen")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan arise; the series rejects them
 def pair_element(rows: PairRows, i: int, t, route: str, unitary: bool):
     """<1_x, e^{-tL} 1_y> (e^{-itL} if ``unitary``) of the i-th pair of rows via ``route``.
 
@@ -310,12 +312,19 @@ def pair_element(rows: PairRows, i: int, t, route: str, unitary: bool):
         n += 1
         coef *= ts / n
         xy, xx, yy = rows.floats(i, n)
-        if 0.5 * coef * (xx + yy) <= max(SERIES_RTOL * abs(running), SERIES_FLOOR):
+        bound, size = 0.5 * coef * (xx + yy), abs(running)
+        finite = math.isfinite(bound + size)  # inf or nan in either leaves the sum so
+        if finite and bound <= max(SERIES_RTOL * size, SERIES_FLOOR):
             break
-        if n >= MAX_SERIES_TERMS:
-            raise ArithmeticError(
-                f"series did not meet its remainder target within {MAX_SERIES_TERMS} terms")
+        if n >= MAX_SERIES_TERMS or not finite:
+            raise _unmet(n)
     return _exact_sum(terms)
+
+
+def _unmet(n: int) -> ArithmeticError:
+    """The series' error at order n: MAX_SERIES_TERMS reached, or a sum or bound not finite."""
+    return ArithmeticError(f"series stopped at order {n} short of its remainder target: it takes "
+                           f"at most {MAX_SERIES_TERMS} terms, with a finite sum and bound")
 
 
 def block_elements(rows: PairRows, block, ts, routes, unitary: bool) -> np.ndarray:
@@ -360,12 +369,13 @@ def _series_block(rows: PairRows, at, ts, unitary):
         coef = coef * (ts / (n + 1))
         bound = 0.5 * coef * (rows[n + 1][at[:, 1]] + rows[n + 1][at[:, 2]])[:, None]
         running = np.hypot(*parts) if unitary else np.abs(parts[0])
+        if not np.isfinite(bound + running)[active].all():
+            raise _unmet(n + 1)
         active &= ~(bound <= np.maximum(SERIES_RTOL * running, SERIES_FLOOR))
         if not active.any():
             break
     else:
-        raise ArithmeticError(
-            f"series did not meet its remainder target within {MAX_SERIES_TERMS} terms")
+        raise _unmet(MAX_SERIES_TERMS)
     sums = np.reshape(terms, (len(terms), active.size)).T.tolist()
     if unitary:
         sums = [complex(math.fsum(e[::2]), math.fsum(e[1::2])) for e in sums]

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from graphheat import (INFINITE, LaplacianOperator, combinatorial_distance, from_spec,
+from graphheat import (INFINITE, LaplacianOperator, cli, combinatorial_distance, from_spec,
                        leading_exponent_fit, moments, path_graph)
 from graphheat.cli import CliError, _select_pairs, main
 
@@ -331,8 +331,8 @@ def test_sampled_pairs_are_those_the_full_pair_list_gives(n):
 
 def _count_balls(monkeypatch):
     built = []
-    real = moments.neighborhood
-    monkeypatch.setattr(moments, "neighborhood", lambda *args: built.append(args) or real(*args))
+    real = moments.induced_ball
+    monkeypatch.setattr(moments, "induced_ball", lambda *args: built.append(args) or real(*args))
     return built
 
 
@@ -401,6 +401,19 @@ def test_exponent_rows_equal_the_pair_by_pair_fits(capsys, spec, pairs, options)
         argv += [f"--{name}", str(value)]
     code, out, _ = run(capsys, *argv)
     assert (code, out) == _exponent_pair_by_pair(spec, pairs, 4, **options)
+
+
+def test_exponent_searches_once_from_each_source_up_to_its_last_target(capsys, monkeypatch):
+    # 21 pairs from 1464 out to hop distance 20 on the cycle: one search of 41 vertices,
+    # where a search per pair would visit 441 and a full one 2000
+    searched = []
+    real = cli.distances_from
+    monkeypatch.setattr(cli, "distances_from",
+                        lambda *args, **kwargs: searched.append(real(*args, **kwargs))
+                        or searched[-1])
+    code, _, _ = run(capsys, "exponent", "--gen", "cycle:2000", "--pairs", CYCLE_PAIRS)
+    assert code == 0
+    assert [len(dist) for dist in searched] == [41]
 
 
 # above the dense size limit the series route needs no decomposition

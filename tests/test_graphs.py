@@ -179,6 +179,17 @@ def test_ball_matches_distance_sets():
             previous = members
 
 
+def test_a_search_for_targets_stops_at_the_layer_of_the_last():
+    cycle = WeightedGraph(2000, [(v, (v + 1) % 2000, 1.0) for v in range(2000)])
+    assert distances_from(cycle, 0, targets=[3, 1998]) == {
+        v: min(v, 2000 - v) for v in (0, 1, 2, 3, 1997, 1998, 1999)}
+    # a target out of reach leaves the whole component searched
+    g = WeightedGraph(5, [(0, 1, 1.0), (1, 2, 1.0)])
+    assert distances_from(g, 0, targets=[1, 4]) == distances_from(g, 0) == {0: 0, 1: 1, 2: 2}
+    assert distances_from(integer_line(), 0, cutoff=9, targets=[-2]) == {
+        v: abs(v) for v in range(-2, 3)}
+
+
 def test_procedural_requires_cutoff():
     line = integer_line()
     with pytest.raises(ValueError):

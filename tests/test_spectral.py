@@ -6,13 +6,14 @@ import pytest
 
 from conftest import random_vector
 from graphheat import spectral
-from graphheat import (LaplacianOperator, ScalarFunction, WeightedGraph,
+from graphheat import (LaplacianOperator, ProceduralGraph, ScalarFunction, WeightedGraph,
                        WeightedVector, complete_graph, decompose,
                        functional_calculus, heat_element, inner, moment,
                        path_graph, path_sum_moment, polarized_measure,
                        propagate_heat, propagate_wave, random_connected_graph,
                        spectral_measure, spectral_measure_diag,
                        spectral_radius_bound, wave_element)
+from graphheat.moments import PairRows
 
 
 def closed_heat_p2(t):
@@ -226,6 +227,29 @@ def test_series_gate_on_procedural_sources():
     # t times the bound at 2 still runs, to the accuracy of the series
     exact = math.exp(-1.0) * sum(0.25 ** k / math.factorial(k) ** 2 for k in range(30))
     assert abs(heat_element(line, 0, 0, 0.5, method="series") - exact) <= 1e-14 * exact
+
+
+def _doubling_line():
+    """The integer line with the weight 2^max(|a|, |b|) on the edge (a, b): its
+    1-balls pass the series gate while its moments overflow."""
+    return ProceduralGraph(lambda u: [(u - 1, 2.0 ** max(abs(u - 1), abs(u))),
+                                      (u + 1, 2.0 ** max(abs(u), abs(u + 1)))])
+
+
+def test_series_rejects_terms_that_are_not_finite():
+    # the stopping rule took SERIES_RTOL * abs(-inf) for a met target and returned -inf;
+    # under the error filter for RuntimeWarning the overflow must surface as this error
+    for t in (0.05, 0.1, 0.2):
+        for element in (heat_element, wave_element):
+            with pytest.raises(ArithmeticError, match="at order [1-9][0-9]? short"):
+                element(_doubling_line(), 0, 0, t, method="series")
+
+
+def test_array_series_rejects_terms_that_are_not_finite():
+    rows = PairRows(_doubling_line(), [(0, 0), (0, 1)])  # two pairs take the array series
+    for unitary in (False, True):
+        with pytest.raises(ArithmeticError, match="at order [1-9][0-9]? short"):
+            spectral.block_elements(rows, slice(None), [0.05, 0.1], ["series"] * 2, unitary)
 
 
 def test_negative_time_rejected():

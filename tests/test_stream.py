@@ -1,6 +1,8 @@
 """The compiled Laplacian kernel, the moment streams read from it, and the route gate."""
 
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,7 @@ from graphheat import (LaplacianOperator, ProceduralGraph, WeightedGraph, ball,
 from graphheat import moments
 from graphheat.moments import (INITIAL_RADIUS, PairRows, first_nonzero_moments,
                                first_nonzero_orders)
-from graphheat.operators import compiled
+from graphheat.operators import compiled, induced_ball
 from graphheat.spectral import pair_element, select_route
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -151,7 +153,7 @@ def _ball_streams_match_the_whole_graph(g, x, y, orders):
     column = {v: j for j, v in enumerate(sources)}
     # unscaled moments over spread weights overflow, and do so alike on both sides
     with np.errstate(over="ignore", invalid="ignore"), \
-            mock.patch.object(moments, "neighborhood", wraps=moments.neighborhood) as built:
+            mock.patch.object(moments, "induced_ball", wraps=moments.induced_ball) as built:
         table = moment_table(op, x, y, orders).values
         whole = _whole_graph(g, [y], 1.0)
         assert _bits(table) == _bits([next(whole)[x, 0] for _ in range(orders + 1)])
@@ -202,6 +204,84 @@ def test_ball_streams_of_ladders_match_the_whole_graph(data, rungs):
     y = data.draw(st.integers(0, 2 * rungs))
     radii = _ball_streams_match_the_whole_graph(g, y, y, 2 * INITIAL_RADIUS + 6)
     assert radii == [[INITIAL_RADIUS], [INITIAL_RADIUS]]
+
+
+def _reference_ball(source, centers, radius):
+    """The induced ball as a WeightedGraph built from neighbors, measure and killing,
+    compiled: what induced_ball must reproduce bit for bit."""
+    members = sorted(set().union(*(distances_from(source, x, cutoff=radius) for x in centers)))
+    index = {v: i for i, v in enumerate(members)}
+    edges = [(index[v], index[nbr], w) for v in members for nbr, w in source.neighbors(v)
+             if v < nbr and nbr in index]
+    ball_graph = WeightedGraph(len(members), edges, [source.measure(v) for v in members],
+                               [source.killing(v) for v in members])
+    return np.array(members, dtype=np.intp), compiled(ball_graph)
+
+
+def _ball_bits(labels, kernel):
+    arrays = [labels] + [getattr(kernel, name) for name in ("rows", "cols", "w", "m", "diag")]
+    return ([(a.dtype, a.tobytes()) for a in arrays]
+            + [(kernel.bound, kernel.scale, kernel.degree)])
+
+
+def _killing_chain():
+    """:func:`_chain` with a killing term on every third vertex."""
+    return ProceduralGraph(lambda u: [(u - 1, _weight(u - 1)), (u + 1, _weight(u))],
+                           measure_fn=lambda u: 1.0 + (u % 5) / 4.0,
+                           killing_fn=lambda u: 0.5 * (u % 3 == 0), max_degree=2)
+
+
+@SETTINGS
+@given(spread_graphs(), st.integers(0, 3), st.data())
+def test_balls_are_slices_of_the_compiled_graph(g, radius, data):
+    centers = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=3))
+    assert (_ball_bits(*induced_ball(g, centers, radius))
+            == _ball_bits(*_reference_ball(g, centers, radius)))
+
+
+EXPLORED = _killing_chain()  # its store grows over the examples
+
+
+@SETTINGS
+@given(st.integers(0, 3), st.lists(st.integers(-40, 40), min_size=1, max_size=3))
+def test_balls_are_slices_of_the_explored_rows(radius, centers):
+    # on the shared line the ball is sliced from rows that earlier examples explored
+    expected = _ball_bits(*_reference_ball(_killing_chain(), centers, radius))
+    assert _ball_bits(*induced_ball(EXPLORED, centers, radius)) == expected
+    assert _ball_bits(*induced_ball(_killing_chain(), centers, radius)) == expected
+
+
+def test_a_ball_after_the_store_grew_equals_a_fresh_one():
+    line = _killing_chain()
+    induced_ball(line, [0], 3)
+    induced_ball(line, [100], 5)  # explored apart from the first region
+    for centers, radius in (([2], 3), ([-1, 98], 4), ([50], 2), ([0, 100], 0)):
+        assert (_ball_bits(*induced_ball(line, centers, radius))
+                == _ball_bits(*induced_ball(_killing_chain(), centers, radius)))
+
+
+def test_threads_growing_one_store_slice_the_balls_of_a_fresh_source():
+    requests = [([c, c + 7], r) for c in range(-90, 90, 9) for r in (1, 5, 16)]
+    expected = [_ball_bits(*induced_ball(_killing_chain(), cs, r)) for cs, r in requests]
+    line, results = _killing_chain(), [None] * 8
+
+    def work(k):
+        order = requests if k % 2 == 0 else requests[::-1]
+        results[k] = [_ball_bits(*induced_ball(line, cs, r)) for cs, r in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for k, got in enumerate(results):
+        assert got == (expected if k % 2 == 0 else expected[::-1])
 
 
 def test_targets_outside_the_ball_read_exact_zeros():
