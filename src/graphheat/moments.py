@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import _layers
-from .operators import LaplacianOperator, _exact_sum, compiled, induced_ball
+from .operators import BallSearch, LaplacianOperator, _exact_sum, compiled, induced_ball
 
 INITIAL_RADIUS = 16  # of the first neighborhood a stream runs on
 
@@ -66,17 +66,17 @@ def stream(source, vectors, scale: float, targets):
     """Yield, for n = 0, 1, ..., the array of moments <1_v, (L/scale)^n vectors[j]>
     at the (v, j) pairs of ``targets``, a sequence of pairs or an array of them.
 
-    ``vectors`` are {vertex: value} mappings, advanced as the columns of one
-    block by one :meth:`LaplacianOperator.apply` per step on the hop ball of
-    radius r around their supports, which :func:`induced_ball` slices from
-    arrays that already exist; at order r the radius doubles.  A finite source
-    moves to the whole graph once c (1 + D + D(D-1) + ... + D(D-1)^(r-1)), c
-    being the number of centers and D the largest degree, reaches its vertex
-    count: the ball could then cover it.  No entry outside the k-ball is nonzero
-    at order k, so a target outside the ball reads an exact 0.0, a row inside
-    sums what the whole graph's does (see :mod:`graphheat.operators`), and the
-    boundary rows, which miss the edges leaving the ball, never act before the
-    radius doubles.
+    ``vectors`` are {vertex: value} mappings, advanced as the columns of one block
+    by one :meth:`LaplacianOperator.apply` per step on the hop ball of radius r
+    around their supports, sliced from arrays that already exist; at order r the
+    radius doubles, and the :class:`BallSearch` that found the r-ball walks only the
+    layers past it.  A finite source moves to the whole graph once c (1 + D + D(D-1)
+    + ... + D(D-1)^(r-1)), c being the number of centers and D the largest degree,
+    reaches its vertex count: the ball could then cover it.  No entry outside the
+    k-ball is nonzero at order k, so a target outside the ball reads an exact 0.0, a
+    row inside sums what the whole graph's does (see :mod:`graphheat.operators`),
+    and the boundary rows, which miss the edges leaving the ball, never act before
+    the radius doubles.
     """
     centers = sorted(set().union(*vectors))
     complex_values = any(isinstance(a, complex) for vec in vectors for a in vec.values())
@@ -86,25 +86,29 @@ def stream(source, vectors, scale: float, targets):
     block = np.zeros((len(labels), len(vectors)), dtype=complex if complex_values else float)
     for j, vec in enumerate(vectors):
         block[np.searchsorted(labels, list(vec)), j] = list(vec.values())
-    order, radius = 0, INITIAL_RADIUS
+    order, radius, balls = 0, INITIAL_RADIUS, BallSearch(source, centers)
     while True:
         if source.is_finite and len(centers) * (1 + sum(
                 degree * (degree - 1) ** k for k in range(radius))) >= source.n:
             kernel, radius, rows = compiled(source), None, np.arange(source.n)
         else:
-            rows, kernel = induced_ball(source, centers, radius)
+            rows, kernel = balls.ball(radius)
         # the block grows onto the new rows; every row it leaves out holds 0.0
         grown = np.zeros((len(rows), len(vectors)), dtype=block.dtype, order="F")
         grown[np.searchsorted(rows, labels)] = block
         block, labels = grown, rows
-        at = np.searchsorted(labels, targets[:, 0]).clip(max=len(labels) - 1)
+        at = labels.searchsorted(targets[:, 0]).clip(max=len(labels) - 1)
         inside, measures = labels[at] == targets[:, 0], kernel.m[at]
+        outside = None if inside.all() else ~inside
+        at += len(labels) * targets[:, 1]  # into the block's columns laid end to end
         op = LaplacianOperator(kernel)
         for _ in itertools.count() if radius is None else range(radius - order):
-            values = measures * block[at, targets[:, 1]]
-            values[~inside] = 0.0
+            values = measures * block.T.take(at)
+            if outside is not None:
+                values[outside] = 0.0
             yield values
-            block = op.apply(block) / scale
+            block = op.apply(block)
+            block /= scale
         order, radius = radius, 2 * radius
 
 
@@ -136,7 +140,7 @@ class PairRows:
         self.exp = round(math.log2(self.scale))
         targets = [(x, column[y]) for x, y in pairs] + [(v, column[v]) for v in vertices]
         self._steps = stream(source, [{v: 1.0} for v in vertices], self.scale, targets)
-        self._orders, self._floats = [], defaultdict(list)
+        self._orders, self.converted = [], defaultdict(list)
 
     def __getitem__(self, n: int) -> np.ndarray:
         while len(self._orders) <= n:
@@ -144,8 +148,8 @@ class PairRows:
         return self._orders[n]
 
     def floats(self, i: int, n: int) -> tuple:
-        """The i-th pair's (xy, xx, yy) of ``self[n]`` as Python floats, converted once."""
-        values = self._floats[i]
+        """The i-th pair's (xy, xx, yy) of ``self[n]`` as floats, kept in ``converted[i]``."""
+        values = self.converted[i]
         while len(values) <= n:
             values.append(tuple(self[len(values)][self.at[i]].tolist()))
         return values[n]

@@ -10,12 +10,15 @@ The Laplacian acts by
     (L f)(x) = (1/m(x)) * (sum_y b(x,y) (f(x) - f(y)) + c(x) f(x))
 
 through the array kernel (diag * f - bincount(rows, w * f[cols])) / m, with
-diag = sum_y b(x,y) + c(x).  If f vanishes outside the k-ball around y, every
-term of (L f)(x) outside the (k+1)-ball is w * 0.0 or diag * 0.0, so the
-moment <1_x, L^n 1_y> is exactly 0.0 below the hop distance and the first
-nonzero order is read without thresholds.  At the critical order the entry
-sums only shortest-path products, all of sign (-1)^d: no cancellation, so the
-plain sum is accurate to a few ulps per step.
+diag = sum_y b(x,y) + c(x).  The columns f_j of a block share one bincount over
+the rows offset by n j, a chunk of columns at a time: bin n j + x sums the terms
+of column j alone, in edge order from +0.0, as a bincount of that column does,
+so every column has the bits of the kernel applied to it alone.  If f vanishes
+outside the k-ball around y, every term of (L f)(x) outside the (k+1)-ball is
+w * 0.0 or diag * 0.0, so the moment <1_x, L^n 1_y> is exactly 0.0 below the hop
+distance and the first nonzero order is read without thresholds.  At the critical
+order the entry sums only shortest-path products, all of sign (-1)^d: no
+cancellation, so the plain sum is accurate to a few ulps per step.
 
 The same zeros let a stream run on a hop ball with the whole graph's bits: a
 row whose neighbors all lie in the ball sums the same terms in the same order
@@ -28,8 +31,10 @@ procedural source explored so far, into which each vertex enters once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import sys
 import threading
 import weakref
 
@@ -38,6 +43,7 @@ import numpy as np
 from .graphs import _layers
 
 DENSE_SIZE_LIMIT = 2000
+CHUNK = 1 << 14  # the most terms one bincount of CompiledLaplacian.apply sums
 
 
 def _exact_sum(terms):
@@ -150,26 +156,42 @@ class CompiledLaplacian:
 
     ``bound`` is the Gershgorin bound of M^-1/2 A M^-1/2, an upper bound for
     lambda_max, ``scale`` the smallest power of two at or above it, and
-    ``degree`` the largest number of neighbors of a vertex.
+    ``degree`` the largest number of neighbors of a vertex, each computed on first read.
     """
 
     def __init__(self, rows, cols, w, m, diag):
         self.rows, self.cols, self.w, self.m, self.diag = rows, cols, w, m, diag
-        self.degree = int(np.bincount(rows).max(initial=0))
-        radius = np.bincount(rows, w / np.sqrt(m[rows] * m[cols]), minlength=len(m))
-        self.bound = float((diag / m + radius).max()) if len(m) else 0.0
-        self.scale = 2.0 ** math.ceil(math.log2(self.bound)) if self.bound > 0 else 1.0
+        self._index = rows[:0]  # rows + n j for the columns j of the widest block so far
+
+    degree = functools.cached_property(lambda self: int(np.bincount(self.rows).max(initial=0)))
+    scale = functools.cached_property(
+        lambda self: 2.0 ** math.ceil(math.log2(self.bound)) if self.bound > 0 else 1.0)
+
+    @functools.cached_property
+    def bound(self) -> float:
+        m, rows, cols = self.m, self.rows, self.cols
+        radius = np.bincount(rows, self.w / np.sqrt(m[rows] * m[cols]), minlength=len(m))
+        return float((self.diag / m + radius).max()) if len(m) else 0.0
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """L f for each column of an (n, k) block, or for an (n,) array taken as a
         one-column block, so every column is bitwise L applied to it alone."""
         if np.iscomplexobj(f):
             return self.apply(f.real) + 1j * self.apply(f.imag)
-        block = f[:, None] if f.ndim == 1 else f
-        n = len(self.m)
-        offdiag = np.array([np.bincount(self.rows, self.w * column[self.cols], minlength=n)
-                            for column in block.T]).T
-        return ((self.diag[:, None] * block - offdiag) / self.m[:, None]).reshape(f.shape)
+        block = np.asarray(f[:, None] if f.ndim == 1 else f, dtype=float)
+        (n, k), edges, index = block.shape, len(self.w), self._index
+        width = max(1, CHUNK // max(edges, 1))  # the columns of one bincount
+        if k > width:  # chunks of columns, applied into one output
+            out = np.empty((n, k), order="F")
+            for j in range(0, k, width):
+                out[:, j:j + width] = self.apply(block[:, j:j + width])
+            return out
+        if len(index) < k * edges:
+            index = self._index = (self.rows + n * np.arange(k)[:, None]).ravel()
+        terms = block.T.take(self.cols, axis=1)
+        terms *= self.w
+        offdiag = np.bincount(index[:terms.size], terms.ravel(), minlength=n * k).reshape(k, n)
+        return ((self.diag[:, None] * block - offdiag.T) / self.m[:, None]).reshape(f.shape)
 
 
 _KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -225,33 +247,47 @@ _EXPLORED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 def induced_ball(source, centers, radius: int):
     """(labels, kernel): the ids within ``radius`` hops of ``centers``, ascending, and the
-    compiled graph they induce, label i being its vertex i: the rows of a finite graph or
-    of a procedural source's explored region, sliced; a row the ball cuts keeps the edges
-    inside and for diag their weights' correctly rounded sum plus c, as compiling would."""
+    compiled graph they induce, label i being its vertex i; see :class:`BallSearch`."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    ids = sorted(v for layer in _layers(source, centers, radius) for v in layer)
-    labels = np.array(ids, dtype=np.intp)
-    if source.is_finite:
-        store, at = compiled(source), labels
-    else:
-        store = _EXPLORED.get(source) or _EXPLORED.setdefault(source, _Explored())
-        at = store.positions(source, ids)
-    # numpy's methods cost less per call than its functions
-    start, counts = store.rows.searchsorted(at), store.rows.searchsorted(at + 1)
-    counts -= start
-    flat = (start + counts - counts.cumsum()).repeat(counts)
-    flat += np.arange(len(flat))  # the entries of the ball's rows in the store
-    nbrs = store.cols[flat]
-    cols = labels.searchsorted(nbrs)
-    inside = labels.take(cols, mode="clip") == nbrs
-    rows = np.arange(len(ids)).repeat(counts)[inside]
-    cols, w, diag = cols[inside], store.w[flat[inside]], store.diag[at]
-    kept = np.bincount(rows, minlength=len(ids))
-    ends = kept.cumsum()
-    for i in (kept < counts).nonzero()[0].tolist():
-        diag[i] = math.fsum(w[ends[i] - kept[i]:ends[i]].tolist()) + source.killing(ids[i])
-    return labels, CompiledLaplacian(rows, cols, w, store.m[at], diag)
+    return BallSearch(source, centers).ball(radius)
+
+
+class BallSearch:
+    """The hop balls around fixed centers at growing radii, from one layered search:
+    each ball takes only the layers past the last one's, so no vertex is expanded twice."""
+
+    def __init__(self, source, centers):
+        self.source, self.layers = source, []
+        self._search = _layers(source, centers, sys.maxsize)
+
+    def ball(self, radius: int):
+        """:func:`induced_ball` at a radius at or above the last ball's: the rows of a finite
+        graph or of a procedural source's explored region, sliced; a row the ball cuts keeps
+        the edges inside and for diag their weights' correctly rounded sum plus c."""
+        self.layers += itertools.islice(self._search, radius + 1 - len(self.layers))
+        source, ids = self.source, sorted(itertools.chain.from_iterable(self.layers))
+        labels = np.array(ids, dtype=np.intp)
+        if source.is_finite:
+            store, at = compiled(source), labels
+        else:
+            store = _EXPLORED.get(source) or _EXPLORED.setdefault(source, _Explored())
+            at = store.positions(source, ids)
+        # numpy's methods cost less per call than its functions
+        start, counts = store.rows.searchsorted(at), store.rows.searchsorted(at + 1)
+        counts -= start
+        flat = (start + counts - counts.cumsum()).repeat(counts)
+        flat += np.arange(len(flat))  # the entries of the ball's rows in the store
+        nbrs = store.cols[flat]
+        cols = labels.searchsorted(nbrs)
+        inside = labels.take(cols, mode="clip") == nbrs
+        rows = np.arange(len(ids)).repeat(counts)[inside]
+        cols, w, diag = cols[inside], store.w[flat[inside]], store.diag[at]
+        kept = np.bincount(rows, minlength=len(ids))
+        ends = kept.cumsum()
+        for i in (kept < counts).nonzero()[0].tolist():
+            diag[i] = math.fsum(w[ends[i] - kept[i]:ends[i]].tolist()) + source.killing(ids[i])
+        return labels, CompiledLaplacian(rows, cols, w, store.m[at], diag)
 
 
 class LaplacianOperator:

@@ -304,14 +304,14 @@ def pair_element(rows: PairRows, i: int, t, route: str, unitary: bool):
     terms = []
     running = 0j if unitary else 0.0
     n = 0
-    xy = rows.floats(i, 0)[0]
+    xy, known = rows.floats(i, 0)[0], rows.converted[i]
     while True:
         term = phases[n % len(phases)] * (coef * xy)
         terms.append(term)
         running += term
         n += 1
         coef *= ts / n
-        xy, xx, yy = rows.floats(i, n)
+        xy, xx, yy = known[n] if n < len(known) else rows.floats(i, n)
         bound, size = 0.5 * coef * (xx + yy), abs(running)
         finite = math.isfinite(bound + size)  # inf or nan in either leaves the sum so
         if finite and bound <= max(SERIES_RTOL * size, SERIES_FLOOR):

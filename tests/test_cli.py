@@ -7,8 +7,9 @@ import re
 import pytest
 
 from graphheat import (INFINITE, LaplacianOperator, cli, combinatorial_distance, from_spec,
-                       leading_exponent_fit, moments, path_graph)
+                       leading_exponent_fit, path_graph)
 from graphheat.cli import CliError, _select_pairs, main
+from graphheat.operators import BallSearch
 
 P3_TEXT = """\
 graph 3
@@ -331,8 +332,8 @@ def test_sampled_pairs_are_those_the_full_pair_list_gives(n):
 
 def _count_balls(monkeypatch):
     built = []
-    real = moments.induced_ball
-    monkeypatch.setattr(moments, "induced_ball", lambda *args: built.append(args) or real(*args))
+    real = BallSearch.ball
+    monkeypatch.setattr(BallSearch, "ball", lambda *args: built.append(args) or real(*args))
     return built
 
 

@@ -6,6 +6,7 @@ import threading
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,10 +15,9 @@ from graphheat import (LaplacianOperator, ProceduralGraph, WeightedGraph, ball,
                        integer_line, moment_table, pair_verification_reports,
                        path_graph, path_sum_moment, random_connected_graph,
                        spectral_radius_bound, wave_element)
-from graphheat import moments
 from graphheat.moments import (INITIAL_RADIUS, PairRows, first_nonzero_moments,
                                first_nonzero_orders)
-from graphheat.operators import compiled, induced_ball
+from graphheat.operators import CHUNK, BallSearch, CompiledLaplacian, compiled, induced_ball
 from graphheat.spectral import pair_element, select_route
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -125,6 +125,93 @@ def test_ball_streams_after_two_doublings_match_the_finite_path():
                 == [_unscaled(finite_rows, k) for k in range(orders)])
 
 
+def test_a_stream_expands_each_vertex_once_as_its_ball_doubles():
+    line = integer_line()
+    with mock.patch.object(line, "neighbors", wraps=line.neighbors) as asked:
+        # orders 0..2r run on the balls of radius r, 2r and 4r, r = INITIAL_RADIUS
+        moment_table(LaplacianOperator(line), 0, 0, 2 * INITIAL_RADIUS)
+    # the 4r-ball expands the layers 0..4r-1, each vertex once
+    expanded = sorted(call.args[0] for call in asked.call_args_list)
+    assert expanded == list(range(1 - 4 * INITIAL_RADIUS, 4 * INITIAL_RADIUS))
+
+
+def _per_column_kernel(kernel, block):
+    """L applied to each column of the block by a bincount of that column alone."""
+    if np.iscomplexobj(block):
+        return _per_column_kernel(kernel, block.real) + 1j * _per_column_kernel(kernel, block.imag)
+    n = len(kernel.m)
+    offdiag = np.array([np.bincount(kernel.rows, kernel.w * column[kernel.cols], minlength=n)
+                        for column in block.T]).T
+    return (kernel.diag[:, None] * block - offdiag) / kernel.m[:, None]
+
+
+def _spread_block(rng, shape):
+    """Normal entries spread over 1e-8..1e8, about a third of them +0.0 or -0.0."""
+    block = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    block[rng.random(shape) < 0.2] = 0.0
+    block[rng.random(shape) < 0.15] = -0.0
+    return block
+
+
+def _uint_bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@pytest.mark.parametrize("complex_block", [False, True])
+def test_block_kernel_is_bitwise_the_per_column_bincount(complex_block):
+    g = random_connected_graph(60, 0.3, 5, random_killing=True)
+    kernel = compiled(g)
+    width = CHUNK // len(kernel.w)  # the columns of one bincount
+    assert 3 < width < 20
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 3, 2 * width + 3):  # the last spans three chunks
+        block = _spread_block(rng, (g.n, k))
+        if complex_block:
+            block = block + 1j * _spread_block(rng, (g.n, k))
+        block = np.asfortranarray(block)
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as counted:
+            out = kernel.apply(block)
+        sizes = [len(call.args[1]) for call in counted.call_args_list]
+        assert max(sizes) <= CHUNK
+        assert len(sizes) == -(-k // width) * (1 + complex_block)
+        expected = _per_column_kernel(kernel, block)
+        assert out.shape == expected.shape and out.dtype == expected.dtype
+        assert np.array_equal(_uint_bits(out), _uint_bits(expected)), k
+        if k == 1:
+            assert np.array_equal(_uint_bits(kernel.apply(block[:, 0])),
+                                  _uint_bits(expected[:, 0]))
+
+
+def test_threads_applying_shared_kernels_at_many_widths_keep_their_bits():
+    # on each fresh kernel the threads race to widen its cached bin offsets
+    base = compiled(random_connected_graph(60, 0.3, 5, random_killing=True))
+    kernels = [CompiledLaplacian(base.rows, base.cols, base.w, base.m, base.diag)
+               for _ in range(150)]
+    rng = np.random.default_rng(3)
+    blocks = [np.asfortranarray(_spread_block(rng, (60, k))) for k in (15, 2, 9, 1, 40)]
+    expected = [_per_column_kernel(base, block).tobytes() for block in blocks]
+    results = [None] * 8
+
+    def work(k):
+        order = blocks[k % len(blocks):] + blocks[:k % len(blocks)]
+        results[k] = [kernel.apply(block).tobytes() for kernel in kernels for block in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for k, got in enumerate(results):
+        order = expected[k % len(blocks):] + expected[:k % len(blocks)]
+        assert got == order * len(kernels)
+
+
 def _banded_graph(draw, kind, length, n):
     """A path, cycle or ladder (``length`` rungs) on the first vertices, largest
     degree 2, 2 or 3, then an isolated vertex, all with spread weights, measures and
@@ -153,11 +240,12 @@ def _ball_streams_match_the_whole_graph(g, x, y, orders):
     column = {v: j for j, v in enumerate(sources)}
     # unscaled moments over spread weights overflow, and do so alike on both sides
     with np.errstate(over="ignore", invalid="ignore"), \
-            mock.patch.object(moments, "induced_ball", wraps=moments.induced_ball) as built:
+            mock.patch.object(BallSearch, "ball", autospec=True,
+                              side_effect=BallSearch.ball) as built:
         table = moment_table(op, x, y, orders).values
         whole = _whole_graph(g, [y], 1.0)
         assert _bits(table) == _bits([next(whole)[x, 0] for _ in range(orders + 1)])
-        radii = [[call.args[2] for call in built.call_args_list]]
+        radii = [[call.args[1] for call in built.call_args_list]]
         built.reset_mock()
         rows = PairRows(g, [(x, y)])
         whole = _whole_graph(g, sources, compiled(g).scale)
@@ -165,7 +253,7 @@ def _ball_streams_match_the_whole_graph(g, x, y, orders):
             block = next(whole)
             assert _bits(rows[n]) == _bits([block[x, column[y]]]
                                            + [block[v, column[v]] for v in sources]), n
-        radii.append([call.args[2] for call in built.call_args_list])
+        radii.append([call.args[1] for call in built.call_args_list])
         positions, found, first = first_nonzero_orders(op, sources, orders)
         expected_orders = np.full((g.n, len(sources)), -1)
         expected = np.zeros((g.n, len(sources)))
