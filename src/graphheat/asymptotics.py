@@ -16,11 +16,10 @@ more than 1e-9 * rhs.
 A pair's report at order n has the series' own n-th term as its leading
 term and that term's remainder bound, the series route's stopping bound, as
 its bound, both over the moments scaled by s^n, so they hold at any hop
-distance.  Every report and fit reads its pairs from one block stream, as
-arrays of :func:`~graphheat.spectral.block_elements` PAIR_BLOCK pairs at a
-time: one builder forms the reports, which :func:`verification_blocks` yields
-and every other check reads as :class:`BoundReport` lists (a one-pair check as
-a block of one pair), and :func:`exponent_fits` fits the elements.
+distance.  Every report and fit reads its pairs from one block stream, as arrays of
+:func:`~graphheat.spectral.block_elements` over BLOCK_ELEMENTS (pair, t) elements or one
+pair: one builder forms the reports, which :func:`verification_blocks` yields and every
+other check reads as :class:`BoundReport` lists, and :func:`exponent_fits` fits them.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ PASS_SLACK_REL = 1e-9
 PASS_SLACK_ABS = 1e-300
 UNDERFLOW_FLOOR = 1e-280
 TAGS = ("heat_leading", "wave_leading", "semigroup", "unitary")
-PAIR_BLOCK = 64  # pairs per array of verification_blocks and exponent_fits: bounds memory
+BLOCK_ELEMENTS = 4096  # (pair, t) elements per array of verification_blocks and exponent_fits
 
 
 @dataclass(frozen=True)
@@ -236,7 +235,7 @@ def verification_reports(source, pairs, ts, which=TAGS, method="auto"):
 
 
 def verification_blocks(source, pairs, ts, method="auto"):
-    """Yield (triples, lhs, rhs) for each PAIR_BLOCK of the (x, y, d) triples ``pairs``,
+    """Yield (triples, lhs, rhs) for each block of the (x, y, d) triples ``pairs``,
     d being the pair's hop distance: its reports' sides as (pair, t, tag) arrays.
 
     Every pair reads its moments from one block stream over the pairs' distinct
@@ -247,14 +246,15 @@ def verification_blocks(source, pairs, ts, method="auto"):
     pairs = list(pairs)
     routes = [select_route(graph, t, method) for t in ts]
     rows = PairRows(graph, [(x, y) for x, y, _ in pairs]) if pairs else None
-    for start in range(0, len(pairs), PAIR_BLOCK):
-        triples = pairs[start:start + PAIR_BLOCK]
+    size = max(1, BLOCK_ELEMENTS // max(len(ts), 1))  # pairs per block
+    for start in range(0, len(pairs), size):
+        triples = pairs[start:start + size]
         for i, (x, y, d) in enumerate(triples, start):
             if rows[d][i] == 0.0:  # the pair's own moment sits at index i
                 raise ArithmeticError(
                     f"the moment of pair ({x}, {y}) at its hop distance {d} underflowed to 0.0; "
                     f"in exact arithmetic it is nonzero, with sign (-1)^{d}")
-        yield (triples, *_order_reports(rows, slice(start, start + PAIR_BLOCK),
+        yield (triples, *_order_reports(rows, slice(start, start + size),
                                         [d for *_, d in triples], ts, routes))
 
 
@@ -273,7 +273,7 @@ def leading_exponent_fit(source, x, y, t0: float = 1e-3, ratio: float = 0.1,
 def exponent_fits(source, pairs, t0: float = 1e-3, ratio: float = 0.1,
                   count: int = 4, group: str = "heat"):
     """Yield the :func:`leading_exponent_fit` of each (x, y) of ``pairs`` in order,
-    bitwise, from one :class:`PairRows` stream, PAIR_BLOCK pairs at a time; the grid
+    bitwise, from one :class:`PairRows` stream, a block at a time; the grid
     is checked and the route chosen once, when the first fit is taken."""
     if t0 <= 0:
         raise ValueError("t0 must be positive")
@@ -291,11 +291,12 @@ def exponent_fits(source, pairs, t0: float = 1e-3, ratio: float = 0.1,
         _series_gate(t0, rows.bound)
     grid = [t0 * ratio ** k for k in range(count)]
     xs = np.log(grid)
-    for start in range(0, len(pairs), PAIR_BLOCK):
-        values = block_elements(rows, slice(start, start + PAIR_BLOCK), grid,
+    size = max(1, BLOCK_ELEMENTS // count)  # pairs per block
+    for start in range(0, len(pairs), size):
+        values = block_elements(rows, slice(start, start + size), grid,
                                 ["series"] * count, unitary=(group == "wave"))
         # |value| as Python's abs takes it, for either propagator
-        for (x, y), row in zip(pairs[start:start + PAIR_BLOCK],
+        for (x, y), row in zip(pairs[start:start + size],
                                np.hypot(values.real, values.imag).tolist()):
             low = next((k for k, value in enumerate(row) if value <= UNDERFLOW_FLOOR), None)
             if low is not None:

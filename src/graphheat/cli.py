@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import math
 import random
@@ -45,6 +46,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 PAIR_CAP = 10_000
+WRITE_SLICE = 256  # (pair, t) elements of verify's rows formatted per write
 
 
 class CliError(Exception):
@@ -190,6 +192,25 @@ def _cmd_distance(args, graph, pairs, fh) -> int:
     return EXIT_OK
 
 
+def _write_reports(fh, triples, t_text, lhs, rhs, margin, passed):
+    """Write a block's verify rows, WRITE_SLICE (pair, t) elements or one pair at a time, each
+    distinct float formatted once: semigroup's lhs and margin are heat_leading's, as xy_d has
+    sign (-1)^d, and take their text where the lhs bits match as uint64 (0.0 == -0.0)."""
+    step = max(1, WRITE_SLICE // len(t_text))
+    for part in (slice(lo, lo + step) for lo in range(0, len(triples), step)):
+        lhs_p, margin_p, passed_p = (a[part].reshape(-1, len(TAGS)) for a in (lhs, margin, passed))
+        same, texts = (lhs_p[:, 0].view(np.uint64) == lhs_p[:, 2].view(np.uint64)).tolist(), []
+        for values in (lhs_p, margin_p):
+            heat, wave, unitary = (list(map(repr, values[:, k].tolist())) for k in (0, 1, 3))
+            texts.append(zip(heat, wave, [text if match else repr(value) for text, match, value
+                                          in zip(heat, same, values[:, 2].tolist())], unitary))
+        rows = zip([f"{x},{y},{d},{t},{d}," for x, y, d in triples[part] for t in t_text],
+                   map(repr, rhs[part].ravel().tolist()), *texts, passed_p.tolist())
+        fh.write("".join([f"{tag},{mid}{lhs_text},{bound},{margin_text},{('false', 'true')[flag]}\n"
+                          for mid, bound, *columns in rows
+                          for tag, lhs_text, margin_text, flag in zip(TAGS, *columns)]))
+
+
 def _cmd_verify(args, graph, pairs, fh) -> int:
     ts = sorted(args.t0 * args.ratio ** k for k in range(args.count))
     connected = [pair for pair in _hop_distances(graph, pairs, args.cutoff) if pair[2] != INFINITE]
@@ -203,20 +224,13 @@ def _cmd_verify(args, graph, pairs, fh) -> int:
                 margin = rhs - lhs
                 # lhs/rhs, 0 where lhs is exactly 0 even at rhs = 0
                 ratio = np.where(lhs == 0.0, 0.0, np.where(rhs != 0.0, lhs / rhs, np.inf))
-            passed = passes(lhs, rhs).ravel().tolist()
-            total, failures = total + len(passed), failures + passed.count(False)
+            passed = passes(lhs, rhs)
+            total, failures = total + passed.size, failures + passed.size - int(passed.sum())
             vacuous += int(np.count_nonzero((lhs == 0.0) & (rhs == 0.0)))
             top = np.unravel_index(np.argmax(ratio), ratio.shape)
             if worst is None or ratio[top] > worst[0]:
                 worst = (float(ratio[top]), TAGS[top[2]], *triples[top[0]][:2], ts[top[1]])
-            # the columns as text, one repr per float; a (pair, t)'s tags share its rhs
-            heads = [f"{tag},{x},{y},{d},{t},{d}"
-                     for x, y, d in triples for t in t_text for tag in TAGS]
-            bounds = [text for text in map(repr, rhs[..., 0].ravel().tolist()) for _ in TAGS]
-            flags = [("false", "true")[flag] for flag in passed]
-            columns = zip(heads, map(repr, lhs.ravel().tolist()), bounds,
-                          map(repr, margin.ravel().tolist()), flags)
-            fh.write("".join([f"{a},{b},{c},{d},{e}\n" for a, b, c, d, e in columns]))
+            _write_reports(fh, triples, t_text, lhs, rhs[..., 0], margin, passed)
     except (ValueError, ArithmeticError) as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
     summary = (f"graphheat: {total - failures}/{total} checks passed on {len(connected)} "
@@ -335,6 +349,7 @@ def _subcommand(subs, name, handler, help_text, cutoff=True, grid=None, method=F
     return sub
 
 
+@functools.cache  # once per process: a build costs more than parsing a command line
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphheat",

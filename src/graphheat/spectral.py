@@ -49,7 +49,8 @@ import numpy as np
 
 from .graphs import ProceduralGraph, WeightedGraph
 from .moments import PairRows
-from .operators import LaplacianOperator, WeightedVector, _exact_sum, compiled, dense_matrices
+from .operators import (CHUNK, LaplacianOperator, WeightedVector, _exact_sum, compiled,
+                        dense_matrices)
 
 # default stopping tolerance keeps series noise an order below the 1e-9
 # slack of bound reports even when the element dwarfs the bound (tight
@@ -339,10 +340,12 @@ def block_elements(rows: PairRows, block, ts, routes, unitary: bool) -> np.ndarr
     series = np.array([route == "series" for route in routes], dtype=bool)
     if series.any():
         out[:, series] = _series_block(rows, at, ts[series] * rows.scale, unitary)
-    if not series.all():
+    if not series.all():  # in slices of at most CHUNK pair x eigenvalue entries
         x, y = np.array(rows.pairs[block], dtype=np.intp).reshape(-1, 2).T
-        out[:, ~series] = np.stack([_eigen_sum(rows.source, x, y, t, unitary)
-                                    for t in ts[~series]], axis=1)
+        step = max(1, CHUNK // max(rows.source.n, 1))
+        for part in (slice(lo, lo + step) for lo in range(0, len(x), step)):
+            out[part, ~series] = np.stack([_eigen_sum(rows.source, x[part], y[part], t, unitary)
+                                           for t in ts[~series]], axis=1)
     return out
 
 
@@ -376,11 +379,12 @@ def _series_block(rows: PairRows, at, ts, unitary):
             break
     else:
         raise _unmet(MAX_SERIES_TERMS)
-    sums = np.reshape(terms, (len(terms), active.size)).T.tolist()
-    if unitary:
-        sums = [complex(math.fsum(e[::2]), math.fsum(e[1::2])) for e in sums]
-    else:
-        sums = [math.fsum(e) for e in sums]
+    terms, sums = [term.ravel() for term in terms], []
+    step = max(1, CHUNK // 4 // len(terms))  # elements per list; a Python float is 32 bytes
+    for lo in range(0, active.size, step):
+        chunk = np.array([term[lo:lo + step] for term in terms]).T.tolist()
+        sums += ([complex(math.fsum(e[::2]), math.fsum(e[1::2])) for e in chunk] if unitary
+                 else list(map(math.fsum, chunk)))
     return np.array(sums).reshape(active.shape)
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphheat import (INFINITE, BoundReport, LaplacianOperator, ProceduralGraph,
-                       WeightedGraph, combinatorial_distance, distances_from,
+                       WeightedGraph, asymptotics, cli, combinatorial_distance, distances_from,
                        first_nonzero_moments, first_nonzero_orders, from_spec,
                        heat_element, integer_line, random_connected_graph, save_graph, spectral,
                        wave_element)
@@ -184,6 +184,51 @@ def test_verify_series_past_its_limit_is_a_usage_error(capsys):
     assert code == 2
     assert err.startswith("graphheat: series evaluation rejected")
     assert out == "which,x,y,d,t,n,lhs,rhs,margin,passed\n"
+
+
+# random:12:0.15:8:c has isolated vertices 9 and 11; auto takes series at t <= 0.01 and
+# eigen at 0.1 there, and eigen at every t on the spread graph
+BUDGET_CASES = [("random:12:0.15:8:c", "auto"), ("random:12:0.15:8:c", "series"),
+                ("spread", "auto"), ("spread", "eigen")]
+
+
+@pytest.mark.parametrize("spec, method", BUDGET_CASES)
+def test_verify_bytes_do_not_depend_on_the_block_budget(tmp_path, capsys, monkeypatch,
+                                                         spec, method):
+    graph = _spread_graph() if spec == "spread" else from_spec(spec)
+    path = str(tmp_path / "g.txt")
+    save_graph(graph, path)
+    argv = ["verify", "--input", path, "--method", method]
+    default = code, out, _ = _run(capsys, argv)
+    assert (out, code) == _verify_reference(graph, _select_pairs(graph, "all", None),
+                                            method=method)
+    # 1 element, then blocks of 2 and 7 pairs, then one block above the pair count;
+    # each also with one pair per write, and with 2 pairs per eigen slice and one element
+    # per list of series terms converted for fsum
+    for budget in (1, 2 * len(TS), 7 * len(TS), 10 ** 6):
+        monkeypatch.setattr(asymptotics, "BLOCK_ELEMENTS", budget)
+        assert _run(capsys, argv) == default
+        with monkeypatch.context() as small:
+            small.setattr(cli, "WRITE_SLICE", 1)
+            small.setattr(spectral, "CHUNK", 2 * graph.n)
+            assert _run(capsys, argv) == default
+
+
+def test_eigen_slices_of_block_elements_equal_pair_element_bitwise(monkeypatch):
+    graph = from_spec("random:30:0.2:2:c")
+    pairs = [(x, y) for x in graph.vertices for y in graph.vertices if x <= y][::5]
+    rows, ts = PairRows(graph, pairs), [1e-3, 0.05, 0.5, 3.0]
+    sizes, eigen_sum = [], spectral._eigen_sum
+    monkeypatch.setattr(spectral, "_eigen_sum", lambda g, x, y, t, unitary: sizes.append(
+        np.size(x)) or eigen_sum(g, x, y, t, unitary))
+    monkeypatch.setattr(spectral, "CHUNK", 3 * graph.n + 1)  # 3 pairs x 30 eigenvalues
+    for unitary in (False, True):
+        got = block_elements(rows, slice(None), ts, ["eigen"] * len(ts), unitary)
+        want = np.array([[pair_element(rows, i, t, "eigen", unitary) for t in ts]
+                         for i in range(len(pairs))])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    sliced = [size for size in sizes if size > 1]
+    assert max(sliced) == 3 and len(sliced) == 2 * len(ts) * -(-len(pairs) // 3)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -438,3 +438,29 @@ def test_heat_row_needing_eigen_above_dense_limit_is_a_usage_error(capsys):
     assert code == 2
     assert err.startswith("graphheat: ") and "dense size limit" in err
     assert "Traceback" not in err
+
+
+def test_repeated_main_calls_share_one_parser_and_match_fresh_calls(capsys):
+    runs = [["verify", "--gen", "path:5", "--pairs", "0,3"],
+            ["verify", "--gen", "path:5", "--nmax", "3"],  # verify takes no --nmax
+            ["distance", "--gen", "path:5"],
+            ["heat", "--gen", "path:3", "--pairs", "0,2", "--count", "2"],  # a CliError
+            ["moments", "--gen", "path:3", "--nmax", "2"],
+            ["verify", "--gen", "path:5", "--pairs", "0,3"]]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(call(argv))
+    cli._build_parser.cache_clear()
+    assert [call(argv) for argv in runs] == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, *_ in fresh] == [0, 2, 0, 2, 0, 0]
