@@ -33,8 +33,7 @@ from .graphs import INFINITE, combinatorial_distance
 from .moments import PairRows, stream
 from .operators import WeightedVector, _exact_sum
 from .spectral import (ScalarFunction, SpectralDecomposition, _resolve, _series_coefficient,
-                       _series_gate, block_elements, functional_calculus, heat_element,
-                       select_route)
+                       block_elements, functional_calculus, heat_element, select_route)
 
 PASS_SLACK_REL = 1e-9
 PASS_SLACK_ABS = 1e-300
@@ -179,8 +178,10 @@ def _pair_reports(x, y, n, ts, lhs, rhs, which):
 
 def _order_bound(source, x, y, t, n, tag):
     graph = _resolve(source)
-    lhs, rhs = _order_reports(PairRows(graph, [(x, y)]), slice(None), [n], [t],
-                              [select_route(graph, t, "auto")])
+    rows = PairRows(graph, [(x, y)])
+    # auto, or on a procedural source the series, its only route
+    lhs, rhs = _order_reports(rows, slice(None), [n], [t],
+                              [select_route(rows, t, "auto" if graph.is_finite else "series")])
     return _pair_reports(x, y, n, [t], lhs[0], rhs[0], (tag,))[0]
 
 
@@ -206,7 +207,8 @@ def leading_term_check(source, x, y, t, cutoff=None) -> tuple[BoundReport, Bound
     shared rhs: t^(d+1) (<1_x, L^(d+1) 1_x> + <1_y, L^(d+1) 1_y>) / (2 (d+1)!)
     """
     reports = pair_verification_reports(source, x, y, [t], cutoff=cutoff,
-                                        which=("heat_leading", "wave_leading"))
+                                        which=("heat_leading", "wave_leading"),
+                                        method="auto" if _resolve(source).is_finite else "series")
     return reports[0], reports[1]
 
 
@@ -242,10 +244,9 @@ def verification_blocks(source, pairs, ts, method="auto"):
     vertices (see :class:`PairRows`), and each value is bitwise the one-pair
     value.  The route is chosen once per t.
     """
-    graph = _resolve(source)
     pairs = list(pairs)
-    routes = [select_route(graph, t, method) for t in ts]
-    rows = PairRows(graph, [(x, y) for x, y, _ in pairs]) if pairs else None
+    rows = PairRows(_resolve(source), [(x, y) for x, y, _ in pairs])
+    routes = [select_route(rows, t, method) for t in ts]
     size = max(1, BLOCK_ELEMENTS // max(len(ts), 1))  # pairs per block
     for start in range(0, len(pairs), size):
         triples = pairs[start:start + size]
@@ -264,8 +265,9 @@ def leading_exponent_fit(source, x, y, t0: float = 1e-3, ratio: float = 0.1,
 
     Forces the series route (the grid lives where eigen evaluation cancels),
     so t0 * lambda_max must stay <= 1/2, and on procedural sources t0 times the
-    Gershgorin bound of the pair's 1-neighborhood <= 2.  The slope estimates the
-    hop distance; with the series evaluator the fit bias is O(t0).
+    Gershgorin bound of the pair's 1-neighborhood <= 2, as :func:`select_route`
+    gates it.  The slope estimates the hop distance; with the series evaluator
+    the fit bias is O(t0).
     """
     return next(exponent_fits(source, [(x, y)], t0, ratio, count, group))
 
@@ -284,11 +286,9 @@ def exponent_fits(source, pairs, t0: float = 1e-3, ratio: float = 0.1,
     if group not in ("heat", "wave"):
         raise ValueError(f"unknown group {group!r}; expected 'heat' or 'wave'")
     graph = _resolve(source)
-    if graph.is_finite and select_route(graph, t0, "auto") == "eigen":
-        raise ValueError(f"t0={t0} is too large for the series route: t0 * lambda_max > 1/2")
     rows = PairRows(graph, pairs)
-    if not graph.is_finite:
-        _series_gate(t0, rows.bound)
+    if select_route(rows, t0, "auto" if graph.is_finite else "series") == "eigen":
+        raise ValueError(f"t0={t0} is too large for the series route: t0 * lambda_max > 1/2")
     grid = [t0 * ratio ** k for k in range(count)]
     xs = np.log(grid)
     size = max(1, BLOCK_ELEMENTS // count)  # pairs per block
@@ -331,8 +331,7 @@ def vanishing_order_check(source, x, y, n: int, t_samples,
         raise ValueError(f"pair ({x}, {y}) has a nonzero moment at order {order} <= {n}; "
                          "the vanishing-order witness does not apply")
     ts = list(t_samples)
-    lhs, rhs = _order_reports(rows, slice(None), [n], ts,
-                              [select_route(graph, t, method) for t in ts])
+    lhs, rhs = _order_reports(rows, slice(None), [n], ts, [select_route(rows, t, method) for t in ts])
     samples = _pair_reports(x, y, n, ts, lhs[0], rhs[0], ("semigroup", "unitary"))
     _, xx, yy = rows.floats(0, n + 1)
     # the reports' bound at t = 1

@@ -59,8 +59,8 @@ class CliError(Exception):
 def _validate(args) -> None:
     """Reject the values no run can use, of the options the subcommand takes."""
     if "t0" in args:
-        if args.t0 <= 0:
-            raise CliError(EXIT_USAGE, "--t0 must be positive")
+        if not 0 < args.t0 < math.inf:
+            raise CliError(EXIT_USAGE, "--t0 must be positive and finite")
         if not 0 < args.ratio < 1:
             raise CliError(EXIT_USAGE, "--ratio must lie strictly between 0 and 1")
         if args.count < 3:
@@ -69,6 +69,8 @@ def _validate(args) -> None:
         raise CliError(EXIT_USAGE, "--cutoff must be non-negative")
     if getattr(args, "nmax", 0) < 0:
         raise CliError(EXIT_USAGE, "--nmax must be non-negative")
+    if not getattr(args, "tol", 0) >= 0:
+        raise CliError(EXIT_USAGE, "--tol must be non-negative")
 
 
 def _load(args):
@@ -286,17 +288,17 @@ def _cmd_sweep(args, graph, pairs, fh) -> int:
     ts = sorted([args.t0 * args.ratio ** k for k in range(args.count)] + [0.0])
     op = LaplacianOperator(graph)
     out.writerow(["x", "y", "t", "value", "leading", "bound", "method"])
+    try:
+        routes = [select_route(graph, t, args.method) for t in ts]
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc)) from exc
     for x, y in pairs:
         overlay = _pair_overlay(graph, op, x, y, args.cutoff)
-        for t in ts:
-            try:
-                method = select_route(graph, t, args.method)
-                if args.unitary:
-                    value = abs(wave_element(graph, x, y, t, method=method))
-                else:
-                    value = heat_element(graph, x, y, t, method=method)
-            except ValueError as exc:
-                raise CliError(EXIT_USAGE, str(exc)) from exc
+        for t, method in zip(ts, routes):
+            if args.unitary:
+                value = abs(wave_element(graph, x, y, t, method=method))
+            else:
+                value = heat_element(graph, x, y, t, method=method)
             if overlay is None:
                 leading, bound = "", ""
             else:

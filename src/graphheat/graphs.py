@@ -10,7 +10,7 @@ described procedurally by a neighbor oracle over arbitrary integer ids.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 INFINITE = math.inf
 

@@ -24,9 +24,10 @@ Matrix elements of e^{-tL} and e^{-itL} come in two routes:
   coefficients (t s)^n / n!; one pair's streams serve every t and both
   propagators, and :func:`heat_element` / :func:`wave_element` keep the last
   pair's rows in each thread, so a sweep over t reads them once.
-* ``auto`` picks series when t * lambda_max <= 1/2 and eigen otherwise; see
-  :func:`select_route`.  On a procedural source the series is rejected once t
-  times the Gershgorin bound of the pair's 1-neighborhood exceeds 2.
+* ``auto`` picks series when t * lambda_max <= 1/2 and eigen otherwise.  Only
+  :func:`select_route` picks a route or rejects the series (t times lambda_max,
+  or on a procedural source the pairs' 1-neighborhood bound, above 2); every
+  reader passes it the rows it evaluates, so one gate covers them all.
 
 Two evaluators run these routes with the same arithmetic, so their values
 agree bitwise, and only this module picks one.  :func:`block_elements` takes
@@ -258,34 +259,29 @@ def select_route(source, t, method: str) -> str:
     ``auto`` takes series while t * lambda_max <= 1/2; an explicit series
     request is rejected once t * lambda_max > 2, where term growth costs
     accuracy.  lambda_max is read from the decomposition only when t times the
-    Gershgorin bound does not settle the comparison.
+    Gershgorin bound does not settle the comparison.  ``source`` may be the
+    :class:`PairRows` evaluated: on a procedural source their bound gates the series.
     """
-    graph = _resolve(source)
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    rows = source if isinstance(source, PairRows) else None
+    graph = _resolve(source if rows is None else rows.source)
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and non-negative, got {t}")
     if method not in ("auto", "eigen", "series"):
         raise ValueError(f"unknown method {method!r}; expected 'eigen', 'series', or 'auto'")
-    if not graph.is_finite:
-        if method != "series":
-            raise ValueError(f"{method} evaluation needs a finite graph; request "
-                             "method='series' explicitly on procedural graphs")
-        return "series"
+    if not graph.is_finite and method != "series":
+        raise ValueError(f"{method} evaluation needs a finite graph; request "
+                         "method='series' explicitly on procedural graphs")
     if method == "eigen":
         return "eigen"
     limit = 0.5 if method == "auto" else 2.0
-    top = compiled(graph).bound
-    if t * top > limit * (1 - GATE_ROUNDING):
+    # the rows' bound; a bare procedural source has no pairs, so nothing gates its series
+    top = rows.bound if rows is not None else compiled(graph).bound if graph.is_finite else 0.0
+    if graph.is_finite and t * top > limit * (1 - GATE_ROUNDING):
         top = float(_eigen(graph)[0][-1]) if graph.n else 0.0  # eigenvalues ascend
-    if method == "series":
-        _series_gate(t, top)
-    return "series" if t * top <= limit else "eigen"
-
-
-def _series_gate(t, top) -> None:
-    """Reject the series at t once t times ``top``, a top-eigenvalue bound, exceeds 2."""
-    if t * top > 2:
+    if method == "series" and t * top > 2:
         raise ValueError(f"series evaluation rejected at t={t}: t times the top-eigenvalue bound "
                          f"{top:.6g} exceeds 2, where term growth costs accuracy; use eigen")
+    return "series" if t * top <= limit else "eigen"
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan arise; the series rejects them
@@ -409,10 +405,7 @@ def _element(source, x, y, t, method, unitary):
     _LAST_PAIR.pair = None, None
     if key != (graph, x, y):
         key, rows = (graph, x, y), PairRows(graph, [(x, y)])
-    route = select_route(graph, t, method)
-    if not graph.is_finite:
-        _series_gate(t, rows.bound)
-    value = pair_element(rows, 0, t, route, unitary)
+    value = pair_element(rows, 0, t, select_route(rows, t, method), unitary)
     _LAST_PAIR.pair = key, rows
     return value
 

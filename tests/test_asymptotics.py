@@ -332,3 +332,46 @@ def test_bound_report_margin_and_passed():
     assert not rep.passed
     rep = BoundReport("semigroup", 0, 1, 0.0, 1, lhs=0.0, rhs=0.0)
     assert rep.passed
+
+
+# -- procedural sources ---------------------------------------------------------
+
+
+def test_procedural_reports_take_the_series_gate():
+    from graphheat import integer_line
+    line = integer_line()  # the Gershgorin bound of every 1-ball is 4
+    # at t = 12 the series cancels to -1422 where e^-24 I_0(24) = 0.0819
+    with pytest.raises(ValueError, match="series evaluation rejected at t=12.0"):
+        list(verification_reports(line, [(0, 0, 0)], [12.0], method="series"))
+    with pytest.raises(ValueError, match="series evaluation rejected at t=12.0"):
+        vanishing_order_check(line, 0, 40, 5, [12.0])
+    # t times the bound at 2 still runs, and passes
+    [reports] = verification_reports(line, [(0, 0, 0)], [0.5], method="series")
+    assert len(reports) == 4 and all(rep.passed for rep in reports)
+    assert vanishing_order_check(line, 0, 40, 5, [0.5, 1e-3]).passed
+
+
+def test_bound_readers_take_the_gated_series_on_procedural_sources():
+    from graphheat import integer_line
+    line, path = integer_line(), path_graph(101)
+
+    def sides(rep):
+        return rep.which, rep.t, rep.n, rep.lhs, rep.rhs
+
+    # the unit line and the interior of a long unit path share their scale and every
+    # moment the series reads, and auto takes series on the path at t * 4 <= 1/2
+    for t in (1e-3, 0.1):
+        for n in (0, 2, 3):
+            for bound in (semigroup_bound, unitary_bound):
+                rep = bound(line, 0, 3, t, n)
+                assert sides(rep) == sides(bound(path, 50, 53, t, n))
+                assert rep.passed
+        checks = leading_term_check(line, 0, 3, t, cutoff=10)
+        assert [sides(rep) for rep in checks] == [
+            sides(rep) for rep in leading_term_check(path, 50, 53, t)]
+        assert all(rep.passed for rep in checks)
+    for reader in (lambda t: semigroup_bound(line, 0, 0, t, 0),
+                   lambda t: unitary_bound(line, 0, 0, t, 0),
+                   lambda t: leading_term_check(line, 0, 2, t, cutoff=10)):
+        with pytest.raises(ValueError, match="series evaluation rejected at t=0.75"):
+            reader(0.75)

@@ -464,3 +464,46 @@ def test_repeated_main_calls_share_one_parser_and_match_fresh_calls(capsys):
     assert [call(argv) for argv in runs] == fresh
     assert cli._build_parser.cache_info().misses == 1
     assert [code for code, *_ in fresh] == [0, 2, 0, 2, 0, 0]
+
+
+def test_sweep_chooses_each_route_once_per_time(capsys, monkeypatch):
+    argv = ["heat", "--gen", "random:12:0.3:1", "--pairs", "0,5;1,2", "--t0", "0.5"]
+    expected = run(capsys, *argv)
+    calls, real = [], cli.select_route
+
+    def counting(source, t, method):
+        calls.append(t)
+        return real(source, t, method)
+
+    monkeypatch.setattr(cli, "select_route", counting)
+    assert run(capsys, *argv) == expected
+    _, table = rows(expected[1])
+    ts = [float(row[2]) for row in table if row[0] == "0"]
+    assert calls == ts and len(ts) == 17
+    assert {row[6] for row in table} == {"series", "eigen"}  # both routes run
+
+
+@pytest.mark.parametrize("command", ["heat", "wave"])
+def test_sweep_series_past_its_limit_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "--gen", "random:12:0.3:1", "--pairs", "0,5;1,2",
+                         "--method", "series", "--t0", "10")
+    assert code == 2
+    assert err.startswith("graphheat: series evaluation rejected")
+    assert out == "x,y,t,value,leading,bound,method\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--gen", "path:3", "--t0", "nan"],
+    ["verify", "--gen", "path:3", "--t0", "inf"],
+    ["heat", "--gen", "path:3", "--pairs", "0,2", "--count", "3", "--t0", "nan"],
+    ["wave", "--gen", "path:3", "--pairs", "0,2", "--t0", "inf"],
+    ["exponent", "--gen", "path:3", "--pairs", "0,2", "--t0", "nan"],
+    ["exponent", "--gen", "path:3", "--pairs", "0,2", "--tol", "nan"],
+    ["exponent", "--gen", "path:3", "--pairs", "0,2", "--tol", "-0.1"],
+], ids=" ".join)
+def test_non_finite_times_and_tolerances_are_usage_errors(capsys, argv):
+    # nan slips past any comparison: unchecked, verify fails on nan rows, heat prints nan
+    # rows labelled eigen, and exponent passes whatever the slope (worst > nan is False)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"graphheat: {argv[-2]} must be")

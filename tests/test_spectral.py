@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -337,3 +338,49 @@ def test_a_decomposition_passed_in_is_not_built_again(monkeypatch):
     assert heat_element(g, 0, 5, 3.0) == via_dec
     assert wave_element(LaplacianOperator(g), 0, 5, 3.0) == wave_element(g, 0, 5, 3.0)
     assert built == []
+
+
+# -- the one route selector ---------------------------------------------------
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_are_rejected(t):
+    # no route takes the limit t -> inf: the eigen sum reads 0.0 for <1_0, e^{-tL} 1_2> on
+    # path:3, whose limit is 1/3
+    g = path_graph(3)
+    for method in ("auto", "eigen", "series"):
+        for evaluate in (heat_element, wave_element):
+            with pytest.raises(ValueError, match="non-negative"):
+                evaluate(g, 0, 2, t, method=method)
+        with pytest.raises(ValueError, match="non-negative"):
+            spectral.select_route(PairRows(g, [(0, 2)]), t, method)
+
+
+def test_select_route_reads_the_bound_of_the_rows():
+    from graphheat import integer_line
+    from graphheat.operators import compiled
+    for seed in range(4):
+        g = random_connected_graph(9, 0.4, seed, random_killing=True)
+        rows = PairRows(g, [(0, 5), (2, 2)])
+        assert rows.bound == compiled(g).bound
+        lam = decompose(g).largest_eigenvalue
+        for t in (1e-3, 0.4 / lam, 0.5 / lam, 1.5 / lam, 2 / lam, 2.5 / lam):
+            for method in ("auto", "eigen", "series"):
+                try:
+                    expected = spectral.select_route(g, t, method)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        spectral.select_route(rows, t, method)
+                else:
+                    assert spectral.select_route(rows, t, method) == expected, (seed, t, method)
+    line = integer_line()
+    # a bare procedural source, or rows without pairs, have no bound to gate the series by
+    assert spectral.select_route(line, 12.0, "series") == "series"
+    assert spectral.select_route(PairRows(line, []), 12.0, "series") == "series"
+    rows = PairRows(line, [(0, 3)])  # a 1-neighborhood bound of 4
+    assert spectral.select_route(rows, 0.5, "series") == "series"
+    with pytest.raises(ValueError, match="series evaluation rejected at t=0.75"):
+        spectral.select_route(rows, 0.75, "series")
+    for method in ("auto", "eigen"):
+        with pytest.raises(ValueError, match="request method='series' explicitly"):
+            spectral.select_route(rows, 0.1, method)
