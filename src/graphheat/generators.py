@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .graphs import ProceduralGraph, WeightedGraph
 
 DEFAULT_WEIGHT_RANGE = (0.1, 2.0)
@@ -17,24 +19,26 @@ DEFAULT_MEASURE_RANGE = (0.5, 2.0)
 
 
 def path_graph(n: int, weight: float = 1.0) -> WeightedGraph:
-    return WeightedGraph(n, [(i, i + 1, weight) for i in range(n - 1)])
+    u = np.arange(max(n - 1, 0))
+    return WeightedGraph.from_arrays(n, u, u + 1, np.full(len(u), weight, dtype=float))
 
 
 def cycle_graph(n: int, weight: float = 1.0) -> WeightedGraph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    edges = [(i, (i + 1) % n, weight) for i in range(n)]
-    return WeightedGraph(n, edges)
+    u = np.arange(n)
+    return WeightedGraph.from_arrays(n, u, (u + 1) % n, np.full(n, weight, dtype=float))
 
 
 def complete_graph(n: int, weight: float = 1.0) -> WeightedGraph:
-    edges = [(u, v, weight) for u in range(n) for v in range(u + 1, n)]
-    return WeightedGraph(n, edges)
+    u, v = np.triu_indices(n, 1)
+    return WeightedGraph.from_arrays(n, u, v, np.full(len(u), weight, dtype=float))
 
 
 def star_graph(n: int, weight: float = 1.0) -> WeightedGraph:
     """Center 0 joined to leaves 1..n-1."""
-    return WeightedGraph(n, [(0, v, weight) for v in range(1, n)])
+    v = np.arange(1, max(n, 1))
+    return WeightedGraph.from_arrays(n, np.zeros_like(v), v, np.full(len(v), weight, dtype=float))
 
 
 def random_graph(n: int, p: float, seed: int,

@@ -3,8 +3,10 @@
 A graph is a triple (b, c, m): symmetric non-negative edge weights b with
 zero diagonal, a non-negative killing term c, and a strictly positive vertex
 measure m.  Finite graphs use dense integer vertex ids 0..n-1 so that dense
-matrix routines can index directly; infinite locally finite graphs are
-described procedurally by a neighbor oracle over arbitrary integer ids.
+matrix routines can index directly; they are stored as the edge arrays that
+:func:`graphheat.operators.compiled` shares, and a vertex's dict row is a view
+made from them on demand.  Infinite locally finite graphs are described
+procedurally by a neighbor oracle over arbitrary integer ids.
 """
 
 from __future__ import annotations
@@ -12,27 +14,42 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 INFINITE = math.inf
 
 
-def _per_vertex(value, n: int, default: float) -> tuple[float, ...]:
+def _per_vertex(value, n: int, default: float) -> np.ndarray:
     """Coerce a scalar, sequence, or None into one float per vertex."""
-    if value is None:
-        return (default,) * n
-    if isinstance(value, (int, float)):
-        return (float(value),) * n
-    values = tuple(float(v) for v in value)
+    if value is None or isinstance(value, (int, float)):
+        return np.full(n, default if value is None else float(value))
+    values = np.fromiter(value, float)
     if len(values) != n:
         raise ValueError(f"expected {n} per-vertex values, got {len(values)}")
     return values
 
 
-class WeightedGraph:
-    """Finite weighted graph on vertices 0..n-1.
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an intp array, each taken as operator.index takes it: numpy
+    integers pass, 2.9 and 2.0 do not."""
+    array = np.asarray(values)
+    for v in () if array.dtype.kind in "biu" else values:
+        if not hasattr(type(v), "__index__"):
+            raise ValueError(f"{what} must be an integer, got {v!r}")
+    return array.astype(np.intp)
 
-    Each undirected edge is stored once and mirrored into both adjacency
-    rows, so weight symmetry holds by construction.  Instances are immutable
-    after construction and safe to share between threads.
+
+class WeightedGraph:
+    """Finite weighted graph on vertices 0..n-1, stored as arrays.
+
+    ``rows``, ``cols`` and ``w`` hold each undirected edge in both orientations,
+    sorted by row and then column, so weight symmetry holds by construction;
+    ``m``, ``c`` and ``wsum`` hold each vertex's measure, killing term and row
+    weight sum (``math.fsum`` of its row).  ``edges`` are (u, v, weight) triples;
+    :meth:`from_arrays` takes them as three arrays, checked alike.  The queries
+    return Python numbers; :meth:`neighbors` makes a vertex's dict row when
+    first asked for it.  Instances are immutable after construction (the arrays
+    are read-only) and safe to share between threads.
 
     ``labels`` optionally records the original vertex ids of a graph that was
     materialized from a procedural source (see :func:`ball`); it plays no
@@ -42,38 +59,57 @@ class WeightedGraph:
     is_finite = True
 
     def __init__(self, n, edges=(), measure=None, killing=None, labels=None):
-        n = int(n)
+        self._checked(n, *(tuple(zip(*edges)) or ((), (), ())), measure, killing, labels)
+
+    @classmethod
+    def from_arrays(cls, n, u, v, w, measure=None, killing=None, labels=None):
+        """The graph of the edges (u[i], v[i], w[i]), checked as the constructor checks them."""
+        g = object.__new__(cls)
+        g._checked(n, u, v, w, measure, killing, labels)
+        return g
+
+    def _checked(self, n, u, v, w, measure, killing, labels) -> None:
+        """Store the graph, or raise for its first defect in the order of a check per
+        vertex, then one per id, then one per edge: range, loop, weight, repeat."""
+        n = int(_integers([n], "vertex count")[0])
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        self.n = n
-        self._m = _per_vertex(measure, n, 1.0)
-        self._c = _per_vertex(killing, n, 0.0)
-        for x in range(n):
-            if not math.isfinite(self._m[x]) or self._m[x] <= 0:
-                raise ValueError(f"measure must be positive and finite at vertex {x}, got {self._m[x]}")
-            if not math.isfinite(self._c[x]) or self._c[x] < 0:
-                raise ValueError(f"killing term must be non-negative and finite at vertex {x}, got {self._c[x]}")
-        adj: list[dict[int, float]] = [{} for _ in range(n)]
-        for u, v, w in edges:
-            u, v, w = int(u), int(v), float(w)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not math.isfinite(w) or w <= 0:
-                raise ValueError(f"edge ({u}, {v}) needs a positive finite weight, got {w}")
-            if v in adj[u]:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            adj[u][v] = w
-            adj[v][u] = w
-        # sorted rows give deterministic iteration everywhere downstream
-        self._adj = tuple({k: row[k] for k in sorted(row)} for row in adj)
-        self._wsum = tuple(math.fsum(row.values()) for row in self._adj)
+        m, c = _per_vertex(measure, n, 1.0), _per_vertex(killing, n, 0.0)
+        for x in np.flatnonzero(~(np.isfinite(m) & (m > 0) & np.isfinite(c) & (c >= 0)))[:1]:
+            if not (math.isfinite(m[x]) and m[x] > 0):
+                raise ValueError(f"measure must be positive and finite at vertex {x}, got {m[x]}")
+            raise ValueError(f"killing term must be non-negative and finite at vertex {x}, got {c[x]}")
+        u, v, w = _integers(u, "vertex id"), _integers(v, "vertex id"), np.asarray(w, dtype=float)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        repeated = np.ones(len(w), bool)
+        repeated[np.unique(lo * n + hi, return_index=True)[1]] = False  # all but first sightings
+        flaws = ((lo < 0) | (hi >= n), u == v, ~(np.isfinite(w) & (w > 0)), repeated)
+        for i in np.flatnonzero(np.logical_or.reduce(flaws, axis=0))[:1]:
+            a, b = int(u[i]), int(v[i])
+            raise ValueError(next(text for flaw, text in zip(flaws, (
+                f"edge ({a}, {b}) references an unknown vertex", f"self-loop at vertex {a}",
+                f"edge ({a}, {b}) needs a positive finite weight, got {float(w[i])}",
+                f"duplicate edge ({a}, {b})")) if flaw[i]))
+        rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
+        order = (rows * n + cols).argsort()
+        self._store(n, rows[order], cols[order], np.concatenate((w, w))[order], m, c)
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
                 raise ValueError("labels must cover every vertex")
         self.labels = labels
+
+    def _store(self, n, rows, cols, w, m, c) -> None:
+        counts = np.bincount(rows, minlength=n)
+        self._indptr = [0] + counts.cumsum().tolist()  # row x: entries _indptr[x]:_indptr[x + 1]
+        # bincount adds a row's entries in order from +0.0: math.fsum's bits for two or fewer
+        wsum = np.bincount(rows, w, minlength=n)
+        for x in (counts > 2).nonzero()[0].tolist():
+            wsum[x] = math.fsum(w[self._indptr[x]:self._indptr[x + 1]].tolist())
+        self.n, self.rows, self.cols, self.w, self.m, self.c, self.wsum = n, rows, cols, w, m, c, wsum
+        for array in (rows, cols, w, m, c, wsum):
+            array.flags.writeable = False
+        self._dict_rows: dict[int, dict[int, float]] = {}
 
     @classmethod
     def from_adjacency(cls, rows, measure=None, killing=None):
@@ -81,14 +117,14 @@ class WeightedGraph:
 
         This bypasses the constructor's symmetry-by-construction guarantee so
         that :func:`validate` can inspect arbitrary, possibly inconsistent
-        data.  ``rows`` is a sequence of ``{neighbor: weight}`` dicts.
+        data.  ``rows`` is a sequence of ``{neighbor: weight}`` dicts, stored
+        as the constructor's arrays are, each row sorted by neighbor.
         """
-        g = object.__new__(cls)
-        g.n = len(rows)
-        g._m = _per_vertex(measure, g.n, 1.0)
-        g._c = _per_vertex(killing, g.n, 0.0)
-        g._adj = tuple({int(k): float(v) for k, v in sorted(row.items())} for row in rows)
-        g._wsum = tuple(math.fsum(row.values()) for row in g._adj)
+        g, n = object.__new__(cls), len(rows)
+        entries = sorted((x, int(y), float(w)) for x, row in enumerate(rows) for y, w in row.items())
+        x, y, w = (np.array(column) for column in (tuple(zip(*entries)) or ((), (), ())))
+        g._store(n, x.astype(np.intp), y.astype(np.intp), w.astype(float),
+                 _per_vertex(measure, n, 1.0), _per_vertex(killing, n, 0.0))
         g.labels = None
         return g
 
@@ -105,39 +141,47 @@ class WeightedGraph:
         if not self.has_vertex(x):
             raise ValueError(f"unknown vertex id {x!r}")
 
+    def _row(self, x) -> dict[int, float]:
+        """x's {neighbor: weight} row, made from the arrays on the first call for x."""
+        row = self._dict_rows.get(x)
+        if row is not None and isinstance(x, int):  # a cached row's id was checked
+            return row
+        self._check(x)
+        start, end = self._indptr[x], self._indptr[x + 1]
+        # threads that race here make equal rows; setdefault keeps one
+        return self._dict_rows.setdefault(x, dict(zip(self.cols[start:end].tolist(),
+                                                      self.w[start:end].tolist())))
+
     def neighbors(self, x):
         """(neighbor, weight) pairs of x, sorted by neighbor id."""
-        self._check(x)
-        return self._adj[x].items()
+        return self._row(x).items()
 
     def weight(self, x, y) -> float:
-        self._check(x)
+        row = self._row(x)
         self._check(y)
-        return self._adj[x].get(y, 0.0)
+        return row.get(y, 0.0)
 
     def measure(self, x) -> float:
         self._check(x)
-        return self._m[x]
+        return float(self.m[int(x)])  # int: a bool would index as a mask
 
     def killing(self, x) -> float:
         self._check(x)
-        return self._c[x]
+        return float(self.c[int(x)])
 
     def weight_sum(self, x) -> float:
         """Total edge weight at x (the row sum of b)."""
         self._check(x)
-        return self._wsum[x]
+        return float(self.wsum[int(x)])
 
     def edges(self):
         """Undirected edges as (u, v, weight) with u < v, sorted."""
-        for u in range(self.n):
-            for v, w in self._adj[u].items():
-                if u < v:
-                    yield u, v, w
+        upper = self.rows < self.cols
+        return zip(self.rows[upper].tolist(), self.cols[upper].tolist(), self.w[upper].tolist())
 
     @property
     def edge_count(self) -> int:
-        return sum(len(row) for row in self._adj) // 2
+        return len(self.w) // 2
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, edges={self.edge_count})"
@@ -241,30 +285,29 @@ def validate(g: WeightedGraph) -> list[str]:
     validate clean.
     """
     problems = []
-    for x in range(g.n):
-        m = g._m[x]
+    for x, (m, c) in enumerate(zip(g.m.tolist(), g.c.tolist())):
         if not math.isfinite(m) or m <= 0:
             problems.append(f"nonpositive measure at {x}: {m}")
-        c = g._c[x]
         if not math.isfinite(c) or c < 0:
             problems.append(f"negative killing term at {x}: {c}")
-    for x in range(g.n):
-        for y, w in g._adj[x].items():
-            if not math.isfinite(w):
-                problems.append(f"non-finite weight at ({x}, {y}): {w}")
-                continue
-            if w < 0:
-                problems.append(f"negative weight at ({x}, {y}): {w}")
-            if y == x:
-                if w != 0:
-                    problems.append(f"nonzero diagonal weight at {x}: {w}")
-                continue
-            if not (0 <= y < g.n):
-                problems.append(f"edge ({x}, {y}) references an unknown vertex")
-                continue
-            back = g._adj[y].get(x)
-            if back != w and (x < y or back is None):
-                problems.append(f"asymmetric weight at ({x}, {y}): {w} vs {back}")
+    entries = list(zip(g.rows.tolist(), g.cols.tolist(), g.w.tolist()))
+    weights = {(x, y): w for x, y, w in entries}
+    for x, y, w in entries:
+        if not math.isfinite(w):
+            problems.append(f"non-finite weight at ({x}, {y}): {w}")
+            continue
+        if w < 0:
+            problems.append(f"negative weight at ({x}, {y}): {w}")
+        if y == x:
+            if w != 0:
+                problems.append(f"nonzero diagonal weight at {x}: {w}")
+            continue
+        if not (0 <= y < g.n):
+            problems.append(f"edge ({x}, {y}) references an unknown vertex")
+            continue
+        back = weights.get((y, x))
+        if back != w and (x < y or back is None):
+            problems.append(f"asymmetric weight at ({x}, {y}): {w} vs {back}")
     return problems
 
 
@@ -354,6 +397,6 @@ def neighborhood(source, centers, radius: int) -> WeightedGraph:
 
     labels, kernel = induced_ball(source, centers, radius)
     upper = kernel.rows < kernel.cols
-    edges = zip(kernel.rows[upper].tolist(), kernel.cols[upper].tolist(), kernel.w[upper].tolist())
     c = [source.killing(v) for v in labels.tolist()]
-    return WeightedGraph(len(labels), edges, kernel.m.tolist(), c, labels=labels.tolist())
+    return WeightedGraph.from_arrays(len(labels), kernel.rows[upper], kernel.cols[upper],
+                                     kernel.w[upper], kernel.m, c, labels=labels.tolist())

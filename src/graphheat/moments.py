@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import _layers
-from .operators import BallSearch, LaplacianOperator, _exact_sum, compiled, induced_ball
+from .operators import BallSearch, LaplacianOperator, _exact_sum, compiled
 
 INITIAL_RADIUS = 16  # of the first neighborhood a stream runs on
 
@@ -62,9 +62,10 @@ class EnumerationBudgetError(RuntimeError):
     """path_sum_moment visited more sequences than its budget allows."""
 
 
-def stream(source, vectors, scale: float, targets):
+def stream(source, vectors, scale: float, targets, balls=None):
     """Yield, for n = 0, 1, ..., the array of moments <1_v, (L/scale)^n vectors[j]>
-    at the (v, j) pairs of ``targets``, a sequence of pairs or an array of them.
+    at the (v, j) pairs of ``targets``, a sequence of pairs or an array of them; ``balls``
+    is a :class:`BallSearch` around the vectors' supports that the caller has begun.
 
     ``vectors`` are {vertex: value} mappings, advanced as the columns of one block
     by one :meth:`LaplacianOperator.apply` per step on the hop ball of radius r
@@ -86,7 +87,7 @@ def stream(source, vectors, scale: float, targets):
     block = np.zeros((len(labels), len(vectors)), dtype=complex if complex_values else float)
     for j, vec in enumerate(vectors):
         block[np.searchsorted(labels, list(vec)), j] = list(vec.values())
-    order, radius, balls = 0, INITIAL_RADIUS, BallSearch(source, centers)
+    order, radius, balls = 0, INITIAL_RADIUS, balls or BallSearch(source, centers)
     while True:
         if source.is_finite and len(centers) * (1 + sum(
                 degree * (degree - 1) ** k for k in range(radius))) >= source.n:
@@ -134,12 +135,13 @@ class PairRows:
         self.vertices = np.array(vertices, dtype=np.intp)
         self.at = np.array([(i, len(pairs) + column[x], len(pairs) + column[y])
                             for i, (x, y) in enumerate(pairs)], dtype=np.intp).reshape(-1, 3)
-        # the compiled bound and scale of the graph, or of the vertices' 1-neighborhood
-        kernel = compiled(source) if source.is_finite else induced_ball(source, vertices, 1)[1]
+        # the bound and scale of the graph, or of the 1-ball of the search the stream grows
+        balls = BallSearch(source, vertices)
+        kernel = compiled(source) if source.is_finite else balls.ball(1)[1]
         self.bound, self.scale = kernel.bound, kernel.scale
         self.exp = round(math.log2(self.scale))
         targets = [(x, column[y]) for x, y in pairs] + [(v, column[v]) for v in vertices]
-        self._steps = stream(source, [{v: 1.0} for v in vertices], self.scale, targets)
+        self._steps = stream(source, [{v: 1.0} for v in vertices], self.scale, targets, balls)
         self._orders, self.converted = [], defaultdict(list)
 
     def __getitem__(self, n: int) -> np.ndarray:

@@ -198,20 +198,16 @@ _KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def compiled(graph) -> CompiledLaplacian:
-    """The graph's edge arrays, cached while the graph lives; a kernel is its own."""
+    """A finite graph's kernel, cached while the graph lives; a kernel is its own.  It shares
+    the graph's rows, cols, w and m without a copy, and takes diag = wsum + c."""
     if isinstance(graph, CompiledLaplacian):
         return graph
     if not graph.is_finite:
         raise ValueError("array form requires a finite graph")
     kernel = _KERNELS.get(graph)
     if kernel is None:
-        adj = graph._adj  # read directly: the per-vertex queries check every id
-        rows = np.repeat(np.arange(graph.n), [len(row) for row in adj])
-        cols = np.fromiter(itertools.chain.from_iterable(adj), np.intp, len(rows))
-        w = np.fromiter(itertools.chain.from_iterable(map(dict.values, adj)), float, len(rows))
-        kernel = _KERNELS[graph] = CompiledLaplacian(
-            rows, cols, w, np.array(graph._m, dtype=float),
-            np.array(graph._wsum, dtype=float) + np.array(graph._c, dtype=float))
+        kernel = _KERNELS[graph] = CompiledLaplacian(graph.rows, graph.cols, graph.w, graph.m,
+                                                     graph.wsum + graph.c)
     return kernel
 
 

@@ -1,12 +1,21 @@
+import itertools
 import math
+import operator
+import sys
+import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphheat import (INFINITE, ProceduralGraph, WeightedGraph, ball,
-                       combinatorial_distance, degree, distances_from,
+                       combinatorial_distance, degree, distances_from, from_spec,
                        integer_line, is_connected, path_graph,
                        random_connected_graph, random_graph, validate)
+from graphheat.asymptotics import exponent_fits
 from graphheat.graphs import neighborhood
+from graphheat.operators import compiled
 
 
 def test_constructor_mirrors_edges():
@@ -26,10 +35,23 @@ def test_constructor_mirrors_edges():
     lambda: WeightedGraph(2, [(0, 1, 1.0)], measure=0.0),  # nonpositive measure
     lambda: WeightedGraph(2, [(0, 1, 1.0)], killing=-1.0),  # negative killing
     lambda: WeightedGraph(2, [(0, 1, math.inf)]),       # non-finite weight
+    lambda: WeightedGraph(3, [(0, 1.7, 1.0)]),          # non-integral vertex id
+    lambda: WeightedGraph(3, [(2.0, 1, 1.0)]),          # float vertex id
+    lambda: WeightedGraph(2.9, [(0, 1, 1.0)]),          # non-integral vertex count
 ])
 def test_constructor_rejects_invalid(bad):
     with pytest.raises(ValueError):
         bad()
+
+
+def test_ids_and_counts_are_taken_as_operator_index_takes_them():
+    with pytest.raises(ValueError, match="vertex id must be an integer, got 1.7"):
+        WeightedGraph(3, [(0, 1.7, 1.0)])
+    with pytest.raises(ValueError, match="vertex count must be an integer, got 2.9"):
+        WeightedGraph(2.9)
+    g = WeightedGraph(np.int64(3), [(np.int32(0), np.int64(2), 1.5), (True, 2, 1.0)])
+    assert g.n == 3 and list(g.edges()) == [(0, 2, 1.5), (1, 2, 1.0)]
+    assert (g.weight_sum(True), g.measure(True), g.killing(True)) == (1.0, 1.0, 0.0)  # as vertex 1
 
 
 def test_validate_clean_graph():
@@ -228,3 +250,221 @@ def test_procedural_max_degree_enforced():
     g = ProceduralGraph(lambda x: [(x + k, 1.0) for k in range(1, 5)], max_degree=2)
     with pytest.raises(ValueError, match="neighbors"):
         g.neighbors(0)
+
+
+# -- the arrays against the per-edge dict construction they replaced --------
+
+GRAPH_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+def dict_graph(n, edges, measure, killing):
+    """(rows, m, c): each edge checked in input order into sorted adjacency dicts,
+    after the measures, killing terms and ids (by operator.index); raises the
+    ValueError of the first defect."""
+    m, c = [float(v) for v in measure], [float(v) for v in killing]
+    for x in range(n):
+        if not math.isfinite(m[x]) or m[x] <= 0:
+            raise ValueError(f"measure must be positive and finite at vertex {x}, got {m[x]}")
+        if not math.isfinite(c[x]) or c[x] < 0:
+            raise ValueError(f"killing term must be non-negative and finite at vertex {x}, got {c[x]}")
+    for x in (x for edge in edges for x in edge[:2]):
+        if not hasattr(type(x), "__index__"):
+            raise ValueError(f"vertex id must be an integer, got {x!r}")
+    adj = [{} for _ in range(n)]
+    for u, v, w in edges:
+        u, v, w = operator.index(u), operator.index(v), float(w)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not math.isfinite(w) or w <= 0:
+            raise ValueError(f"edge ({u}, {v}) needs a positive finite weight, got {w}")
+        if v in adj[u]:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        adj[u][v] = adj[v][u] = w
+    return [{k: row[k] for k in sorted(row)} for row in adj], m, c
+
+
+def dict_compiled(adj, m, c):
+    """(rows, cols, w, m, diag) by one pass over the dict rows, diag = fsum(row) + c."""
+    rows = np.repeat(np.arange(len(adj)), [len(row) for row in adj])
+    cols = np.fromiter(itertools.chain.from_iterable(adj), np.intp, len(rows))
+    w = np.fromiter(itertools.chain.from_iterable(map(dict.values, adj)), float, len(rows))
+    wsum = np.array([math.fsum(row.values()) for row in adj])
+    return rows, cols, w, np.array(m), wsum + np.array(c)
+
+
+def dict_validate(adj, m, c):
+    """validate's problems, read from dict rows."""
+    problems = []
+    for x in range(len(adj)):
+        if not math.isfinite(m[x]) or m[x] <= 0:
+            problems.append(f"nonpositive measure at {x}: {m[x]}")
+        if not math.isfinite(c[x]) or c[x] < 0:
+            problems.append(f"negative killing term at {x}: {c[x]}")
+    for x, row in enumerate(adj):
+        for y, w in row.items():
+            if not math.isfinite(w):
+                problems.append(f"non-finite weight at ({x}, {y}): {w}")
+                continue
+            if w < 0:
+                problems.append(f"negative weight at ({x}, {y}): {w}")
+            if y == x:
+                if w != 0:
+                    problems.append(f"nonzero diagonal weight at {x}: {w}")
+                continue
+            if not (0 <= y < len(adj)):
+                problems.append(f"edge ({x}, {y}) references an unknown vertex")
+                continue
+            back = adj[y].get(x)
+            if back != w and (x < y or back is None):
+                problems.append(f"asymmetric weight at ({x}, {y}): {w} vs {back}")
+    return problems
+
+
+def spread():
+    """Positive floats spread log-uniformly over 1e-8..1e8."""
+    return st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges, measure, killing): each pair at most once, in either orientation
+    and any order, on up to 8 vertices, so rows of 3 or more edges are common."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u, w) if draw(st.booleans()) else (u, v, w)
+             for (u, v), w in zip(chosen, [draw(spread()) for _ in chosen])]
+    killing = [draw(st.sampled_from([0.0, 1.0])) * draw(spread()) for _ in range(n)]
+    return n, draw(st.permutations(edges)), [draw(spread()) for _ in range(n)], killing
+
+
+BAD_WEIGHTS = [0.0, -1.0, math.inf, math.nan]
+
+
+@st.composite
+def defective_edge_lists(draw):
+    """edge_lists with defects of every kind put in at drawn places."""
+    n, edges, measure, killing = draw(edge_lists())
+    edges = list(edges)
+    vertex = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["loop", "unknown", "weight", "repeat", "id", "m", "c"]))
+        if kind == "m":
+            measure[draw(vertex)] = draw(st.sampled_from(BAD_WEIGHTS))
+            continue
+        if kind == "c":
+            killing[draw(vertex)] = draw(st.sampled_from([-1.0, math.inf, math.nan]))
+            continue
+        if kind == "repeat" and edges:
+            u, v, _ = draw(st.sampled_from(edges))
+            edge = (v, u, 1.0) if draw(st.booleans()) else (u, v, 2.0)
+        elif kind == "loop":
+            x = draw(vertex)
+            edge = (x, x, 1.0)
+        elif kind == "unknown":
+            edge = (draw(vertex), draw(st.sampled_from([-1, n, n + 3])), 1.0)
+        elif kind == "weight":
+            edge = (draw(vertex), draw(vertex), draw(st.sampled_from(BAD_WEIGHTS)))
+        else:  # an id operator.index rejects
+            edge = (draw(vertex), draw(st.sampled_from([0.5, 1.0, np.float64(2.0), "1"])), 1.0)
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    return n, edges, measure, killing
+
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+@GRAPH_SETTINGS
+@given(edge_lists())
+def test_arrays_equal_the_dict_construction(case):
+    n, edges, measure, killing = case
+    adj, m, c = dict_graph(n, edges, measure, killing)
+    g = WeightedGraph(n, edges, measure, killing)
+    u, v, w = (np.array(column) for column in zip(*edges)) if edges else ([], [], [])
+    for built in (g, WeightedGraph.from_arrays(n, u, v, w, measure, killing)):
+        kernel = compiled(built)
+        for got, want in zip((kernel.rows, kernel.cols, kernel.w, kernel.m, kernel.diag),
+                             dict_compiled(adj, m, c)):
+            assert got.dtype.itemsize == 8 and np.array_equal(bits(got), bits(want))
+    upper = [(x, y, b) for x, row in enumerate(adj) for y, b in row.items() if x < y]
+    assert list(g.edges()) == upper and g.edge_count == len(upper)
+    assert all(type(x) is int and type(y) is int and type(b) is float for x, y, b in g.edges())
+    for x in range(n):
+        assert list(g.neighbors(x)) == list(adj[x].items())
+        assert all(type(y) is int and type(b) is float for y, b in g.neighbors(x))
+        for value, want in ((g.weight_sum(x), math.fsum(adj[x].values())),
+                            (g.measure(x), m[x]), (g.killing(x), c[x])):
+            assert type(value) is float and value.hex() == want.hex()
+        for y in range(n):
+            assert type(g.weight(x, y)) is float and g.weight(x, y) == adj[x].get(y, 0.0)
+
+
+@GRAPH_SETTINGS
+@given(defective_edge_lists())
+def test_the_first_defect_is_named_as_the_per_edge_checks_name_it(case):
+    n, edges, measure, killing = case
+    with pytest.raises(ValueError) as want:
+        dict_graph(n, edges, measure, killing)
+    with pytest.raises(ValueError) as got:
+        WeightedGraph(n, edges, measure, killing)
+    assert str(got.value) == str(want.value)
+
+
+@GRAPH_SETTINGS
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.dictionaries(st.integers(-1, n), st.one_of(spread(), st.sampled_from(
+        [1.0, 2.0] + BAD_WEIGHTS))), min_size=n, max_size=n),
+    st.lists(st.sampled_from([1.0, 0.0, -2.0, math.nan]), min_size=n, max_size=n),
+    st.lists(st.sampled_from([0.0, 1.0, -1.0, math.inf]), min_size=n, max_size=n))))
+def test_validate_reads_defective_raw_rows_as_the_dict_rows(case):
+    rows, measure, killing = case
+    g = WeightedGraph.from_adjacency(rows, measure, killing)
+    adj = [{k: row[k] for k in sorted(row)} for row in rows]
+    assert validate(g) == dict_validate(adj, measure, killing)
+    # repr, as nan != nan
+    assert repr([list(g.neighbors(x)) for x in g.vertices]) == repr([list(r.items()) for r in adj])
+
+
+def test_local_exponent_fits_make_rows_only_where_their_searches_went():
+    """The local benchmark's cycle and pairs: compiling shares the graph's arrays, and
+    the CLI's search and the fits' ball streams make a dict row only for the vertices
+    they expand, those within 31 hops of the pairs (the stream's 32-ball is its last
+    before the whole cycle), not for the other 1,900-odd."""
+    g = from_spec("cycle:2000")
+    kernel = compiled(g)
+    for name in ("rows", "cols", "w", "m"):
+        assert np.shares_memory(getattr(kernel, name), getattr(g, name))
+    pairs = [(1464, 1464 + d) for d in range(21)]
+    assert distances_from(g, 1464, targets=[y for _, y in pairs]) == {
+        v: abs(v - 1464) for v in range(1464 - 20, 1464 + 21)}
+    for group in ("heat", "wave"):
+        assert [fit.y for fit in exponent_fits(g, pairs, group=group)] == [y for _, y in pairs]
+    assert set(g._dict_rows) == set(range(1464 - 31, 1464 + 20 + 32))
+
+
+def test_threads_that_share_a_graph_read_one_dict_row_per_vertex():
+    g = random_connected_graph(60, 0.1, 3)
+    rows = [None] * 8
+
+    def work(k):
+        order = list(g.vertices) if k % 2 == 0 else list(g.vertices)[::-1]
+        rows[k] = {x: (g._row(x), list(g.neighbors(x))) for x in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for x in g.vertices:  # a lost race would leave threads holding different rows
+        assert all(got[x][0] is g._dict_rows[x] for got in rows)
+        assert all(got[x][1] == list(zip(*(a[g._indptr[x]:g._indptr[x + 1]].tolist()
+                                           for a in (g.cols, g.w)))) for got in rows)
