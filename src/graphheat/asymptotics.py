@@ -138,8 +138,8 @@ def _order_reports(rows: PairRows, block, orders, ts, routes):
     A pair's leading term at order n is the series' own n-th term
     (t s)^n/n! xy_n and its bound that term's remainder bound
     1/2 (t s)^(n+1)/(n+1)! (xx_{n+1} + yy_{n+1}), in the scaled moments with the
-    coefficients of :func:`pair_element`, so neither overflows at any order.
-    Every moment of a pair below its order must vanish.
+    coefficients of :func:`pair_element`; a term or bound not finite raises ArithmeticError,
+    as a series sum does.  Every moment of a pair below its order must vanish.
     """
     at, orders = rows.at[block], np.asarray(orders, dtype=np.intp)
     if (orders < 0).any():
@@ -157,6 +157,9 @@ def _order_reports(rows: PairRows, block, orders, ts, routes):
     coef, after = np.array(coef), table[orders + 1, pair]
     lead = coef[orders] * table[orders, pair, 0][:, None]
     rhs = 0.5 * coef[orders + 1] * (after[:, 1] + after[:, 2])[:, None]
+    for i, j in np.argwhere(~(np.isfinite(lead) & np.isfinite(rhs)))[:1].tolist():
+        raise ArithmeticError(f"the leading term or bound of pair {rows.pairs[block][i]} "
+                              f"at t={float(ts[j])!r} is not finite")
     h, w = (block_elements(rows, block, ts, routes, unitary) for unitary in (False, True))
     quarter = (orders % 4)[:, None]  # e^{-itL}'s n-th phase (-i)^n: 1, -i, -1, i
     lhs = np.stack([np.abs(h - np.abs(lead)), np.abs(np.hypot(w.real, w.imag) - np.abs(lead)),

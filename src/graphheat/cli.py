@@ -196,16 +196,13 @@ def _cmd_distance(args, graph, pairs, fh) -> int:
 
 def _write_reports(fh, triples, t_text, lhs, rhs, margin, passed):
     """Write a block's verify rows, WRITE_SLICE (pair, t) elements or one pair at a time, each
-    distinct float formatted once: semigroup's lhs and margin are heat_leading's, as xy_d has
-    sign (-1)^d, and take their text where the lhs bits match as uint64 (0.0 == -0.0)."""
+    distinct float formatted once: semigroup's lhs and margin are heat_leading's bits, as the
+    finite leading term at the hop distance d is nonzero with sign (-1)^d."""
     step = max(1, WRITE_SLICE // len(t_text))
     for part in (slice(lo, lo + step) for lo in range(0, len(triples), step)):
         lhs_p, margin_p, passed_p = (a[part].reshape(-1, len(TAGS)) for a in (lhs, margin, passed))
-        same, texts = (lhs_p[:, 0].view(np.uint64) == lhs_p[:, 2].view(np.uint64)).tolist(), []
-        for values in (lhs_p, margin_p):
-            heat, wave, unitary = (list(map(repr, values[:, k].tolist())) for k in (0, 1, 3))
-            texts.append(zip(heat, wave, [text if match else repr(value) for text, match, value
-                                          in zip(heat, same, values[:, 2].tolist())], unitary))
+        texts = [zip(heat, wave, heat, unitary) for heat, wave, unitary in
+                 ([list(map(repr, v[:, k].tolist())) for k in (0, 1, 3)] for v in (lhs_p, margin_p))]
         rows = zip([f"{x},{y},{d},{t},{d}," for x, y, d in triples[part] for t in t_text],
                    map(repr, rhs[part].ravel().tolist()), *texts, passed_p.tolist())
         fh.write("".join([f"{tag},{mid}{lhs_text},{bound},{margin_text},{('false', 'true')[flag]}\n"

@@ -4,14 +4,16 @@ A graph is a triple (b, c, m): symmetric non-negative edge weights b with
 zero diagonal, a non-negative killing term c, and a strictly positive vertex
 measure m.  Finite graphs use dense integer vertex ids 0..n-1 so that dense
 matrix routines can index directly; they are stored as the edge arrays that
-:func:`graphheat.operators.compiled` shares, and a vertex's dict row is a view
-made from them on demand.  Infinite locally finite graphs are described
-procedurally by a neighbor oracle over arbitrary integer ids.
+:func:`graphheat.operators.compiled` shares, and a vertex's dict row is made from
+them on demand.  Infinite locally finite graphs are given by a neighbor oracle over
+integer ids, and keep the rows their hop balls explored, laid out as such arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from typing import Callable
 
 import numpy as np
@@ -198,6 +200,9 @@ class ProceduralGraph:
 
     ``max_degree``, when given, declares a uniform bound on the number of
     neighbors; rows exceeding it are rejected.
+
+    The region explored for hop balls is kept as compiled rows ``rows``, ``cols`` (neighbor
+    ids), ``w``, ``m`` and ``diag``, grown under one lock by :meth:`positions`.
     """
 
     is_finite = False
@@ -208,9 +213,12 @@ class ProceduralGraph:
         self._measure_fn = measure_fn
         self._killing_fn = killing_fn
         self.max_degree = max_degree
-        self._rows: dict[int, dict[int, float]] = {}
+        self._dict_rows: dict[int, dict[int, float]] = {}
         self._m: dict[int, float] = {}
         self._c: dict[int, float] = {}
+        self._position, self._lock = {}, threading.Lock()
+        self.rows, self.cols = np.zeros((2, 0), dtype=np.intp)
+        self.m = self.diag = self.w = np.zeros(0)
 
     def has_vertex(self, x) -> bool:
         return isinstance(x, int)
@@ -220,7 +228,7 @@ class ProceduralGraph:
             raise ValueError(f"unknown vertex id {x!r}")
 
     def _row(self, x) -> dict[int, float]:
-        row = self._rows.get(x)
+        row = self._dict_rows.get(x)
         if row is not None and isinstance(x, int):  # a cached row's id was checked
             return row
         self._check(x)
@@ -237,13 +245,12 @@ class ProceduralGraph:
         if self.max_degree is not None and len(row) > self.max_degree:
             raise ValueError(f"vertex {x} has {len(row)} neighbors, above the declared bound {self.max_degree}")
         for y, w in row.items():
-            other = self._rows.get(y)
+            other = self._dict_rows.get(y)
             if other is not None and other.get(x) != w:
                 raise ValueError(
                     f"oracle is asymmetric between {x} and {y}: {w} vs {other.get(x)}")
         row = {k: row[k] for k in sorted(row)}
-        self._rows.setdefault(x, row)
-        return self._rows[x]
+        return self._dict_rows.setdefault(x, row)
 
     def neighbors(self, x):
         return self._row(x).items()
@@ -272,8 +279,26 @@ class ProceduralGraph:
     def weight_sum(self, x) -> float:
         return math.fsum(self._row(x).values())
 
+    def positions(self, ids) -> np.ndarray:
+        """The rows of ``ids`` in the explored arrays; a vertex enters once, its row,
+        then its measure and killing term, through the oracles' own checks."""
+        with self._lock:  # the arrays only grow, so positions taken here stay valid
+            new = [v for v in ids if v not in self._position]
+            if new:
+                rows = [self._row(v) for v in new]
+                m = [self.measure(v) for v in new]
+                diag = [math.fsum(row.values()) + self.killing(v) for v, row in zip(new, rows)]
+                at = range(len(self.m), len(self.m) + len(new))
+                self._position.update(zip(new, at))
+                self.m, self.diag = np.append(self.m, m), np.append(self.diag, diag)
+                self.rows = np.append(self.rows, np.repeat(at, [len(row) for row in rows]))
+                chain = itertools.chain.from_iterable
+                self.cols = np.append(self.cols, np.fromiter(chain(rows), np.intp))
+                self.w = np.append(self.w, np.fromiter(chain(map(dict.values, rows)), float))
+            return np.fromiter(map(self._position.__getitem__, ids), np.intp, len(ids))
+
     def __repr__(self) -> str:
-        return f"ProceduralGraph(explored={len(self._rows)})"
+        return f"ProceduralGraph(explored={len(self._dict_rows)})"
 
 
 def validate(g: WeightedGraph) -> list[str]:
@@ -392,10 +417,10 @@ def ball(source, x, radius: int) -> WeightedGraph:
 
 def neighborhood(source, centers, radius: int) -> WeightedGraph:
     """The :func:`ball` around several centers: the union of their balls, induced,
-    materialized from :func:`graphheat.operators.induced_ball`."""
-    from .operators import induced_ball  # operators builds on this module
+    materialized from :meth:`graphheat.operators.BallSearch.ball`."""
+    from .operators import BallSearch  # operators builds on this module
 
-    labels, kernel = induced_ball(source, centers, radius)
+    labels, kernel = BallSearch(source, centers).ball(radius)
     upper = kernel.rows < kernel.cols
     c = [source.killing(v) for v in labels.tolist()]
     return WeightedGraph.from_arrays(len(labels), kernel.rows[upper], kernel.cols[upper],

@@ -24,9 +24,9 @@ The same zeros let a stream run on a hop ball with the whole graph's bits: a
 row whose neighbors all lie in the ball sums the same terms in the same order
 there, and the terms it leaves out are w * +0.0, which leave a bincount sum
 (started at +0.0, so never -0.0) as it is; see :func:`graphheat.moments.stream`.
-:func:`induced_ball` builds such a ball's kernel as a slice of arrays that
-already exist: a finite graph's compiled ones, or those of the region of a
-procedural source explored so far, into which each vertex enters once.
+Every such ball comes from :meth:`BallSearch.ball`, its kernel a slice of arrays
+that already exist: a finite graph's compiled ones, or those of the region of a
+procedural source explored so far, which the source keeps and each vertex enters once.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import functools
 import itertools
 import math
 import sys
-import threading
 import weakref
 
 import numpy as np
@@ -211,44 +210,6 @@ def compiled(graph) -> CompiledLaplacian:
     return kernel
 
 
-class _Explored:
-    """A procedural source's explored rows laid out as compiled ones, with neighbor
-    ids for cols; ``position`` maps a vertex to its row.  Each vertex enters once,
-    its row, measure and killing term through the oracles' own checks."""
-
-    def __init__(self):
-        self.position, self.lock = {}, threading.Lock()
-        self.rows, self.cols = np.zeros((2, 0), dtype=np.intp)
-        self.m = self.diag = self.w = np.zeros(0)
-
-    def positions(self, source, ids):
-        with self.lock:  # the arrays only grow, so positions taken here stay valid
-            new = [v for v in ids if v not in self.position]
-            if new:  # rows first, then measures and killing terms, as the oracles check them
-                rows = [source._row(v) for v in new]
-                m = [source.measure(v) for v in new]
-                diag = [math.fsum(row.values()) + source.killing(v) for v, row in zip(new, rows)]
-                at = range(len(self.m), len(self.m) + len(new))
-                self.position.update(zip(new, at))
-                self.m, self.diag = np.append(self.m, m), np.append(self.diag, diag)
-                self.rows = np.append(self.rows, np.repeat(at, [len(row) for row in rows]))
-                chain = itertools.chain.from_iterable
-                self.cols = np.append(self.cols, np.fromiter(chain(rows), np.intp))
-                self.w = np.append(self.w, np.fromiter(chain(map(dict.values, rows)), float))
-            return np.fromiter(map(self.position.__getitem__, ids), np.intp, len(ids))
-
-
-_EXPLORED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def induced_ball(source, centers, radius: int):
-    """(labels, kernel): the ids within ``radius`` hops of ``centers``, ascending, and the
-    compiled graph they induce, label i being its vertex i; see :class:`BallSearch`."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    return BallSearch(source, centers).ball(radius)
-
-
 class BallSearch:
     """The hop balls around fixed centers at growing radii, from one layered search:
     each ball takes only the layers past the last one's, so no vertex is expanded twice."""
@@ -258,17 +219,17 @@ class BallSearch:
         self._search = _layers(source, centers, sys.maxsize)
 
     def ball(self, radius: int):
-        """:func:`induced_ball` at a radius at or above the last ball's: the rows of a finite
-        graph or of a procedural source's explored region, sliced; a row the ball cuts keeps
-        the edges inside and for diag their weights' correctly rounded sum plus c."""
+        """(labels, kernel): the ids within ``radius`` hops of the centers, ascending, and the
+        compiled graph they induce, label i being its vertex i, at a radius at or above the
+        last ball's.  The kernel slices the rows of a finite graph's compiled arrays at the
+        labels, or of a procedural source's explored arrays at their positions; a row the ball
+        cuts keeps the edges inside and for diag their weights' correctly rounded sum plus c."""
+        if radius < 0:
+            raise ValueError("radius must be non-negative")
         self.layers += itertools.islice(self._search, radius + 1 - len(self.layers))
         source, ids = self.source, sorted(itertools.chain.from_iterable(self.layers))
         labels = np.array(ids, dtype=np.intp)
-        if source.is_finite:
-            store, at = compiled(source), labels
-        else:
-            store = _EXPLORED.get(source) or _EXPLORED.setdefault(source, _Explored())
-            at = store.positions(source, ids)
+        store, at = (compiled(source), labels) if source.is_finite else (source, source.positions(ids))
         # numpy's methods cost less per call than its functions
         start, counts = store.rows.searchsorted(at), store.rows.searchsorted(at + 1)
         counts -= start
@@ -304,7 +265,7 @@ class LaplacianOperator:
             return compiled(self.graph).apply(f)
         if f.graph is not self.graph:
             raise ValueError("vector lives on a different graph")
-        labels, kernel = induced_ball(self.graph, f.support, 1)
+        labels, kernel = BallSearch(self.graph, f.support).ball(1)
         values = list(f._values.values())
         arr = np.zeros(len(labels), dtype=complex if any(isinstance(v, complex) for v in values)
                        else float)

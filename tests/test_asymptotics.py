@@ -109,6 +109,13 @@ def test_bounds_reject_order_above_first_nonzero():
         unitary_bound(g, 0, 1, 0.1, 3)
 
 
+def test_a_leading_term_past_the_double_range_raises():
+    # t^2 <1_0, L^2 1_2> / 2 is about 5e397 at the edge weights 1e200
+    g = WeightedGraph(3, [(0, 1, 1e200), (1, 2, 1e200)])
+    with pytest.raises(ArithmeticError, match=r"pair \(0, 2\) at t=0\.1 is not finite"):
+        semigroup_bound(g, 0, 2, 0.1, 2)
+
+
 def test_semigroup_bound_diagonal_order_zero():
     g = random_connected_graph(6, 0.5, 2, random_killing=True)
     op = LaplacianOperator(g)

@@ -305,6 +305,54 @@ def test_verify_moment_underflow_is_a_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, pair", [
+    (["--input", "{path}"], "(0, 1)"),
+    (["--gen", "path:3", "--pairs", "0,2", "--t0", "1e300"], "(0, 2)"),
+])
+def test_verify_bound_overflow_is_a_usage_error(tmp_path, capsys, argv, pair):
+    # at the edge weights 1e200 the bound of (0, 1) holds <1_0, L^2 1_0> ~ 1e400; on the unit
+    # path at t = 1e300 the leading term of (0, 2) is about t^2 / 2
+    path = tmp_path / "g.txt"
+    path.write_text("graph 3\n" + "".join(f"v {i} 1 0\n" for i in range(3))
+                    + "e 0 1 1e200\ne 1 2 1e200\n")
+    code, _, err = run(capsys, "verify", *(arg.format(path=path) for arg in argv))
+    assert code == 2
+    assert err.startswith("graphheat: ") and pair in err and "not finite" in err
+    assert err.count("\n") == 1
+
+
+def test_distance_reports_each_pair_whose_order_differs_from_its_distance(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "p3.txt"
+    path.write_text(P3_TEXT)
+    real = cli.first_nonzero_orders
+
+    def planted(op, sources, cutoff):
+        positions, orders, first = real(op, sources, cutoff)
+        orders = orders.copy()
+        orders[positions[2], sources.index(0)] = 3  # (0, 2) is at hop distance 2
+        orders[positions[2], sources.index(1)] = -1  # (1, 2) not reached within the cutoff
+        return positions, orders, first
+
+    monkeypatch.setattr(cli, "first_nonzero_orders", planted)
+    code, out, err = run(capsys, "distance", "--input", str(path))
+    assert code == 1
+    assert rows(out)[1] == [["0", "1", "1", "1", "ok"], ["0", "2", "2", "3", "mismatch"],
+                            ["1", "2", "1", ">3", "mismatch"]]
+    assert err == "graphheat: 2 pair(s) where the moment order differs from the hop distance\n"
+
+
+@pytest.mark.parametrize("command", ["heat", "wave"])
+def test_sweep_of_a_disconnected_pair_has_no_overlay(capsys, command):
+    spec = "random:12:0.15:8:c"
+    assert combinatorial_distance(from_spec(spec), 0, 9) == INFINITE  # 9 is isolated
+    code, out, _ = run(capsys, command, "--gen", spec, "--pairs", "0,9")
+    assert code == 0
+    _, body = rows(out)
+    assert len(body) == 17 and all(row[4:6] == ["", ""] for row in body)
+    assert [row[3] for row in body if float(row[2]) == 0.0] == ["0.0"]
+
+
 def test_all_pairs_cap_samples_with_seed():
     g = path_graph(150)  # 11175 pairs, above the 10000 cap
     with pytest.raises(CliError):

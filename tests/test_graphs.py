@@ -188,6 +188,12 @@ def test_neighborhood_is_the_union_of_the_center_balls():
         assert neighborhood(line, [0, 3, 40], r).labels == tuple(sorted(union))
 
 
+def test_a_negative_radius_is_rejected_on_both_kinds_of_source():
+    for source in (path_graph(4), integer_line()):
+        with pytest.raises(ValueError, match="radius must be non-negative"):
+            ball(source, 0, -1)
+
+
 def test_ball_matches_distance_sets():
     for seed in range(5):
         g = random_connected_graph(12, 0.25, seed)

@@ -17,7 +17,7 @@ from graphheat import (LaplacianOperator, ProceduralGraph, WeightedGraph, ball,
                        spectral_radius_bound, wave_element)
 from graphheat.moments import (INITIAL_RADIUS, PairRows, first_nonzero_moments,
                                first_nonzero_orders)
-from graphheat.operators import CHUNK, BallSearch, CompiledLaplacian, compiled, induced_ball
+from graphheat.operators import CHUNK, BallSearch, CompiledLaplacian, compiled
 from graphheat.spectral import pair_element, select_route
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -296,7 +296,7 @@ def test_ball_streams_of_ladders_match_the_whole_graph(data, rungs):
 
 def _reference_ball(source, centers, radius):
     """The induced ball as a WeightedGraph built from neighbors, measure and killing,
-    compiled: what induced_ball must reproduce bit for bit."""
+    compiled: what BallSearch.ball must reproduce bit for bit."""
     members = sorted(set().union(*(distances_from(source, x, cutoff=radius) for x in centers)))
     index = {v: i for i, v in enumerate(members)}
     edges = [(index[v], index[nbr], w) for v in members for nbr, w in source.neighbors(v)
@@ -323,7 +323,7 @@ def _killing_chain():
 @given(spread_graphs(), st.integers(0, 3), st.data())
 def test_balls_are_slices_of_the_compiled_graph(g, radius, data):
     centers = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=3))
-    assert (_ball_bits(*induced_ball(g, centers, radius))
+    assert (_ball_bits(*BallSearch(g, centers).ball(radius))
             == _ball_bits(*_reference_ball(g, centers, radius)))
 
 
@@ -335,27 +335,27 @@ EXPLORED = _killing_chain()  # its store grows over the examples
 def test_balls_are_slices_of_the_explored_rows(radius, centers):
     # on the shared line the ball is sliced from rows that earlier examples explored
     expected = _ball_bits(*_reference_ball(_killing_chain(), centers, radius))
-    assert _ball_bits(*induced_ball(EXPLORED, centers, radius)) == expected
-    assert _ball_bits(*induced_ball(_killing_chain(), centers, radius)) == expected
+    assert _ball_bits(*BallSearch(EXPLORED, centers).ball(radius)) == expected
+    assert _ball_bits(*BallSearch(_killing_chain(), centers).ball(radius)) == expected
 
 
 def test_a_ball_after_the_store_grew_equals_a_fresh_one():
     line = _killing_chain()
-    induced_ball(line, [0], 3)
-    induced_ball(line, [100], 5)  # explored apart from the first region
+    BallSearch(line, [0]).ball(3)
+    BallSearch(line, [100]).ball(5)  # explored apart from the first region
     for centers, radius in (([2], 3), ([-1, 98], 4), ([50], 2), ([0, 100], 0)):
-        assert (_ball_bits(*induced_ball(line, centers, radius))
-                == _ball_bits(*induced_ball(_killing_chain(), centers, radius)))
+        assert (_ball_bits(*BallSearch(line, centers).ball(radius))
+                == _ball_bits(*BallSearch(_killing_chain(), centers).ball(radius)))
 
 
 def test_threads_growing_one_store_slice_the_balls_of_a_fresh_source():
     requests = [([c, c + 7], r) for c in range(-90, 90, 9) for r in (1, 5, 16)]
-    expected = [_ball_bits(*induced_ball(_killing_chain(), cs, r)) for cs, r in requests]
+    expected = [_ball_bits(*BallSearch(_killing_chain(), cs).ball(r)) for cs, r in requests]
     line, results = _killing_chain(), [None] * 8
 
     def work(k):
         order = requests if k % 2 == 0 else requests[::-1]
-        results[k] = [_ball_bits(*induced_ball(line, cs, r)) for cs, r in order]
+        results[k] = [_ball_bits(*BallSearch(line, cs).ball(r)) for cs, r in order]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
