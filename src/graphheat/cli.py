@@ -38,7 +38,7 @@ from .generators import from_spec
 from .graphio import GraphFormatError, load_graph
 from .graphs import INFINITE, combinatorial_distance, distances_from
 from .moments import UnknownAbove, first_nonzero_orders, moment_table
-from .operators import LaplacianOperator, compiled
+from .operators import LaplacianOperator
 from .spectral import _series_coefficient, heat_element, select_route, wave_element
 
 EXIT_OK = 0
@@ -272,7 +272,7 @@ def _pair_overlay(graph, op, x, y, cutoff):
     d = combinatorial_distance(graph, x, y, cutoff=cutoff)
     if d == INFINITE:
         return None
-    scale = compiled(graph).scale
+    scale = graph.scale
     exp = round(math.log2(scale))
     lead = abs(moment_table(op, x, y, d).values[d])
     mxx = moment_table(op, x, x, d + 1).values[d + 1]

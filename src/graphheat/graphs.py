@@ -1,24 +1,48 @@
-"""Weighted graphs over countable vertex sets.
+"""Weighted graphs over countable vertex sets, and the array kernel of their Laplacian.
 
 A graph is a triple (b, c, m): symmetric non-negative edge weights b with
 zero diagonal, a non-negative killing term c, and a strictly positive vertex
 measure m.  Finite graphs use dense integer vertex ids 0..n-1 so that dense
-matrix routines can index directly; they are stored as the edge arrays that
-:func:`graphheat.operators.compiled` shares, and a vertex's dict row is made from
-them on demand.  Infinite locally finite graphs are given by a neighbor oracle over
-integer ids, and keep the rows their hop balls explored, laid out as such arrays.
+matrix routines can index directly; they are stored as edge arrays, which are
+their Laplacian's kernel too, and a vertex's dict row is made from them on demand.
+Infinite locally finite graphs are given by a neighbor oracle over integer ids,
+and keep the rows their hop balls explored, laid out as such arrays.
+
+A finite graph applies its Laplacian by :meth:`WeightedGraph.apply` as
+(diag * f - bincount(rows, w * f[cols])) / m, with diag = sum_y b(x,y) + c(x).
+The columns f_j of a block share one bincount over the rows offset by n j, a
+chunk of columns at a time: bin n j + x sums the terms of column j alone, in edge
+order from +0.0, as a bincount of that column does, so every column has the bits
+of the kernel applied to it alone.  If f vanishes outside the k-ball around y,
+every term of (L f)(x) outside the (k+1)-ball is w * 0.0 or diag * 0.0, so the
+moment <1_x, L^n 1_y> is exactly 0.0 below the hop distance and the first nonzero
+order is read without thresholds.  At the critical order the entry sums only
+shortest-path products, all of sign (-1)^d: no cancellation, so the plain sum is
+accurate to a few ulps per step.
+
+The same zeros let a stream run on a hop ball with the whole graph's bits: a
+row whose neighbors all lie in the ball sums the same terms in the same order
+there, and the terms it leaves out are w * +0.0, which leave a bincount sum
+(started at +0.0, so never -0.0) as it is; see :func:`graphheat.moments.stream`.
+Every such ball is a :class:`WeightedGraph` made by :meth:`BallSearch.ball`, a
+slice of arrays that already exist: a finite graph's own, or those of the region
+of a procedural source explored so far, which the source keeps and each vertex
+enters once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import sys
 import threading
 from typing import Callable
 
 import numpy as np
 
 INFINITE = math.inf
+CHUNK = 1 << 14  # the most terms one bincount of WeightedGraph.apply sums
 
 
 def _per_vertex(value, n: int, default: float) -> np.ndarray:
@@ -41,36 +65,65 @@ def _integers(values, what: str) -> np.ndarray:
     return array.astype(np.intp)
 
 
-class WeightedGraph:
+class _DictRows:
+    """The vertex queries that both kinds of graph answer from dict rows, a vertex's
+    row made by ``_new_row`` on the first call for it."""
+
+    def _check(self, x) -> None:
+        if not self.has_vertex(x):
+            raise ValueError(f"unknown vertex id {x!r}")
+
+    def _row(self, x) -> dict[int, float]:
+        row = self._dict_rows.get(x)
+        if row is not None and isinstance(x, int):  # a cached row's id was checked
+            return row
+        self._check(x)
+        return self._new_row(x)
+
+    def neighbors(self, x):
+        """(neighbor, weight) pairs of x, sorted by neighbor id."""
+        return self._row(x).items()
+
+    def weight(self, x, y) -> float:
+        row = self._row(x)
+        self._check(y)
+        return row.get(y, 0.0)
+
+
+class WeightedGraph(_DictRows):
     """Finite weighted graph on vertices 0..n-1, stored as arrays.
 
     ``rows``, ``cols`` and ``w`` hold each undirected edge in both orientations,
     sorted by row and then column, so weight symmetry holds by construction;
-    ``m``, ``c`` and ``wsum`` hold each vertex's measure, killing term and row
-    weight sum (``math.fsum`` of its row).  ``edges`` are (u, v, weight) triples;
-    :meth:`from_arrays` takes them as three arrays, checked alike.  The queries
-    return Python numbers; :meth:`neighbors` makes a vertex's dict row when
-    first asked for it.  Instances are immutable after construction (the arrays
-    are read-only) and safe to share between threads.
+    ``m``, ``c``, ``wsum`` and ``diag`` hold each vertex's measure, killing term,
+    row weight sum (``math.fsum`` of its row) and ``wsum + c``.  ``edges`` are
+    (u, v, weight) triples; :meth:`from_arrays` takes them as three arrays, checked
+    alike.  The queries return Python numbers; :meth:`neighbors` makes a vertex's
+    dict row when first asked for it.  Instances are immutable after construction
+    (the arrays are read-only) and safe to share between threads.
 
-    ``labels`` optionally records the original vertex ids of a graph that was
-    materialized from a procedural source (see :func:`ball`); it plays no
-    role in any computation.
+    The graph is its Laplacian's kernel (see the module docstring): :meth:`apply`
+    applies it, ``bound`` is the Gershgorin bound of M^-1/2 A M^-1/2, an upper bound
+    for lambda_max, ``scale`` the smallest power of two at or above it, and
+    ``degree`` the largest number of neighbors of a vertex, each computed on first read.
+
+    ``labels`` records the original vertex ids of a hop ball (see :func:`ball`), and is
+    None on other graphs; it plays no role in any computation.
     """
 
     is_finite = True
 
-    def __init__(self, n, edges=(), measure=None, killing=None, labels=None):
-        self._checked(n, *(tuple(zip(*edges)) or ((), (), ())), measure, killing, labels)
+    def __init__(self, n, edges=(), measure=None, killing=None):
+        self._checked(n, *(tuple(zip(*edges)) or ((), (), ())), measure, killing)
 
     @classmethod
-    def from_arrays(cls, n, u, v, w, measure=None, killing=None, labels=None):
+    def from_arrays(cls, n, u, v, w, measure=None, killing=None):
         """The graph of the edges (u[i], v[i], w[i]), checked as the constructor checks them."""
         g = object.__new__(cls)
-        g._checked(n, u, v, w, measure, killing, labels)
+        g._checked(n, u, v, w, measure, killing)
         return g
 
-    def _checked(self, n, u, v, w, measure, killing, labels) -> None:
+    def _checked(self, n, u, v, w, measure, killing) -> None:
         """Store the graph, or raise for its first defect in the order of a check per
         vertex, then one per id, then one per edge: range, loop, weight, repeat."""
         n = int(_integers([n], "vertex count")[0])
@@ -95,11 +148,6 @@ class WeightedGraph:
         rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
         order = (rows * n + cols).argsort()
         self._store(n, rows[order], cols[order], np.concatenate((w, w))[order], m, c)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("labels must cover every vertex")
-        self.labels = labels
 
     def _store(self, n, rows, cols, w, m, c) -> None:
         counts = np.bincount(rows, minlength=n)
@@ -109,9 +157,12 @@ class WeightedGraph:
         for x in (counts > 2).nonzero()[0].tolist():
             wsum[x] = math.fsum(w[self._indptr[x]:self._indptr[x + 1]].tolist())
         self.n, self.rows, self.cols, self.w, self.m, self.c, self.wsum = n, rows, cols, w, m, c, wsum
-        for array in (rows, cols, w, m, c, wsum):
+        self.diag = wsum + c
+        for array in (rows, cols, w, m, c, wsum, self.diag):
             array.flags.writeable = False
         self._dict_rows: dict[int, dict[int, float]] = {}
+        self._index = rows[:0]  # rows + n j for the columns j of the widest block so far
+        self.labels = None
 
     @classmethod
     def from_adjacency(cls, rows, measure=None, killing=None):
@@ -127,7 +178,6 @@ class WeightedGraph:
         x, y, w = (np.array(column) for column in (tuple(zip(*entries)) or ((), (), ())))
         g._store(n, x.astype(np.intp), y.astype(np.intp), w.astype(float),
                  _per_vertex(measure, n, 1.0), _per_vertex(killing, n, 0.0))
-        g.labels = None
         return g
 
     # -- queries ---------------------------------------------------------
@@ -139,29 +189,11 @@ class WeightedGraph:
     def has_vertex(self, x) -> bool:
         return isinstance(x, int) and 0 <= x < self.n
 
-    def _check(self, x) -> None:
-        if not self.has_vertex(x):
-            raise ValueError(f"unknown vertex id {x!r}")
-
-    def _row(self, x) -> dict[int, float]:
-        """x's {neighbor: weight} row, made from the arrays on the first call for x."""
-        row = self._dict_rows.get(x)
-        if row is not None and isinstance(x, int):  # a cached row's id was checked
-            return row
-        self._check(x)
+    def _new_row(self, x) -> dict[int, float]:
         start, end = self._indptr[x], self._indptr[x + 1]
         # threads that race here make equal rows; setdefault keeps one
         return self._dict_rows.setdefault(x, dict(zip(self.cols[start:end].tolist(),
                                                       self.w[start:end].tolist())))
-
-    def neighbors(self, x):
-        """(neighbor, weight) pairs of x, sorted by neighbor id."""
-        return self._row(x).items()
-
-    def weight(self, x, y) -> float:
-        row = self._row(x)
-        self._check(y)
-        return row.get(y, 0.0)
 
     def measure(self, x) -> float:
         self._check(x)
@@ -185,24 +217,59 @@ class WeightedGraph:
     def edge_count(self) -> int:
         return len(self.w) // 2
 
+    # -- the Laplacian kernel ---------------------------------------------
+
+    degree = functools.cached_property(lambda self: int(np.bincount(self.rows).max(initial=0)))
+    scale = functools.cached_property(
+        lambda self: 2.0 ** math.ceil(math.log2(self.bound)) if self.bound > 0 else 1.0)
+
+    @functools.cached_property
+    def bound(self) -> float:
+        m, rows, cols = self.m, self.rows, self.cols
+        radius = np.bincount(rows, self.w / np.sqrt(m[rows] * m[cols]), minlength=len(m))
+        return float((self.diag / m + radius).max()) if len(m) else 0.0
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """L f for each column of an (n, k) block, or for an (n,) array taken as a
+        one-column block, so every column is bitwise L applied to it alone."""
+        if np.iscomplexobj(f):
+            return self.apply(f.real) + 1j * self.apply(f.imag)
+        block = np.asarray(f[:, None] if f.ndim == 1 else f, dtype=float)
+        (n, k), edges, index = block.shape, len(self.w), self._index
+        width = max(1, CHUNK // max(edges, 1))  # the columns of one bincount
+        if k > width:  # chunks of columns, applied into one output
+            out = np.empty((n, k), order="F")
+            for j in range(0, k, width):
+                out[:, j:j + width] = self.apply(block[:, j:j + width])
+            return out
+        if len(index) < k * edges:
+            index = self._index = (self.rows + n * np.arange(k)[:, None]).ravel()
+        terms = block.T.take(self.cols, axis=1)
+        terms *= self.w
+        offdiag = np.bincount(index[:terms.size], terms.ravel(), minlength=n * k).reshape(k, n)
+        return ((self.diag[:, None] * block - offdiag.T) / self.m[:, None]).reshape(f.shape)
+
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, edges={self.edge_count})"
 
 
-class ProceduralGraph:
+class ProceduralGraph(_DictRows):
     """Locally finite graph defined lazily by oracles over integer vertex ids.
 
     ``neighbor_fn(x)`` returns the finite list of (neighbor, weight) pairs of
     x; ``measure_fn`` and ``killing_fn`` default to the constant 1 and 0.
     Oracle answers are cached, so the functions must be deterministic.
-    Symmetry is cross-checked against previously cached rows: an oracle that
-    reports an edge from one side only (or with a different weight) raises.
+    Symmetry is checked edge by edge on the second of its two rows to be fetched,
+    whichever of them lists it: the edges a row reports toward rows not fetched yet
+    are kept until those come in, and an edge that one row lists and the other does
+    not (or lists with another weight) raises, in either fetch order.
 
     ``max_degree``, when given, declares a uniform bound on the number of
     neighbors; rows exceeding it are rejected.
 
-    The region explored for hop balls is kept as compiled rows ``rows``, ``cols`` (neighbor
-    ids), ``w``, ``m`` and ``diag``, grown under one lock by :meth:`positions`.
+    The region explored for hop balls is kept as the arrays ``rows``, ``cols`` (neighbor
+    ids), ``w``, ``m`` and ``c`` of a :class:`WeightedGraph`, grown by :meth:`positions`.
+    Rows are fetched and the arrays grown under one lock.
     """
 
     is_finite = False
@@ -214,24 +281,22 @@ class ProceduralGraph:
         self._killing_fn = killing_fn
         self.max_degree = max_degree
         self._dict_rows: dict[int, dict[int, float]] = {}
+        self._pending: dict[int, dict[int, float]] = {}  # y: {x: b(x, y)} while row y is unfetched
         self._m: dict[int, float] = {}
         self._c: dict[int, float] = {}
-        self._position, self._lock = {}, threading.Lock()
+        self._position, self._lock = {}, threading.RLock()
         self.rows, self.cols = np.zeros((2, 0), dtype=np.intp)
-        self.m = self.diag = self.w = np.zeros(0)
+        self.m = self.c = self.w = np.zeros(0)
 
     def has_vertex(self, x) -> bool:
         return isinstance(x, int)
 
-    def _check(self, x) -> None:
-        if not self.has_vertex(x):
-            raise ValueError(f"unknown vertex id {x!r}")
+    def _new_row(self, x) -> dict[int, float]:
+        with self._lock:  # the rows fetched and the edges pending change together
+            row = self._dict_rows.get(x)
+            return self._fetch(x) if row is None else row
 
-    def _row(self, x) -> dict[int, float]:
-        row = self._dict_rows.get(x)
-        if row is not None and isinstance(x, int):  # a cached row's id was checked
-            return row
-        self._check(x)
+    def _fetch(self, x) -> dict[int, float]:
         row = {}
         for y, w in self._neighbor_fn(x):
             y, w = int(y), float(w)
@@ -244,19 +309,16 @@ class ProceduralGraph:
             row[y] = w
         if self.max_degree is not None and len(row) > self.max_degree:
             raise ValueError(f"vertex {x} has {len(row)} neighbors, above the declared bound {self.max_degree}")
-        for y, w in row.items():
-            other = self._dict_rows.get(y)
-            if other is not None and other.get(x) != w:
-                raise ValueError(
-                    f"oracle is asymmetric between {x} and {y}: {w} vs {other.get(x)}")
-        row = {k: row[k] for k in sorted(row)}
-        return self._dict_rows.setdefault(x, row)
-
-    def neighbors(self, x):
-        return self._row(x).items()
-
-    def weight(self, x, y) -> float:
-        return self._row(x).get(int(y), 0.0)
+        reported = self._pending.get(x, {})  # by the fetched rows that list x
+        for y in sorted(reported.keys() | row.keys() & self._dict_rows.keys()):
+            if row.get(y) != reported.get(y):
+                raise ValueError(f"oracle is asymmetric between {x} and {y}: "
+                                 f"{row.get(y)} vs {reported.get(y)}")
+        self._pending.pop(x, None)
+        for y in row.keys() - self._dict_rows.keys():
+            self._pending.setdefault(y, {})[x] = row[y]
+        self._dict_rows[x] = row = {k: row[k] for k in sorted(row)}
+        return row
 
     def measure(self, x) -> float:
         self._check(x)
@@ -287,10 +349,10 @@ class ProceduralGraph:
             if new:
                 rows = [self._row(v) for v in new]
                 m = [self.measure(v) for v in new]
-                diag = [math.fsum(row.values()) + self.killing(v) for v, row in zip(new, rows)]
+                c = [self.killing(v) for v in new]
                 at = range(len(self.m), len(self.m) + len(new))
                 self._position.update(zip(new, at))
-                self.m, self.diag = np.append(self.m, m), np.append(self.diag, diag)
+                self.m, self.c = np.append(self.m, m), np.append(self.c, c)
                 self.rows = np.append(self.rows, np.repeat(at, [len(row) for row in rows]))
                 chain = itertools.chain.from_iterable
                 self.cols = np.append(self.cols, np.fromiter(chain(rows), np.intp))
@@ -405,6 +467,41 @@ def degree(source, x) -> float:
     return (source.weight_sum(x) + source.killing(x)) / source.measure(x)
 
 
+class BallSearch:
+    """The hop balls around fixed centers at growing radii, from one layered search:
+    each ball takes only the layers past the last one's, so no vertex is expanded twice."""
+
+    def __init__(self, source, centers):
+        self.source, self.layers = source, []
+        self._search = _layers(source, centers, sys.maxsize)
+
+    def ball(self, radius: int):
+        """(labels, graph): the ids within ``radius`` hops of the centers, ascending, and the
+        :class:`WeightedGraph` they induce, label i being its vertex i, at a radius at or above
+        the last ball's.  The graph slices the rows of a finite source's arrays at the labels,
+        or of a procedural source's explored arrays at their positions, and sums its rows as
+        the constructor does: a row the ball cuts keeps the edges inside and their sum."""
+        if radius < 0:
+            raise ValueError("radius must be non-negative")
+        self.layers += itertools.islice(self._search, radius + 1 - len(self.layers))
+        source, ids = self.source, sorted(itertools.chain.from_iterable(self.layers))
+        labels = np.array(ids, dtype=np.intp)
+        at = labels if source.is_finite else source.positions(ids)
+        # numpy's methods cost less per call than its functions
+        start, counts = source.rows.searchsorted(at), source.rows.searchsorted(at + 1)
+        counts -= start
+        flat = (start + counts - counts.cumsum()).repeat(counts)
+        flat += np.arange(len(flat))  # the entries of the ball's rows in the source
+        nbrs = source.cols[flat]
+        cols = labels.searchsorted(nbrs)
+        inside = labels.take(cols, mode="clip") == nbrs
+        graph = object.__new__(WeightedGraph)
+        graph._store(len(ids), np.arange(len(ids)).repeat(counts)[inside], cols[inside],
+                     source.w[flat[inside]], source.m[at], source.c[at])
+        graph.labels = tuple(labels.tolist())
+        return labels, graph
+
+
 def ball(source, x, radius: int) -> WeightedGraph:
     """Induced subgraph on all vertices within the given hop radius of x.
 
@@ -417,11 +514,5 @@ def ball(source, x, radius: int) -> WeightedGraph:
 
 def neighborhood(source, centers, radius: int) -> WeightedGraph:
     """The :func:`ball` around several centers: the union of their balls, induced,
-    materialized from :meth:`graphheat.operators.BallSearch.ball`."""
-    from .operators import BallSearch  # operators builds on this module
-
-    labels, kernel = BallSearch(source, centers).ball(radius)
-    upper = kernel.rows < kernel.cols
-    c = [source.killing(v) for v in labels.tolist()]
-    return WeightedGraph.from_arrays(len(labels), kernel.rows[upper], kernel.cols[upper],
-                                     kernel.w[upper], kernel.m, c, labels=labels.tolist())
+    as :meth:`BallSearch.ball` makes it."""
+    return BallSearch(source, centers).ball(radius)[1]

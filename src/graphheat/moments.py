@@ -10,7 +10,7 @@ the whole graph, so one stream serves many pairs:
 :class:`PairRows` reads any number of pairs from one stream over their
 distinct vertices, and :func:`first_nonzero_orders` the first nonzero orders
 of many sources.  The array kernel keeps exact zeros (see
-:mod:`graphheat.operators`), so a moment is the float 0.0 precisely when no
+:mod:`graphheat.graphs`), so a moment is the float 0.0 precisely when no
 walk of length n joins x and y, and the first nonzero order is found by exact
 comparison.  On connected graphs it is the hop distance, and the moment there
 has sign (-1)^distance: every shortest-walk product has that sign, so no
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _layers
-from .operators import BallSearch, LaplacianOperator, _exact_sum, compiled
+from .graphs import BallSearch, _layers
+from .operators import LaplacianOperator, _exact_sum
 
 INITIAL_RADIUS = 16  # of the first neighborhood a stream runs on
 
@@ -75,14 +75,14 @@ def stream(source, vectors, scale: float, targets, balls=None):
     + ... + D(D-1)^(r-1)), c being the number of centers and D the largest degree,
     reaches its vertex count: the ball could then cover it.  No entry outside the
     k-ball is nonzero at order k, so a target outside the ball reads an exact 0.0, a
-    row inside sums what the whole graph's does (see :mod:`graphheat.operators`),
+    row inside sums what the whole graph's does (see :mod:`graphheat.graphs`),
     and the boundary rows, which miss the edges leaving the ball, never act before
     the radius doubles.
     """
     centers = sorted(set().union(*vectors))
     complex_values = any(isinstance(a, complex) for vec in vectors for a in vec.values())
     targets = np.asarray(targets, dtype=np.intp).reshape(-1, 2)
-    degree = compiled(source).degree if source.is_finite else 0
+    degree = source.degree if source.is_finite else 0
     labels = np.array(centers, dtype=np.intp)  # the vertex of each row of the block
     block = np.zeros((len(labels), len(vectors)), dtype=complex if complex_values else float)
     for j, vec in enumerate(vectors):
@@ -91,7 +91,7 @@ def stream(source, vectors, scale: float, targets, balls=None):
     while True:
         if source.is_finite and len(centers) * (1 + sum(
                 degree * (degree - 1) ** k for k in range(radius))) >= source.n:
-            kernel, radius, rows = compiled(source), None, np.arange(source.n)
+            kernel, radius, rows = source, None, np.arange(source.n)
         else:
             rows, kernel = balls.ball(radius)
         # the block grows onto the new rows; every row it leaves out holds 0.0
@@ -137,7 +137,7 @@ class PairRows:
                             for i, (x, y) in enumerate(pairs)], dtype=np.intp).reshape(-1, 3)
         # the bound and scale of the graph, or of the 1-ball of the search the stream grows
         balls = BallSearch(source, vertices)
-        kernel = compiled(source) if source.is_finite else balls.ball(1)[1]
+        kernel = source if source.is_finite else balls.ball(1)[1]
         self.bound, self.scale = kernel.bound, kernel.scale
         self.exp = round(math.log2(self.scale))
         targets = [(x, column[y]) for x, y in pairs] + [(v, column[v]) for v in vertices]

@@ -9,40 +9,20 @@ The Laplacian acts by
 
     (L f)(x) = (1/m(x)) * (sum_y b(x,y) (f(x) - f(y)) + c(x) f(x))
 
-through the array kernel (diag * f - bincount(rows, w * f[cols])) / m, with
-diag = sum_y b(x,y) + c(x).  The columns f_j of a block share one bincount over
-the rows offset by n j, a chunk of columns at a time: bin n j + x sums the terms
-of column j alone, in edge order from +0.0, as a bincount of that column does,
-so every column has the bits of the kernel applied to it alone.  If f vanishes
-outside the k-ball around y, every term of (L f)(x) outside the (k+1)-ball is
-w * 0.0 or diag * 0.0, so the moment <1_x, L^n 1_y> is exactly 0.0 below the hop
-distance and the first nonzero order is read without thresholds.  At the critical
-order the entry sums only shortest-path products, all of sign (-1)^d: no
-cancellation, so the plain sum is accurate to a few ulps per step.
-
-The same zeros let a stream run on a hop ball with the whole graph's bits: a
-row whose neighbors all lie in the ball sums the same terms in the same order
-there, and the terms it leaves out are w * +0.0, which leave a bincount sum
-(started at +0.0, so never -0.0) as it is; see :func:`graphheat.moments.stream`.
-Every such ball comes from :meth:`BallSearch.ball`, its kernel a slice of arrays
-that already exist: a finite graph's compiled ones, or those of the region of a
-procedural source explored so far, which the source keeps and each vertex enters once.
+through the array kernel of a finite graph, :meth:`graphheat.graphs.WeightedGraph.apply`,
+whose exact zeros and per-column bits the module docstring of :mod:`graphheat.graphs`
+sets out; a vector is applied on the hop ball around its support, itself a finite graph.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import sys
-import weakref
 
 import numpy as np
 
-from .graphs import _layers
+from .graphs import BallSearch
 
 DENSE_SIZE_LIMIT = 2000
-CHUNK = 1 << 14  # the most terms one bincount of CompiledLaplacian.apply sums
 
 
 def _exact_sum(terms):
@@ -149,104 +129,6 @@ def inner(f: WeightedVector, g: WeightedVector):
     return _exact_sum(terms)
 
 
-class CompiledLaplacian:
-    """A finite graph's Laplacian as edge arrays (rows, cols, w) sorted by row and
-    column, measures m and diag = sum_y b(x,y) + c(x), built once per graph by :func:`compiled`.
-
-    ``bound`` is the Gershgorin bound of M^-1/2 A M^-1/2, an upper bound for
-    lambda_max, ``scale`` the smallest power of two at or above it, and
-    ``degree`` the largest number of neighbors of a vertex, each computed on first read.
-    """
-
-    def __init__(self, rows, cols, w, m, diag):
-        self.rows, self.cols, self.w, self.m, self.diag = rows, cols, w, m, diag
-        self._index = rows[:0]  # rows + n j for the columns j of the widest block so far
-
-    degree = functools.cached_property(lambda self: int(np.bincount(self.rows).max(initial=0)))
-    scale = functools.cached_property(
-        lambda self: 2.0 ** math.ceil(math.log2(self.bound)) if self.bound > 0 else 1.0)
-
-    @functools.cached_property
-    def bound(self) -> float:
-        m, rows, cols = self.m, self.rows, self.cols
-        radius = np.bincount(rows, self.w / np.sqrt(m[rows] * m[cols]), minlength=len(m))
-        return float((self.diag / m + radius).max()) if len(m) else 0.0
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """L f for each column of an (n, k) block, or for an (n,) array taken as a
-        one-column block, so every column is bitwise L applied to it alone."""
-        if np.iscomplexobj(f):
-            return self.apply(f.real) + 1j * self.apply(f.imag)
-        block = np.asarray(f[:, None] if f.ndim == 1 else f, dtype=float)
-        (n, k), edges, index = block.shape, len(self.w), self._index
-        width = max(1, CHUNK // max(edges, 1))  # the columns of one bincount
-        if k > width:  # chunks of columns, applied into one output
-            out = np.empty((n, k), order="F")
-            for j in range(0, k, width):
-                out[:, j:j + width] = self.apply(block[:, j:j + width])
-            return out
-        if len(index) < k * edges:
-            index = self._index = (self.rows + n * np.arange(k)[:, None]).ravel()
-        terms = block.T.take(self.cols, axis=1)
-        terms *= self.w
-        offdiag = np.bincount(index[:terms.size], terms.ravel(), minlength=n * k).reshape(k, n)
-        return ((self.diag[:, None] * block - offdiag.T) / self.m[:, None]).reshape(f.shape)
-
-
-_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def compiled(graph) -> CompiledLaplacian:
-    """A finite graph's kernel, cached while the graph lives; a kernel is its own.  It shares
-    the graph's rows, cols, w and m without a copy, and takes diag = wsum + c."""
-    if isinstance(graph, CompiledLaplacian):
-        return graph
-    if not graph.is_finite:
-        raise ValueError("array form requires a finite graph")
-    kernel = _KERNELS.get(graph)
-    if kernel is None:
-        kernel = _KERNELS[graph] = CompiledLaplacian(graph.rows, graph.cols, graph.w, graph.m,
-                                                     graph.wsum + graph.c)
-    return kernel
-
-
-class BallSearch:
-    """The hop balls around fixed centers at growing radii, from one layered search:
-    each ball takes only the layers past the last one's, so no vertex is expanded twice."""
-
-    def __init__(self, source, centers):
-        self.source, self.layers = source, []
-        self._search = _layers(source, centers, sys.maxsize)
-
-    def ball(self, radius: int):
-        """(labels, kernel): the ids within ``radius`` hops of the centers, ascending, and the
-        compiled graph they induce, label i being its vertex i, at a radius at or above the
-        last ball's.  The kernel slices the rows of a finite graph's compiled arrays at the
-        labels, or of a procedural source's explored arrays at their positions; a row the ball
-        cuts keeps the edges inside and for diag their weights' correctly rounded sum plus c."""
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        self.layers += itertools.islice(self._search, radius + 1 - len(self.layers))
-        source, ids = self.source, sorted(itertools.chain.from_iterable(self.layers))
-        labels = np.array(ids, dtype=np.intp)
-        store, at = (compiled(source), labels) if source.is_finite else (source, source.positions(ids))
-        # numpy's methods cost less per call than its functions
-        start, counts = store.rows.searchsorted(at), store.rows.searchsorted(at + 1)
-        counts -= start
-        flat = (start + counts - counts.cumsum()).repeat(counts)
-        flat += np.arange(len(flat))  # the entries of the ball's rows in the store
-        nbrs = store.cols[flat]
-        cols = labels.searchsorted(nbrs)
-        inside = labels.take(cols, mode="clip") == nbrs
-        rows = np.arange(len(ids)).repeat(counts)[inside]
-        cols, w, diag = cols[inside], store.w[flat[inside]], store.diag[at]
-        kept = np.bincount(rows, minlength=len(ids))
-        ends = kept.cumsum()
-        for i in (kept < counts).nonzero()[0].tolist():
-            diag[i] = math.fsum(w[ends[i] - kept[i]:ends[i]].tolist()) + source.killing(ids[i])
-        return labels, CompiledLaplacian(rows, cols, w, store.m[at], diag)
-
-
 class LaplacianOperator:
     """Laplacian of a weighted graph.
 
@@ -260,17 +142,19 @@ class LaplacianOperator:
         """L f for an array on a finite graph's vertices or for a :class:`WeightedVector`,
         returning the same kind; a vector is applied on the 1-ball around its support,
         which holds every entry of L f with the whole graph's bits (see the module
-        docstring).  ``graph`` may also be a :class:`CompiledLaplacian`, for arrays."""
+        docstring of :mod:`graphheat.graphs`)."""
         if not isinstance(f, WeightedVector):
-            return compiled(self.graph).apply(f)
+            if not self.graph.is_finite:
+                raise ValueError("array form requires a finite graph")
+            return self.graph.apply(f)
         if f.graph is not self.graph:
             raise ValueError("vector lives on a different graph")
-        labels, kernel = BallSearch(self.graph, f.support).ball(1)
+        labels, ball = BallSearch(self.graph, f.support).ball(1)
         values = list(f._values.values())
         arr = np.zeros(len(labels), dtype=complex if any(isinstance(v, complex) for v in values)
                        else float)
         arr[labels.searchsorted(list(f.support))] = values
-        return WeightedVector(f.graph, dict(zip(labels.tolist(), kernel.apply(arr).tolist())))
+        return WeightedVector(f.graph, dict(zip(labels.tolist(), ball.apply(arr).tolist())))
 
     def matrix_element(self, x, y) -> float:
         """<1_x, L 1_y>: minus the edge weight off the diagonal, row sum plus killing on it."""
@@ -321,8 +205,7 @@ def dense_matrices(graph, max_size: int = DENSE_SIZE_LIMIT):
     n = graph.n
     if n > max_size:
         raise ValueError(f"graph has {n} vertices, above the dense size limit {max_size}")
-    kernel = compiled(graph)
     A = np.zeros((n, n))
-    A[kernel.rows, kernel.cols] = -kernel.w
-    A[np.diag_indices(n)] = kernel.diag
-    return A, np.diag(kernel.m)
+    A[graph.rows, graph.cols] = -graph.w
+    A[np.diag_indices(n)] = graph.diag
+    return A, np.diag(graph.m)

@@ -48,10 +48,9 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import ProceduralGraph, WeightedGraph
+from .graphs import CHUNK, ProceduralGraph, WeightedGraph
 from .moments import PairRows
-from .operators import (CHUNK, LaplacianOperator, WeightedVector, _exact_sum, compiled,
-                        dense_matrices)
+from .operators import LaplacianOperator, WeightedVector, _exact_sum, dense_matrices
 
 # default stopping tolerance keeps series noise an order below the 1e-9
 # slack of bound reports even when the element dwarfs the bound (tight
@@ -250,7 +249,7 @@ def spectral_radius_bound(graph) -> float:
     of the symmetrized matrix)."""
     if not graph.is_finite:
         raise ValueError("spectral bound requires a finite graph")
-    return compiled(graph).bound
+    return graph.bound
 
 
 def select_route(source, t, method: str) -> str:
@@ -275,7 +274,7 @@ def select_route(source, t, method: str) -> str:
         return "eigen"
     limit = 0.5 if method == "auto" else 2.0
     # the rows' bound; a bare procedural source has no pairs, so nothing gates its series
-    top = rows.bound if rows is not None else compiled(graph).bound if graph.is_finite else 0.0
+    top = rows.bound if rows is not None else graph.bound if graph.is_finite else 0.0
     if graph.is_finite and t * top > limit * (1 - GATE_ROUNDING):
         top = float(_eigen(graph)[0][-1]) if graph.n else 0.0  # eigenvalues ascend
     if method == "series" and t * top > 2:

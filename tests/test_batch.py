@@ -20,7 +20,6 @@ from graphheat import (INFINITE, BoundReport, LaplacianOperator, ProceduralGraph
                        wave_element)
 from graphheat.cli import _select_pairs, main
 from graphheat.moments import INITIAL_RADIUS, PairRows
-from graphheat.operators import compiled
 from graphheat.spectral import (MAX_SERIES_TERMS, _series_coefficient, block_elements,
                                 pair_element, select_route)
 
@@ -235,7 +234,7 @@ def test_eigen_slices_of_block_elements_equal_pair_element_bitwise(monkeypatch):
 @given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 6), st.booleans())
 def test_block_kernel_columns_equal_the_vector_kernel(seed, n, k, killing):
     g = random_connected_graph(n, 0.4, seed, random_killing=killing)
-    kernel = compiled(g)
+    kernel = g
     rng = np.random.default_rng(seed)
     block = np.asfortranarray(rng.standard_normal((n, k)) * 10.0 ** rng.integers(-8, 9, (n, k)))
     out = kernel.apply(block)

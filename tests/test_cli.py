@@ -3,13 +3,14 @@ import io
 import math
 import random
 import re
+import sys
 
 import pytest
 
 from graphheat import (INFINITE, LaplacianOperator, cli, combinatorial_distance, from_spec,
                        leading_exponent_fit, path_graph)
 from graphheat.cli import CliError, _select_pairs, main
-from graphheat.operators import BallSearch
+from graphheat.graphs import BallSearch
 
 P3_TEXT = """\
 graph 3
@@ -223,9 +224,35 @@ def test_sample_with_seed(capsys):
 
 
 def test_bad_generator_spec(capsys):
-    code, _, err = run(capsys, "verify", "--gen", "pentagon:5")
-    assert code == 2
-    assert "generator spec" in err
+    for spec in ("pentagon:5", "cycle:2", "random:5:1.5:1", "path:3:4", "random:5:0.5"):
+        code, _, err = run(capsys, "verify", "--gen", spec)
+        assert code == 2, spec
+        assert "generator spec" in err, spec
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--gen", "path:3", "--input", "g.txt"], "give either --input or --gen, not both"),
+    (["--input", "missing.txt"], "No such file or directory: 'missing.txt'"),
+    (["--gen", "path:3", "--pairs", "sample:x"], "bad sample size in --pairs 'sample:x'"),
+    (["--gen", "path:3", "--pairs", "sample:-1"], "sample size must be non-negative"),
+    (["--gen", "path:3", "--pairs", "0,1,2"], "bad pair '0,1,2'; expected 'x,y'"),
+    (["--gen", "path:3", "--pairs", "a,b"], "bad pair 'a,b'; vertex ids must be integers"),
+    (["--gen", "path:3", "--ratio", "1.5"], "--ratio must lie strictly between 0 and 1"),
+], ids=" ".join)
+def test_usage_errors_name_their_fault(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("graphheat: ") and message in err
+
+
+def test_a_closed_stdout_ends_the_run_quietly(monkeypatch, capsys):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["distance", "--gen", "path:3"]) == 0
 
 
 def test_missing_source(capsys):
@@ -548,6 +575,8 @@ def test_sweep_series_past_its_limit_is_a_usage_error(capsys, command):
     ["exponent", "--gen", "path:3", "--pairs", "0,2", "--t0", "nan"],
     ["exponent", "--gen", "path:3", "--pairs", "0,2", "--tol", "nan"],
     ["exponent", "--gen", "path:3", "--pairs", "0,2", "--tol", "-0.1"],
+    ["distance", "--gen", "path:3", "--cutoff", "-1"],
+    ["moments", "--gen", "path:3", "--nmax", "-1"],
 ], ids=" ".join)
 def test_non_finite_times_and_tolerances_are_usage_errors(capsys, argv):
     # nan slips past any comparison: unchecked, verify fails on nan rows, heat prints nan

@@ -62,6 +62,13 @@ def test_blank_lines_and_comments_ignored():
     ("graph 2\nv 0 1 0\nv 1 1 0\nq 0 1\n", 4, "unknown line type"),
     ("graph 2\nv 0 1 0\nv 1 1 0\ne 0 1\n", 4, "edge line"),
     ("graph 2\nv 0 1 0\n", 1, "never declared"),
+    ("graph 2\nv 0 x 0\nv 1 1 0\n", 2, "measure is not a number"),
+    ("graph 2\ngraph 2\nv 0 1 0\nv 1 1 0\n", 2, "duplicate 'graph' header"),
+    ("graph\nv 0 1 0\n", 1, "header must be 'graph <n>'"),
+    ("graph -1\n", 1, "vertex count must be non-negative"),
+    ("graph 2\nv 0 1\nv 1 1 0\n", 2, "vertex line"),
+    ("graph 2\nv 0 1 0\nv 5 1 0\n", 3, "vertex id 5 out of range"),
+    ("graph 2\nv 0 1 0\ne 0 1 1\n", 3, "references undeclared vertex 1"),
 ])
 def test_rejects_malformed(text, line, fragment):
     with pytest.raises(GraphFormatError) as err:

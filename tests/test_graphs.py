@@ -15,7 +15,6 @@ from graphheat import (INFINITE, ProceduralGraph, WeightedGraph, ball,
                        random_connected_graph, random_graph, validate)
 from graphheat.asymptotics import exponent_fits
 from graphheat.graphs import neighborhood
-from graphheat.operators import compiled
 
 
 def test_constructor_mirrors_edges():
@@ -241,15 +240,19 @@ def test_procedural_caches_oracle():
 
 
 def test_procedural_asymmetric_oracle_rejected():
-    def neighbor_fn(x):
-        if x == 0:
-            return [(1, 1.0)]
-        return [(0, 2.0)]  # disagrees with the weight seen from 0
+    # the row of 1 disagrees with the weight seen from 0, or misses the edge, and is
+    # fetched second or first
+    for back, first in (([(0, 2.0)], 0), ([], 0), ([], 1)):
+        g = ProceduralGraph(lambda x: [(1, 1.0)] if x == 0 else back)
+        g.neighbors(first)
+        with pytest.raises(ValueError, match="asymmetric"):
+            g.neighbors(1 - first)
 
-    g = ProceduralGraph(neighbor_fn)
-    g.neighbors(0)
-    with pytest.raises(ValueError, match="asymmetric"):
-        g.neighbors(1)
+
+@pytest.mark.parametrize("source", [integer_line(), path_graph(4)], ids=["line", "path"])
+def test_weight_rejects_a_non_integer_vertex(source):
+    with pytest.raises(ValueError, match="unknown vertex id 1.7"):
+        source.weight(0, 1.7)
 
 
 def test_procedural_max_degree_enforced():
@@ -391,7 +394,7 @@ def test_arrays_equal_the_dict_construction(case):
     g = WeightedGraph(n, edges, measure, killing)
     u, v, w = (np.array(column) for column in zip(*edges)) if edges else ([], [], [])
     for built in (g, WeightedGraph.from_arrays(n, u, v, w, measure, killing)):
-        kernel = compiled(built)
+        kernel = built
         for got, want in zip((kernel.rows, kernel.cols, kernel.w, kernel.m, kernel.diag),
                              dict_compiled(adj, m, c)):
             assert got.dtype.itemsize == 8 and np.array_equal(bits(got), bits(want))
@@ -435,12 +438,12 @@ def test_validate_reads_defective_raw_rows_as_the_dict_rows(case):
 
 
 def test_local_exponent_fits_make_rows_only_where_their_searches_went():
-    """The local benchmark's cycle and pairs: compiling shares the graph's arrays, and
+    """The local benchmark's cycle and pairs: the graph is its own kernel, and
     the CLI's search and the fits' ball streams make a dict row only for the vertices
     they expand, those within 31 hops of the pairs (the stream's 32-ball is its last
     before the whole cycle), not for the other 1,900-odd."""
     g = from_spec("cycle:2000")
-    kernel = compiled(g)
+    kernel = g
     for name in ("rows", "cols", "w", "m"):
         assert np.shares_memory(getattr(kernel, name), getattr(g, name))
     pairs = [(1464, 1464 + d) for d in range(21)]

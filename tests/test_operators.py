@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_vector
 from graphheat import (LaplacianOperator, WeightedGraph, WeightedVector,
-                       dense_matrices, inner, path_graph, quadratic_form,
+                       dense_matrices, inner, integer_line, path_graph, quadratic_form,
                        random_connected_graph, star_graph)
 
 
@@ -209,3 +209,8 @@ def test_dense_size_limit():
     g = star_graph(6)
     with pytest.raises(ValueError, match="dense size limit"):
         dense_matrices(g, max_size=5)
+
+
+def test_array_form_requires_a_finite_graph():
+    with pytest.raises(ValueError, match="array form requires a finite graph"):
+        LaplacianOperator(integer_line()).apply(np.zeros(3))

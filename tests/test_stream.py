@@ -1,4 +1,4 @@
-"""The compiled Laplacian kernel, the moment streams read from it, and the route gate."""
+"""The Laplacian kernel of a finite graph, the moment streams read from it, and the route gate."""
 
 import math
 import sys
@@ -17,7 +17,7 @@ from graphheat import (LaplacianOperator, ProceduralGraph, WeightedGraph, ball,
                        spectral_radius_bound, wave_element)
 from graphheat.moments import (INITIAL_RADIUS, PairRows, first_nonzero_moments,
                                first_nonzero_orders)
-from graphheat.operators import CHUNK, BallSearch, CompiledLaplacian, compiled
+from graphheat.graphs import CHUNK, BallSearch
 from graphheat.spectral import pair_element, select_route
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -91,8 +91,8 @@ def _chain():
 
 def _whole_graph(g, sources, scale):
     """Yield, per order n, m(v) ((L/scale)^n 1_s)(v) for every vertex v (rows) and
-    source s (columns), by applying the whole graph's compiled kernel again and again."""
-    kernel = compiled(g)
+    source s (columns), by applying the whole graph's kernel again and again."""
+    kernel = g
     block = np.zeros((g.n, len(sources)))
     block[sources, range(len(sources))] = 1.0
     while True:
@@ -160,7 +160,7 @@ def _uint_bits(values):
 @pytest.mark.parametrize("complex_block", [False, True])
 def test_block_kernel_is_bitwise_the_per_column_bincount(complex_block):
     g = random_connected_graph(60, 0.3, 5, random_killing=True)
-    kernel = compiled(g)
+    kernel = g
     width = CHUNK // len(kernel.w)  # the columns of one bincount
     assert 3 < width < 20
     rng = np.random.default_rng(7)
@@ -184,9 +184,10 @@ def test_block_kernel_is_bitwise_the_per_column_bincount(complex_block):
 
 def test_threads_applying_shared_kernels_at_many_widths_keep_their_bits():
     # on each fresh kernel the threads race to widen its cached bin offsets
-    base = compiled(random_connected_graph(60, 0.3, 5, random_killing=True))
-    kernels = [CompiledLaplacian(base.rows, base.cols, base.w, base.m, base.diag)
-               for _ in range(150)]
+    base = random_connected_graph(60, 0.3, 5, random_killing=True)
+    upper = base.rows < base.cols
+    kernels = [WeightedGraph.from_arrays(base.n, base.rows[upper], base.cols[upper],
+                                         base.w[upper], base.m, base.c) for _ in range(150)]
     rng = np.random.default_rng(3)
     blocks = [np.asfortranarray(_spread_block(rng, (60, k))) for k in (15, 2, 9, 1, 40)]
     expected = [_per_column_kernel(base, block).tobytes() for block in blocks]
@@ -248,7 +249,7 @@ def _ball_streams_match_the_whole_graph(g, x, y, orders):
         radii = [[call.args[1] for call in built.call_args_list]]
         built.reset_mock()
         rows = PairRows(g, [(x, y)])
-        whole = _whole_graph(g, sources, compiled(g).scale)
+        whole = _whole_graph(g, sources, g.scale)
         for n in range(orders + 1):
             block = next(whole)
             assert _bits(rows[n]) == _bits([block[x, column[y]]]
@@ -295,15 +296,15 @@ def test_ball_streams_of_ladders_match_the_whole_graph(data, rungs):
 
 
 def _reference_ball(source, centers, radius):
-    """The induced ball as a WeightedGraph built from neighbors, measure and killing,
-    compiled: what BallSearch.ball must reproduce bit for bit."""
+    """The induced ball as a WeightedGraph built from neighbors, measure and killing:
+    what BallSearch.ball must reproduce bit for bit."""
     members = sorted(set().union(*(distances_from(source, x, cutoff=radius) for x in centers)))
     index = {v: i for i, v in enumerate(members)}
     edges = [(index[v], index[nbr], w) for v in members for nbr, w in source.neighbors(v)
              if v < nbr and nbr in index]
     ball_graph = WeightedGraph(len(members), edges, [source.measure(v) for v in members],
                                [source.killing(v) for v in members])
-    return np.array(members, dtype=np.intp), compiled(ball_graph)
+    return np.array(members, dtype=np.intp), ball_graph
 
 
 def _ball_bits(labels, kernel):
