@@ -253,13 +253,13 @@ def verification_blocks(source, pairs, ts, method="auto"):
     size = max(1, BLOCK_ELEMENTS // max(len(ts), 1))  # pairs per block
     for start in range(0, len(pairs), size):
         triples = pairs[start:start + size]
-        for i, (x, y, d) in enumerate(triples, start):
-            if rows[d][i] == 0.0:  # the pair's own moment sits at index i
-                raise ArithmeticError(
-                    f"the moment of pair ({x}, {y}) at its hop distance {d} underflowed to 0.0; "
-                    f"in exact arithmetic it is nonzero, with sign (-1)^{d}")
-        yield (triples, *_order_reports(rows, slice(start, start + size),
-                                        [d for *_, d in triples], ts, routes))
+        block, orders = slice(start, start + len(triples)), np.array([d for *_, d in triples])
+        leads = np.stack([rows[n][block] for n in range(orders.max() + 1)])  # pair i's at i
+        for i in np.flatnonzero(leads[orders, np.arange(len(orders))] == 0.0)[:1].tolist():
+            raise ArithmeticError(
+                "the moment of pair ({}, {}) at its hop distance {} underflowed to 0.0; in exact "
+                "arithmetic it is nonzero, with sign (-1)^{}".format(*triples[i], triples[i][2]))
+        yield (triples, *_order_reports(rows, block, orders, ts, routes))
 
 
 def leading_exponent_fit(source, x, y, t0: float = 1e-3, ratio: float = 0.1,

@@ -198,16 +198,18 @@ def _write_reports(fh, triples, t_text, lhs, rhs, margin, passed):
     """Write a block's verify rows, WRITE_SLICE (pair, t) elements or one pair at a time, each
     distinct float formatted once: semigroup's lhs and margin are heat_leading's bits, as the
     finite leading term at the hop distance d is nonzero with sign (-1)^d."""
-    step = max(1, WRITE_SLICE // len(t_text))
+    step, flag = max(1, WRITE_SLICE // len(t_text)), ("false", "true")
+    heat, wave, semigroup, unitary = TAGS  # one f-string writes the four rows of a (pair, t)
     for part in (slice(lo, lo + step) for lo in range(0, len(triples), step)):
         lhs_p, margin_p, passed_p = (a[part].reshape(-1, len(TAGS)) for a in (lhs, margin, passed))
-        texts = [zip(heat, wave, heat, unitary) for heat, wave, unitary in
-                 ([list(map(repr, v[:, k].tolist())) for k in (0, 1, 3)] for v in (lhs_p, margin_p))]
-        rows = zip([f"{x},{y},{d},{t},{d}," for x, y, d in triples[part] for t in t_text],
-                   map(repr, rhs[part].ravel().tolist()), *texts, passed_p.tolist())
-        fh.write("".join([f"{tag},{mid}{lhs_text},{bound},{margin_text},{('false', 'true')[flag]}\n"
-                          for mid, bound, *columns in rows
-                          for tag, lhs_text, margin_text, flag in zip(TAGS, *columns)]))
+        texts = [map(repr, v[:, k].tolist()) for v in (lhs_p, margin_p) for k in (0, 1, 3)]
+        elements = zip([f"{x},{y},{d},{t},{d}," for x, y, d in triples[part] for t in t_text],
+                       map(repr, rhs[part].ravel().tolist()), *texts, passed_p.tolist())
+        fh.write("".join([f"{heat},{mid}{lh},{b},{mh},{flag[ph]}\n"
+                          f"{wave},{mid}{lw},{b},{mw},{flag[pw]}\n"
+                          f"{semigroup},{mid}{lh},{b},{mh},{flag[ps]}\n"
+                          f"{unitary},{mid}{lu},{b},{mu},{flag[pu]}\n"
+                          for mid, b, lh, lw, lu, mh, mw, mu, (ph, pw, ps, pu) in elements]))
 
 
 def _cmd_verify(args, graph, pairs, fh) -> int:

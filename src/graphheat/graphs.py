@@ -315,7 +315,7 @@ class ProceduralGraph(_DictRows):
                 raise ValueError(f"oracle is asymmetric between {x} and {y}: "
                                  f"{row.get(y)} vs {reported.get(y)}")
         self._pending.pop(x, None)
-        for y in row.keys() - self._dict_rows.keys():
+        for y in [y for y in row if y not in self._dict_rows]:  # a fetch costs its degree alone
             self._pending.setdefault(y, {})[x] = row[y]
         self._dict_rows[x] = row = {k: row[k] for k in sorted(row)}
         return row

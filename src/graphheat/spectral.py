@@ -36,6 +36,7 @@ arrays, with the series' stopping rule as a mask of the elements still
 running; every report and fit reads it.  For one pair, and in
 :func:`heat_element` / :func:`wave_element`, :func:`pair_element` takes each
 element in scalar Python, where numpy's per-call cost makes it 25 times dearer.
+Both round each series sum as ``math.fsum`` does (the array series by :func:`_rounded_sums`).
 """
 
 from __future__ import annotations
@@ -294,27 +295,24 @@ def pair_element(rows: PairRows, i: int, t, route: str, unitary: bool):
     """
     if route == "eigen":
         return _eigen_sum(rows.source, *rows.pairs[i], t, unitary).item()
-    phases = (1 + 0j, -1j, -1 + 0j, 1j) if unitary else (1.0, -1.0)
+    signs = (1.0, -1.0, -1.0, 1.0) if unitary else (1.0, -1.0)  # (-i)^n's sign for the wave
     ts = t * rows.scale
     coef = 1.0  # (t s)^n / n!, against moments scaled by s^-n
-    terms = []
-    running = 0j if unitary else 0.0
-    n = 0
+    terms, parts, n = [], [0.0, 0.0], 0  # the wave's term is real at even n, imaginary at odd n
     xy, known = rows.floats(i, 0)[0], rows.converted[i]
     while True:
-        term = phases[n % len(phases)] * (coef * xy)
-        terms.append(term)
-        running += term
+        terms.append(signs[n % len(signs)] * (coef * xy))
+        parts[n % 2 if unitary else 0] += terms[-1]
         n += 1
         coef *= ts / n
         xy, xx, yy = known[n] if n < len(known) else rows.floats(i, n)
-        bound, size = 0.5 * coef * (xx + yy), abs(running)
+        bound, size = 0.5 * coef * (xx + yy), abs(complex(*parts)) if unitary else abs(parts[0])
         finite = math.isfinite(bound + size)  # inf or nan in either leaves the sum so
         if finite and bound <= max(SERIES_RTOL * size, SERIES_FLOOR):
             break
         if n >= MAX_SERIES_TERMS or not finite:
             raise _unmet(n)
-    return _exact_sum(terms)
+    return complex(math.fsum(terms[::2]), math.fsum(terms[1::2])) if unitary else math.fsum(terms)
 
 
 def _unmet(n: int) -> ArithmeticError:
@@ -353,10 +351,10 @@ def _eigen_sum(graph, x, y, t, unitary):
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan arise as in Python floats
 def _series_block(rows: PairRows, at, ts, unitary):
-    """pair_element's series at the pairs whose (xy, xx, yy) sit at ``at`` in the rows,
-    at the scaled times ``ts`` = t s: the same terms, with the stopping rule as a mask
-    of the running elements; a stopped element adds exact zeros, which leave its
-    correctly rounded sum as it is.  The wave's term (-i)^n c_n is real at even n."""
+    """pair_element's series at the pairs whose (xy, xx, yy) sit at ``at`` in the rows, at the
+    scaled times ``ts`` = t s: the same terms, with the stopping rule as a mask of the running
+    elements (a stopped one adds exact zeros), summed by :func:`_rounded_sums`; the wave's
+    term (-i)^n c_n is real at even n and imaginary at odd n."""
     coef, terms = np.ones(len(ts)), []
     parts = np.zeros((2, len(at), len(ts)))  # the running sum's real and imaginary parts
     active = np.ones(parts.shape[1:], dtype=bool)
@@ -374,13 +372,38 @@ def _series_block(rows: PairRows, at, ts, unitary):
             break
     else:
         raise _unmet(MAX_SERIES_TERMS)
-    terms, sums = [term.ravel() for term in terms], []
-    step = max(1, CHUNK // 4 // len(terms))  # elements per list; a Python float is 32 bytes
-    for lo in range(0, active.size, step):
-        chunk = np.array([term[lo:lo + step] for term in terms]).T.tolist()
-        sums += ([complex(math.fsum(e[::2]), math.fsum(e[1::2])) for e in chunk] if unitary
-                 else list(map(math.fsum, chunk)))
-    return np.array(sums).reshape(active.shape)
+    terms = np.array(terms).reshape(len(terms), -1)  # (order, element)
+    if not unitary:
+        return _rounded_sums(terms).reshape(active.shape)
+    sums = np.empty(active.shape, dtype=complex)  # each part set bitwise, as complex(re, im) does
+    sums.real, sums.imag = (_rounded_sums(terms[n::2]).reshape(active.shape) for n in (0, 1))
+    return sums
+
+
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan arise; their elements take fsum
+def _rounded_sums(terms: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each column of the (K, N) array ``terms``, bitwise, from array passes:
+    a TwoSum pass (Knuth) leaves s with s + sum(e) the exact total, r = sum(e) and m = sum|e|;
+    |r - sum(e)| <= gamma_K m (Higham 4.2) <= 2 K u m + K 2^-1074 after this bound's own
+    rounding, and s + r = c + f exactly.  Where |f| plus that bound is below half the smaller
+    gap next to |c|, c is the correctly rounded total; sum|a| < 2^1020 keeps every partial sum,
+    here and in fsum, finite.  Other elements (zeros, near-ties, overflow, inf, nan) take fsum."""
+    s, r, m, t, b, e = (np.zeros(terms.shape[1:]) for _ in range(6))
+    for a in terms:  # t = s + a, b = t - s, e = (s - (t - b)) + (a - b), in place
+        np.subtract(np.add(s, a, out=t), s, out=b)
+        np.subtract(s, np.subtract(t, b, out=e), out=e)
+        e += np.subtract(a, b, out=b)
+        r += e
+        m += np.abs(e, out=e)
+        s, t = t, s
+    c, k = s + r, len(terms)
+    f = (s - (c - (c - s))) + (r - (c - s))
+    gap = np.abs(c) - np.nextafter(np.abs(c), 0)  # 0 at c = 0, so a zero sum takes fsum
+    certified = (np.abs(terms).sum(axis=0) < 2.0 ** 1020) & (
+        np.abs(f) + (k * 2.0 ** -52 * m + k * 2.0 ** -1074) < gap / 2)
+    for j in np.flatnonzero(~certified).tolist():
+        c[j] = math.fsum(terms[:, j].tolist())
+    return c
 
 
 def _series_coefficient(ts, n: int) -> float:

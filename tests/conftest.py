@@ -1,8 +1,19 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and its hypothesis profiles.
 
+``GRAPHHEAT_HYPOTHESIS_PROFILE=long`` raises the example budget of every property
+test whose ``@settings`` leaves ``max_examples`` to the profile, as CI's long
+rounded-sum step does.
+"""
+
+import os
 import random
 
+from hypothesis import settings
+
 from graphheat import WeightedVector
+
+settings.register_profile("long", max_examples=10_000)
+settings.load_profile(os.environ.get("GRAPHHEAT_HYPOTHESIS_PROFILE", "default"))
 
 
 def random_vector(graph, seed, complex_values=False, density=0.7):

@@ -5,12 +5,14 @@ built here pair by pair from the one-pair functions, and `verify`'s array
 evaluator must equal the scalar series loop `pair_element` element by element.
 """
 
+import math
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphheat import (INFINITE, BoundReport, LaplacianOperator, ProceduralGraph,
@@ -202,8 +204,7 @@ def test_verify_bytes_do_not_depend_on_the_block_budget(tmp_path, capsys, monkey
     assert (out, code) == _verify_reference(graph, _select_pairs(graph, "all", None),
                                             method=method)
     # 1 element, then blocks of 2 and 7 pairs, then one block above the pair count;
-    # each also with one pair per write, and with 2 pairs per eigen slice and one element
-    # per list of series terms converted for fsum
+    # each also with one pair per write and 2 pairs per eigen slice
     for budget in (1, 2 * len(TS), 7 * len(TS), 10 ** 6):
         monkeypatch.setattr(asymptotics, "BLOCK_ELEMENTS", budget)
         assert _run(capsys, argv) == default
@@ -296,6 +297,71 @@ def test_block_elements_equal_the_scalar_loop_bitwise(graph, grid):
         for i, (x, y) in enumerate(pairs):
             if (x == isolated) != (y == isolated):
                 assert all(got[i, j] == 0.0 for j, r in enumerate(routes) if r == "series")
+
+
+_SUMMANDS = st.one_of(
+    st.floats(),  # signed zeros, subnormals, magnitudes up to overflow, inf and nan
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 1.7976931348623157e308]))
+
+
+@st.composite
+def _term_columns(draw):
+    """A (K, N) array of terms, K = 0..60, as strided as a wave's orders: columns of
+    arbitrary floats, and near-ties x + ulp(x)/2 pushed either way by a term 2^-53 of that
+    half ulp or left on the tie, e.g. (1, 2^-53, -2^-106), among zeros and a cancelling pair."""
+    k, columns = draw(st.integers(0, 60)), []
+    for _ in range(draw(st.integers(1, 5))):
+        if k < 5 or draw(st.booleans()):
+            columns.append(draw(st.lists(_SUMMANDS, min_size=k, max_size=k)))
+            continue
+        x = math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), draw(st.integers(-1060, 1020)))
+        half = math.ulp(x) / 2 * draw(st.sampled_from([1.0, -1.0]))
+        big = math.ldexp(draw(st.floats(1.0, 2.0)), draw(st.integers(-60, 60))) * x
+        column = [x, half, half * 2.0 ** -53 * draw(st.sampled_from([1.0, -1.0, 0.0])), big, -big]
+        columns.append(draw(st.permutations(column + [0.0] * (k - 5))))
+    return np.array(columns, dtype=float).reshape(len(columns), k).T
+
+
+@settings(deadline=None, derandomize=True)  # the example budget is the profile's (conftest.py)
+@given(_term_columns())
+@example(np.array([[1.0], [2.0 ** -53], [2.0 ** -106]]))  # a tie that 2^-106 breaks upward
+# the errors 0.75, 2^-54 and 2^-60 sum to 0.75 in floats, hiding a total past the tie
+@example(np.array([[2.0 ** 53], [0.75], [2.0 ** -54], [2.0 ** -60], [-2.0 ** 53]]))
+# the TwoSum pass stays finite and its candidate would pass, but fsum overflows midway
+@example(np.array([[1.7976931348623157e308], [2.0 ** 969], [2.0 ** 969], [2.0 ** 969], [-2.0 ** 1022]]))
+def test_rounded_sums_equal_fsum_bitwise(terms):
+    want = []
+    for column in terms.T.tolist():
+        try:
+            want.append(math.fsum(column))
+        except (OverflowError, ValueError) as exc:  # the first such column's error, as fsum's
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                spectral._rounded_sums(terms)
+            return
+    assert spectral._rounded_sums(terms).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def test_ordinary_sums_take_the_certified_path(monkeypatch):
+    """Series-like terms, and the series blocks of every connected pair of the certify
+    benchmark's graph, sum without one call of math.fsum; the sums still equal fsum's.
+    (A pair across components sums to 0.0, which takes fsum.)"""
+    rng = np.random.default_rng(5)
+    terms = rng.standard_normal((40, 3000)) * np.exp2(-rng.integers(0, 60, (40, 3000)))
+    terms[rng.random(terms.shape) < 0.5] = 0.0  # stopped elements add exact zeros
+    terms[0] = rng.uniform(0.5, 1.0, 3000)
+    want = np.array([math.fsum(column) for column in terms.T.tolist()])
+    graph = from_spec("random:40:0.1:1:c")
+    linked = [v for v in graph.vertices if list(graph.neighbors(v))]  # all but one vertex
+    rows = PairRows(graph, [(x, y) for x in linked for y in linked if x <= y])
+    for unitary in (False, True):  # the stream is read before fsum is counted
+        block_elements(rows, slice(None), TS, ["series"] * len(TS), unitary)
+    calls, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or fsum(values))
+    assert spectral._rounded_sums(terms).tobytes() == want.tobytes()
+    for unitary in (False, True):
+        block_elements(rows, slice(None), TS, ["series"] * len(TS), unitary)
+    assert calls == []
 
 
 def test_the_wave_modulus_is_pythons_abs():

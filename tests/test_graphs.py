@@ -438,14 +438,11 @@ def test_validate_reads_defective_raw_rows_as_the_dict_rows(case):
 
 
 def test_local_exponent_fits_make_rows_only_where_their_searches_went():
-    """The local benchmark's cycle and pairs: the graph is its own kernel, and
-    the CLI's search and the fits' ball streams make a dict row only for the vertices
-    they expand, those within 31 hops of the pairs (the stream's 32-ball is its last
-    before the whole cycle), not for the other 1,900-odd."""
+    """The local benchmark's cycle and pairs: the CLI's search and the fits' ball
+    streams make a dict row only for the vertices they expand, those within 31 hops of
+    the pairs (the stream's 32-ball is its last before the whole cycle), not for the
+    other 1,900-odd."""
     g = from_spec("cycle:2000")
-    kernel = g
-    for name in ("rows", "cols", "w", "m"):
-        assert np.shares_memory(getattr(kernel, name), getattr(g, name))
     pairs = [(1464, 1464 + d) for d in range(21)]
     assert distances_from(g, 1464, targets=[y for _, y in pairs]) == {
         v: abs(v - 1464) for v in range(1464 - 20, 1464 + 21)}
