@@ -47,3 +47,10 @@ for t in (0.05, 0.2):
 # the exponent law holds on the infinite graph as well
 fit = gh.leading_exponent_fit(line, 0, 4)
 print(f"\nlog-log slope for pair (0, 4): {fit.slope:.5f}  (hop distance 4)")
+
+# every reader's default takes the series, the line's only route, so the
+# Varadhan contrast t log p_t -> 0 reads directly off the infinite graph
+print("\nVaradhan sequence for pair (0, 5) on the line (default method):")
+for t, value in gh.varadhan_diagnostic(line, 0, 5, [0.1, 0.01, 1e-3, 1e-4]):
+    print(f"  t = {t:8.0e}   t log p_t = {value:12.6f}")
+print("  -> magnitudes shrink to 0, as on finite graphs")

@@ -180,11 +180,8 @@ def _pair_reports(x, y, n, ts, lhs, rhs, which):
 
 
 def _order_bound(source, x, y, t, n, tag):
-    graph = _resolve(source)
-    rows = PairRows(graph, [(x, y)])
-    # auto, or on a procedural source the series, its only route
-    lhs, rhs = _order_reports(rows, slice(None), [n], [t],
-                              [select_route(rows, t, "auto" if graph.is_finite else "series")])
+    rows = PairRows(_resolve(source), [(x, y)])
+    lhs, rhs = _order_reports(rows, slice(None), [n], [t], [select_route(rows, t, "auto")])
     return _pair_reports(x, y, n, [t], lhs[0], rhs[0], (tag,))[0]
 
 
@@ -210,8 +207,7 @@ def leading_term_check(source, x, y, t, cutoff=None) -> tuple[BoundReport, Bound
     shared rhs: t^(d+1) (<1_x, L^(d+1) 1_x> + <1_y, L^(d+1) 1_y>) / (2 (d+1)!)
     """
     reports = pair_verification_reports(source, x, y, [t], cutoff=cutoff,
-                                        which=("heat_leading", "wave_leading"),
-                                        method="auto" if _resolve(source).is_finite else "series")
+                                        which=("heat_leading", "wave_leading"))
     return reports[0], reports[1]
 
 
@@ -288,9 +284,8 @@ def exponent_fits(source, pairs, t0: float = 1e-3, ratio: float = 0.1,
         raise ValueError("need at least 3 grid points")
     if group not in ("heat", "wave"):
         raise ValueError(f"unknown group {group!r}; expected 'heat' or 'wave'")
-    graph = _resolve(source)
-    rows = PairRows(graph, pairs)
-    if select_route(rows, t0, "auto" if graph.is_finite else "series") == "eigen":
+    rows = PairRows(_resolve(source), pairs)
+    if select_route(rows, t0, "auto") == "eigen":
         raise ValueError(f"t0={t0} is too large for the series route: t0 * lambda_max > 1/2")
     grid = [t0 * ratio ** k for k in range(count)]
     xs = np.log(grid)

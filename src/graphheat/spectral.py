@@ -24,10 +24,10 @@ Matrix elements of e^{-tL} and e^{-itL} come in two routes:
   coefficients (t s)^n / n!; one pair's streams serve every t and both
   propagators, and :func:`heat_element` / :func:`wave_element` keep the last
   pair's rows in each thread, so a sweep over t reads them once.
-* ``auto`` picks series when t * lambda_max <= 1/2 and eigen otherwise.  Only
-  :func:`select_route` picks a route or rejects the series (t times lambda_max,
-  or on a procedural source the pairs' 1-neighborhood bound, above 2); every
-  reader passes it the rows it evaluates, so one gate covers them all.
+* ``auto`` picks series when t * lambda_max <= 1/2 and eigen otherwise (the series, its only
+  route, on a procedural source).  Only :func:`select_route` picks a route or rejects the series
+  (t times lambda_max, or on a procedural source the pairs' 1-neighborhood bound, above 2); every
+  reader passes it its rows and ``auto`` or its caller's method, so one gate covers them all.
 
 Two evaluators run these routes with the same arithmetic, so their values
 agree bitwise, and only this module picks one.  :func:`block_elements` takes
@@ -157,12 +157,13 @@ def decompose(graph: WeightedGraph) -> SpectralDecomposition:
     zero; genuinely negative eigenvalues raise, since the operator is
     positive semidefinite by construction.
     """
-    A, M = dense_matrices(graph)
-    m = np.diag(M).copy()  # a view would keep the n x n M alive with the decomposition
+    A, m = dense_matrices(graph)[0], graph.m
     s = 1.0 / np.sqrt(m)
-    S = A * s[:, None] * s[None, :]
-    S = 0.5 * (S + S.T)
-    w, V = np.linalg.eigh(S)
+    A *= s[:, None]  # scaled and symmetrized in place: the products of 0.5 (S + S^T), bitwise
+    A *= s
+    A += A.T
+    A *= 0.5
+    w, V = np.linalg.eigh(A)
     if len(w):
         scale = max(1.0, float(w[-1]))
         if w[0] < -EIGENVALUE_DUST * scale:
@@ -259,8 +260,9 @@ def select_route(source, t, method: str) -> str:
     ``auto`` takes series while t * lambda_max <= 1/2; an explicit series
     request is rejected once t * lambda_max > 2, where term growth costs
     accuracy.  lambda_max is read from the decomposition only when t times the
-    Gershgorin bound does not settle the comparison.  ``source`` may be the
-    :class:`PairRows` evaluated: on a procedural source their bound gates the series.
+    Gershgorin bound does not settle the comparison.  On a procedural source,
+    ``auto`` takes the series under that gate and ``eigen`` raises.  ``source`` may
+    be the :class:`PairRows` evaluated: on a procedural source their bound gates the series.
     """
     rows = source if isinstance(source, PairRows) else None
     graph = _resolve(source if rows is None else rows.source)
@@ -268,19 +270,21 @@ def select_route(source, t, method: str) -> str:
         raise ValueError(f"time must be finite and non-negative, got {t}")
     if method not in ("auto", "eigen", "series"):
         raise ValueError(f"unknown method {method!r}; expected 'eigen', 'series', or 'auto'")
-    if not graph.is_finite and method != "series":
-        raise ValueError(f"{method} evaluation needs a finite graph; request "
-                         "method='series' explicitly on procedural graphs")
     if method == "eigen":
+        if not graph.is_finite:
+            raise ValueError("eigen evaluation needs a finite graph; request "
+                             "method='series' explicitly on procedural graphs")
         return "eigen"
-    limit = 0.5 if method == "auto" else 2.0
+    gated = method == "series" or not graph.is_finite  # a procedural source has the series alone
+    limit = 2.0 if gated else 0.5
     # the rows' bound; a bare procedural source has no pairs, so nothing gates its series
     top = rows.bound if rows is not None else graph.bound if graph.is_finite else 0.0
     if graph.is_finite and t * top > limit * (1 - GATE_ROUNDING):
         top = float(_eigen(graph)[0][-1]) if graph.n else 0.0  # eigenvalues ascend
-    if method == "series" and t * top > 2:
+    if gated and t * top > 2:
         raise ValueError(f"series evaluation rejected at t={t}: t times the top-eigenvalue bound "
-                         f"{top:.6g} exceeds 2, where term growth costs accuracy; use eigen")
+                         f"{top:.6g} exceeds 2, where term growth costs accuracy"
+                         + ("; use eigen" if graph.is_finite else ""))
     return "series" if t * top <= limit else "eigen"
 
 
@@ -387,7 +391,8 @@ def _rounded_sums(terms: np.ndarray) -> np.ndarray:
     |r - sum(e)| <= gamma_K m (Higham 4.2) <= 2 K u m + K 2^-1074 after this bound's own
     rounding, and s + r = c + f exactly.  Where |f| plus that bound is below half the smaller
     gap next to |c|, c is the correctly rounded total; sum|a| < 2^1020 keeps every partial sum,
-    here and in fsum, finite.  Other elements (zeros, near-ties, overflow, inf, nan) take fsum."""
+    here and in fsum, finite.  Where m = 0, c is the exact total (+0.0 for zeros, as in fsum).
+    Other elements (inexact zeros, near-ties, overflow, inf, nan) take fsum."""
     s, r, m, t, b, e = (np.zeros(terms.shape[1:]) for _ in range(6))
     for a in terms:  # t = s + a, b = t - s, e = (s - (t - b)) + (a - b), in place
         np.subtract(np.add(s, a, out=t), s, out=b)
@@ -398,9 +403,9 @@ def _rounded_sums(terms: np.ndarray) -> np.ndarray:
         s, t = t, s
     c, k = s + r, len(terms)
     f = (s - (c - (c - s))) + (r - (c - s))
-    gap = np.abs(c) - np.nextafter(np.abs(c), 0)  # 0 at c = 0, so a zero sum takes fsum
-    certified = (np.abs(terms).sum(axis=0) < 2.0 ** 1020) & (
-        np.abs(f) + (k * 2.0 ** -52 * m + k * 2.0 ** -1074) < gap / 2)
+    gap = np.abs(c) - np.nextafter(np.abs(c), 0)  # 0 at c = 0, so only an exact sum certifies
+    certified = (np.abs(terms).sum(axis=0) < 2.0 ** 1020) & (  # m = 0: no step rounded
+        (m == 0) | (np.abs(f) + (k * 2.0 ** -52 * m + k * 2.0 ** -1074) < gap / 2))
     for j in np.flatnonzero(~certified).tolist():
         c[j] = math.fsum(terms[:, j].tolist())
     return c

@@ -6,7 +6,7 @@ from conftest import random_unit_vector, random_vector
 from graphheat import asymptotics
 from graphheat import (LaplacianOperator, ScalarFunction, WeightedGraph,
                        WeightedVector, combinatorial_distance, decompose, heat_element,
-                       leading_exponent_fit, leading_term_check, moment,
+                       leading_exponent_fit, leading_moment_order, leading_term_check, moment,
                        moment_table, pair_verification_reports, path_graph,
                        random_connected_graph, semigroup_bound, taylor_bound,
                        unitary_bound, vanishing_order_check,
@@ -341,6 +341,22 @@ def test_bound_report_margin_and_passed():
     assert rep.passed
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda g: pair_verification_reports(g, 0, 1, [0.1], which=("heat",)),
+     "unknown report tag 'heat'"),
+    (lambda g: leading_exponent_fit(g, 0, 1, group="wavelet"), "unknown group 'wavelet'"),
+    (lambda g: moment_table(LaplacianOperator(g), 0, 1, -1), "order must be non-negative"),
+    (lambda g: leading_moment_order(LaplacianOperator(g), 0, 1, -1),
+     "search bound must be non-negative"),
+    (lambda g: semigroup_bound(g, 0, 1, 0.1, -1), "order must be non-negative"),
+    (lambda g: taylor_bound(decompose(g), ScalarFunction.cosine(), WeightedVector.basis(g, 0),
+                            WeightedVector.basis(g, 1), -1), "order must be non-negative"),
+], ids=["tag", "group", "moment_table", "leading_moment_order", "semigroup", "taylor"])
+def test_unknown_names_and_negative_orders_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(path_graph(3))
+
+
 # -- procedural sources ---------------------------------------------------------
 
 
@@ -356,6 +372,32 @@ def test_procedural_reports_take_the_series_gate():
     [reports] = verification_reports(line, [(0, 0, 0)], [0.5], method="series")
     assert len(reports) == 4 and all(rep.passed for rep in reports)
     assert vanishing_order_check(line, 0, 40, 5, [0.5, 1e-3]).passed
+
+
+def test_every_default_on_a_procedural_source_is_the_series():
+    """Each reader's defaults on the line take its only route: the bits of
+    method='series' where a reader takes a method, and e^{-2t} I_d(2t) to 1e-14."""
+    import mpmath
+    from graphheat import integer_line
+    line, ts = integer_line(), [1e-4, 4e-4, 2e-3, 8e-3, 3e-2, 0.1]
+    for d in range(25):
+        for t in ts:
+            heat = heat_element(line, 0, d, t)
+            assert repr(heat) == repr(heat_element(line, 0, d, t, method="series"))
+            assert repr(wave_element(line, 0, d, t)) == repr(
+                wave_element(line, 0, d, t, method="series"))
+            with mpmath.workdps(40):
+                exact = float(mpmath.exp(-2 * mpmath.mpf(t)) * mpmath.besseli(d, 2 * mpmath.mpf(t)))
+            assert abs(heat - exact) <= 1e-14 * exact, (d, t)
+    for d in (0, 1, 3, 8):
+        series = pair_verification_reports(line, 0, d, ts, cutoff=10, method="series")
+        assert repr(pair_verification_reports(line, 0, d, ts, cutoff=10)) == repr(series)
+        for i, t in enumerate(ts):  # per t: heat_leading, wave_leading, semigroup, unitary
+            assert repr(leading_term_check(line, 0, d, t, cutoff=10)) == repr(
+                tuple(series[4 * i:4 * i + 2]))
+            assert repr(semigroup_bound(line, 0, d, t, d)) == repr(series[4 * i + 2])
+    assert repr(varadhan_diagnostic(line, 0, 5, ts)) == repr(tuple(
+        (t, t * math.log(heat_element(line, 0, 5, t, method="series"))) for t in ts))
 
 
 def test_bound_readers_take_the_gated_series_on_procedural_sources():

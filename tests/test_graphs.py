@@ -37,6 +37,8 @@ def test_constructor_mirrors_edges():
     lambda: WeightedGraph(3, [(0, 1.7, 1.0)]),          # non-integral vertex id
     lambda: WeightedGraph(3, [(2.0, 1, 1.0)]),          # float vertex id
     lambda: WeightedGraph(2.9, [(0, 1, 1.0)]),          # non-integral vertex count
+    lambda: WeightedGraph(-1),                          # negative vertex count
+    lambda: WeightedGraph(3, measure=[1.0, 2.0]),       # two measures for three vertices
 ])
 def test_constructor_rejects_invalid(bad):
     with pytest.raises(ValueError):
@@ -253,6 +255,26 @@ def test_procedural_asymmetric_oracle_rejected():
 def test_weight_rejects_a_non_integer_vertex(source):
     with pytest.raises(ValueError, match="unknown vertex id 1.7"):
         source.weight(0, 1.7)
+
+
+@pytest.mark.parametrize("oracles, ask, message", [
+    ((lambda x: [(x, 1.0)],), "neighbors", "self-loop at vertex 0"),
+    ((lambda x: [(x + 1, 0.0)],), "neighbors", "non-positive weight 0.0 on edge"),
+    ((lambda x: [(x + 1, math.nan)],), "neighbors", "non-positive weight nan on edge"),
+    ((lambda x: [(x + 1, 1.0), (x + 1, 1.0)],), "neighbors", "neighbor 1 of 0 twice"),
+    ((lambda x: [], lambda x: 0.0), "measure", "positive and finite at vertex 0, got 0.0"),
+    ((lambda x: [], None, lambda x: -1.0), "killing", "non-negative and finite at vertex 0"),
+], ids=["loop", "zero", "nan", "twice", "measure", "killing"])
+def test_procedural_oracle_answers_are_checked(oracles, ask, message):
+    with pytest.raises(ValueError, match=message):
+        getattr(ProceduralGraph(*oracles), ask)(0)
+
+
+def test_procedural_degree_and_connectivity():
+    line = integer_line()
+    assert degree(line, 0) == 2.0  # the row's weight sum over the measure
+    with pytest.raises(ValueError, match="connectivity check requires a finite graph"):
+        is_connected(line)
 
 
 def test_procedural_max_degree_enforced():

@@ -33,6 +33,27 @@ def test_inner_graph_mismatch():
         inner(f, h)
 
 
+@pytest.mark.parametrize("combine, message", [
+    (lambda f, h: f + h, "vectors live on different graphs"),
+    (lambda f, h: LaplacianOperator(h.graph).apply(f), "vector lives on a different graph"),
+    (lambda f, h: quadratic_form(f.graph, f, h), "vectors live on a different graph"),
+], ids=["add", "apply", "quadratic_form"])
+def test_vectors_of_two_graphs_do_not_combine(combine, message):
+    f, h = (WeightedVector.basis(path_graph(2), 0) for _ in range(2))
+    with pytest.raises(ValueError, match=message):
+        combine(f, h)
+
+
+@pytest.mark.parametrize("dense", [
+    lambda line: WeightedVector.basis(line, 0).to_array(),
+    lambda line: WeightedVector.from_array(line, np.ones(3)),
+    dense_matrices,
+], ids=["to_array", "from_array", "dense_matrices"])
+def test_dense_forms_need_a_finite_graph(dense):
+    with pytest.raises(ValueError, match="dense form requires a finite graph"):
+        dense(integer_line())
+
+
 def test_vector_drops_exact_zeros():
     g = path_graph(3)
     f = WeightedVector(g, {0: 1.0, 1: 0.0, 2: -2.0})

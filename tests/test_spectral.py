@@ -9,7 +9,7 @@ from conftest import random_vector
 from graphheat import spectral
 from graphheat import (LaplacianOperator, ProceduralGraph, ScalarFunction, WeightedGraph,
                        WeightedVector, complete_graph, decompose,
-                       functional_calculus, heat_element, inner, moment,
+                       functional_calculus, heat_element, inner, integer_line, moment,
                        path_graph, path_sum_moment, polarized_measure,
                        propagate_heat, propagate_wave, random_connected_graph,
                        spectral_measure, spectral_measure_diag,
@@ -206,14 +206,19 @@ def test_series_guard_rejects_large_t():
         heat_element(g, 0, 1, 1.5, method="series")
 
 
-def test_auto_needs_finite_graph():
+def test_auto_on_a_procedural_source_is_the_series():
     from graphheat import integer_line
     line = integer_line()
-    with pytest.raises(ValueError, match="series"):
-        heat_element(line, 0, 1, 0.1)
-    # the series route works directly on the oracle
-    value = heat_element(line, 0, 1, 0.1, method="series")
-    assert value > 0
+    # the series is the oracle's only route, so auto takes it, bit for bit
+    value = heat_element(line, 0, 1, 0.1)
+    assert value > 0 and value.hex() == heat_element(line, 0, 1, 0.1, method="series").hex()
+    assert repr(wave_element(line, 0, 1, 0.1)) == repr(
+        wave_element(line, 0, 1, 0.1, method="series"))
+    # past the gate, only a finite graph's message offers the eigen route
+    with pytest.raises(ValueError, match="rejected at t=12.0: .* costs accuracy$"):
+        heat_element(line, 0, 0, 12.0, method="series")
+    with pytest.raises(ValueError, match="rejected at t=12.0: .*; use eigen$"):
+        heat_element(path_graph(3), 0, 0, 12.0, method="series")
 
 
 def test_series_gate_on_procedural_sources():
@@ -340,6 +345,23 @@ def test_a_decomposition_passed_in_is_not_built_again(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: decompose(WeightedGraph.from_adjacency([{1: -1.0}, {0: -1.0}])), ArithmeticError,
+     "eigenvalue -2.0 is negative"),
+    (lambda: spectral_radius_bound(integer_line()), ValueError, "requires a finite graph"),
+    (lambda: heat_element(path_graph(3), 0, 1, 0.1, method="fast"), ValueError,
+     "unknown method 'fast'"),
+    (lambda: heat_element("path:3", 0, 1, 0.1), TypeError, "got str"),
+    (lambda g=path_graph(2): propagate_heat(decompose(g), WeightedVector.basis(g, 0), -1.0),
+     ValueError, "time must be non-negative"),
+    (lambda: ScalarFunction(math.cos, (1.0,), -1.0), ValueError,
+     "derivative bound must be non-negative"),
+], ids=["negative_eigenvalue", "radius_bound", "method", "source", "propagate", "derivative"])
+def test_spectral_inputs_are_checked(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 # -- the one route selector ---------------------------------------------------
 
 
@@ -380,6 +402,9 @@ def test_select_route_reads_the_bound_of_the_rows():
     assert spectral.select_route(rows, 0.5, "series") == "series"
     with pytest.raises(ValueError, match="series evaluation rejected at t=0.75"):
         spectral.select_route(rows, 0.75, "series")
-    for method in ("auto", "eigen"):
-        with pytest.raises(ValueError, match="request method='series' explicitly"):
-            spectral.select_route(rows, 0.1, method)
+    with pytest.raises(ValueError, match="request method='series' explicitly"):
+        spectral.select_route(rows, 0.1, "eigen")
+    # auto takes the series, the only route, under the same gate
+    assert spectral.select_route(rows, 0.1, "auto") == "series"
+    with pytest.raises(ValueError, match="series evaluation rejected at t=0.75"):
+        spectral.select_route(rows, 0.75, "auto")
