@@ -33,11 +33,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .asymptotics import TAGS, exponent_fits, passes, verification_blocks
+from .asymptotics import BLOCK_ELEMENTS, TAGS, exponent_fits, passes, verification_blocks
 from .generators import from_spec
 from .graphio import GraphFormatError, load_graph
 from .graphs import INFINITE, combinatorial_distance, distances_from
-from .moments import UnknownAbove, first_nonzero_orders, moment_table
+from .moments import PairRows, UnknownAbove, first_nonzero_orders, moment_table
 from .operators import LaplacianOperator
 from .spectral import _series_coefficient, heat_element, select_route, wave_element
 
@@ -269,35 +269,33 @@ def _cmd_exponent(args, graph, pairs, fh) -> int:
     return EXIT_OK
 
 
-def _pair_overlay(graph, op, x, y, cutoff):
-    """(d, s, |m_xy(d)|/s^d, (m_xx(d+1) + m_yy(d+1))/s^(d+1)) at the graph's scale s, or None."""
-    d = combinatorial_distance(graph, x, y, cutoff=cutoff)
+def _pair_overlay(rows, op, x, y, cutoff):
+    """(d, s, |m_xy(d)|/s^d, (m_xx(d+1) + m_yy(d+1))/s^(d+1)) at the rows' scale s, or None."""
+    d = combinatorial_distance(rows.source, x, y, cutoff=cutoff)
     if d == INFINITE:
         return None
-    scale = graph.scale
-    exp = round(math.log2(scale))
-    lead = abs(moment_table(op, x, y, d).values[d])
+    exp, lead = rows.exp, abs(moment_table(op, x, y, d).values[d])
     mxx = moment_table(op, x, x, d + 1).values[d + 1]
     myy = moment_table(op, y, y, d + 1).values[d + 1]
-    return d, scale, math.ldexp(lead, -exp * d), math.ldexp(mxx + myy, -exp * (d + 1))
+    return d, rows.scale, math.ldexp(lead, -exp * d), math.ldexp(mxx + myy, -exp * (d + 1))
 
 
 def _cmd_sweep(args, graph, pairs, fh) -> int:
     out = csv.writer(fh, lineterminator="\n")  # floats print as their repr
     ts = sorted([args.t0 * args.ratio ** k for k in range(args.count)] + [0.0])
-    op = LaplacianOperator(graph)
+    op, size = LaplacianOperator(graph), max(1, BLOCK_ELEMENTS // len(ts))  # pairs per stream
     out.writerow(["x", "y", "t", "value", "leading", "bound", "method"])
     try:
         routes = [select_route(graph, t, args.method) for t in ts]
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
-    for x, y in pairs:
-        overlay = _pair_overlay(graph, op, x, y, args.cutoff)
+    for k, (x, y) in enumerate(pairs):
+        if k % size == 0:  # one stream per block: the floats a stream converts live with it
+            rows = PairRows(graph, pairs[k:k + size])
+        overlay = _pair_overlay(rows, op, x, y, args.cutoff)
         for t, method in zip(ts, routes):
-            if args.unitary:
-                value = abs(wave_element(graph, x, y, t, method=method))
-            else:
-                value = heat_element(graph, x, y, t, method=method)
+            value = (abs(wave_element(rows, x, y, t, method=method)) if args.unitary
+                     else heat_element(rows, x, y, t, method=method))
             if overlay is None:
                 leading, bound = "", ""
             else:

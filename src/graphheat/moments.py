@@ -6,8 +6,8 @@ step, and yields per order one array, the moments at the (vertex, column)
 targets its caller names, so no reader knows the block's layout or the
 hop ball it runs on; that ball grows with the orders, so a stream costs what
 its support costs.  Each column is bitwise the stream of its vector alone on
-the whole graph, so one stream serves many pairs:
-:class:`PairRows` reads any number of pairs from one stream over their
+the whole graph, so one stream serves many pairs: :class:`PairRows` reads the
+pairs of a report or fit run, or of a sweep's block, from one stream over their
 distinct vertices, and :func:`first_nonzero_orders` the first nonzero orders
 of many sources.  The array kernel keeps exact zeros (see
 :mod:`graphheat.graphs`), so a moment is the float 0.0 precisely when no
@@ -18,8 +18,8 @@ cancellation can occur at the critical order.
 
 The moment readers stream with s = 1, since their values are the moments
 themselves.  :class:`PairRows`, which feeds the series route, divides by the
-Gershgorin bound rounded up to a power of two: its vectors stay bounded
-and the division is exact, so s^n (L/s)^n v has the digits of L^n v.
+Gershgorin bound (the pairs' 1-ball's on a procedural source) rounded up to a
+power of two: its vectors stay bounded, and the exact division keeps L^n v's digits.
 
 ``path_sum_moment`` recomputes a moment by brute-force enumeration of the
 contributing vertex sequences; it is an independent cross-check for the
@@ -62,10 +62,9 @@ class EnumerationBudgetError(RuntimeError):
     """path_sum_moment visited more sequences than its budget allows."""
 
 
-def stream(source, vectors, scale: float, targets, balls=None):
+def stream(source, vectors, scale: float, targets):
     """Yield, for n = 0, 1, ..., the array of moments <1_v, (L/scale)^n vectors[j]>
-    at the (v, j) pairs of ``targets``, a sequence of pairs or an array of them; ``balls``
-    is a :class:`BallSearch` around the vectors' supports that the caller has begun.
+    at the (v, j) pairs of ``targets``, a sequence of pairs or an array of them.
 
     ``vectors`` are {vertex: value} mappings, advanced as the columns of one block
     by one :meth:`LaplacianOperator.apply` per step on the hop ball of radius r
@@ -87,7 +86,7 @@ def stream(source, vectors, scale: float, targets, balls=None):
     block = np.zeros((len(labels), len(vectors)), dtype=complex if complex_values else float)
     for j, vec in enumerate(vectors):
         block[np.searchsorted(labels, list(vec)), j] = list(vec.values())
-    order, radius, balls = 0, INITIAL_RADIUS, balls or BallSearch(source, centers)
+    order, radius, balls = 0, INITIAL_RADIUS, BallSearch(source, centers)
     while True:
         if source.is_finite and len(centers) * (1 + sum(
                 degree * (degree - 1) ** k for k in range(radius))) >= source.n:
@@ -119,8 +118,8 @@ class PairRows:
 
     ``self[n]`` holds m(x) u_y[x] for the i-th pair (x, y) at index i, then
     m(v) u_v[v] for the j-th vertex v at index P + j, where u_v is the column of
-    1_v, P the number of pairs and s = ``self.scale``; ``at[i]`` holds the
-    indices of the i-th pair's (xy, xx, yy), and ``pairs[i]`` the pair.  The
+    1_v, P the number of pairs and s = ``self.scale``; ``at[i]`` holds the indices
+    of the i-th pair's (xy, xx, yy), ``pairs[i]`` the pair and ``index[pair]`` i.  The
     stream runs only as far as the highest order asked for, and every order
     read is kept, so all pairs, times and propagators share one stream.
     """
@@ -135,13 +134,13 @@ class PairRows:
         self.vertices = np.array(vertices, dtype=np.intp)
         self.at = np.array([(i, len(pairs) + column[x], len(pairs) + column[y])
                             for i, (x, y) in enumerate(pairs)], dtype=np.intp).reshape(-1, 3)
-        # the bound and scale of the graph, or of the 1-ball of the search the stream grows
-        balls = BallSearch(source, vertices)
-        kernel = source if source.is_finite else balls.ball(1)[1]
-        self.bound, self.scale = kernel.bound, kernel.scale
-        self.exp = round(math.log2(self.scale))
+        self.index = {(x, y): i for i, (x, y) in enumerate(self.pairs)}
+        # the bound of the graph, or of the pairs' 1-ball, and the power of two at or above it
+        self.bound = source.bound if source.is_finite else source.ball_bound(vertices)
+        self.exp = math.ceil(math.log2(self.bound)) if self.bound > 0 else 0
+        self.scale = 2.0 ** self.exp
         targets = [(x, column[y]) for x, y in pairs] + [(v, column[v]) for v in vertices]
-        self._steps = stream(source, [{v: 1.0} for v in vertices], self.scale, targets, balls)
+        self._steps = stream(source, [{v: 1.0} for v in vertices], self.scale, targets)
         self._orders, self.converted = [], defaultdict(list)
 
     def __getitem__(self, n: int) -> np.ndarray:

@@ -200,6 +200,11 @@ def quadratic_form(graph, f: WeightedVector, h: WeightedVector):
 
 def dense_matrices(graph, max_size: int = DENSE_SIZE_LIMIT):
     """(A, M) with A[x, y] = <1_x, L 1_y> and M = diag(m), so L = M^-1 A."""
+    return _dense_form(graph, max_size), np.diag(graph.m)
+
+
+def _dense_form(graph, max_size: int = DENSE_SIZE_LIMIT) -> np.ndarray:
+    """The A of :func:`dense_matrices` alone."""
     if not graph.is_finite:
         raise ValueError("dense form requires a finite graph")
     n = graph.n
@@ -208,4 +213,4 @@ def dense_matrices(graph, max_size: int = DENSE_SIZE_LIMIT):
     A = np.zeros((n, n))
     A[graph.rows, graph.cols] = -graph.w
     A[np.diag_indices(n)] = graph.diag
-    return A, np.diag(graph.m)
+    return A

@@ -3,9 +3,9 @@
 ``decompose`` diagonalizes the similar symmetric matrix M^{1/2} L M^{-1/2} =
 M^{-1/2} A M^{-1/2} and maps the orthonormal eigenvectors back with M^{-1/2},
 which makes them orthonormal in the m-weighted inner product.  All functional
-calculus runs through the resulting eigenpairs.  The element functions take
-a decomposition, an operator, or a graph and resolve it to the graph; its
-eigenpairs are built once while it lives, or come from a decomposition passed in.
+calculus runs through the resulting eigenpairs.  The element functions take a
+decomposition, an operator, a graph or its PairRows and resolve it to the graph,
+whose eigenpairs are built once while it lives or come from a decomposition.
 
 Matrix elements of e^{-tL} and e^{-itL} come in two routes:
 
@@ -21,9 +21,9 @@ Matrix elements of e^{-tL} and e^{-itL} come in two routes:
   cancellation, and the exact zeros of the moment streams make elements across
   disconnected components exactly 0.0.  The moments come from the streams
   (L/s)^n of :class:`~graphheat.moments.PairRows` and meet the bounded
-  coefficients (t s)^n / n!; one pair's streams serve every t and both
-  propagators, and :func:`heat_element` / :func:`wave_element` keep the last
-  pair's rows in each thread, so a sweep over t reads them once.
+  coefficients (t s)^n / n!; one stream serves every t, both propagators and
+  every pair of the rows, which :func:`heat_element` / :func:`wave_element` read
+  when passed (a sweep passes one per block of pairs), else the last pair's per thread.
 * ``auto`` picks series when t * lambda_max <= 1/2 and eigen otherwise (the series, its only
   route, on a procedural source).  Only :func:`select_route` picks a route or rejects the series
   (t times lambda_max, or on a procedural source the pairs' 1-neighborhood bound, above 2); every
@@ -51,7 +51,7 @@ import numpy as np
 
 from .graphs import CHUNK, ProceduralGraph, WeightedGraph
 from .moments import PairRows
-from .operators import LaplacianOperator, WeightedVector, _exact_sum, dense_matrices
+from .operators import LaplacianOperator, WeightedVector, _dense_form, _exact_sum
 
 # default stopping tolerance keeps series noise an order below the 1e-9
 # slack of bound reports even when the element dwarfs the bound (tight
@@ -157,7 +157,7 @@ def decompose(graph: WeightedGraph) -> SpectralDecomposition:
     zero; genuinely negative eigenvalues raise, since the operator is
     positive semidefinite by construction.
     """
-    A, m = dense_matrices(graph)[0], graph.m
+    A, m = _dense_form(graph), graph.m
     s = 1.0 / np.sqrt(m)
     A *= s[:, None]  # scaled and symmetrized in place: the products of 0.5 (S + S^T), bitwise
     A *= s
@@ -420,16 +420,18 @@ def _series_coefficient(ts, n: int) -> float:
     return coef
 
 
-# the last pair's rows and their (graph, x, y) in each thread: successive
-# elements of one pair (a sweep over t, heat then wave) read one stream
+# per thread, the last pair's (graph, x, y) and rows: one pair's run of elements reads one stream
 _LAST_PAIR = threading.local()
 
 
 def _element(source, x, y, t, method, unitary):
+    if isinstance(source, PairRows):  # rows the caller keeps, which hold the pair
+        if (x, y) not in source.index:
+            raise ValueError(f"pair ({x}, {y}) is not among the pairs of the rows")
+        return pair_element(source, source.index[x, y], t, select_route(source, t, method), unitary)
     graph = _resolve(source)
     key, rows = getattr(_LAST_PAIR, "pair", (None, None))
-    # kept only after a success: a stream that raised cannot go on
-    _LAST_PAIR.pair = None, None
+    _LAST_PAIR.pair = None, None  # kept only after a success: a stream that raised cannot go on
     if key != (graph, x, y):
         key, rows = (graph, x, y), PairRows(graph, [(x, y)])
     value = pair_element(rows, 0, t, select_route(rows, t, method), unitary)
@@ -438,7 +440,7 @@ def _element(source, x, y, t, method, unitary):
 
 
 def heat_element(source, x, y, t, method: str = "auto") -> float:
-    """<1_x, e^{-tL} 1_y>.  ``source`` is a decomposition, operator, or graph."""
+    """<1_x, e^{-tL} 1_y>.  ``source`` is a decomposition, operator, graph or PairRows of (x, y)."""
     return _element(source, x, y, t, method, unitary=False)
 
 

@@ -10,10 +10,32 @@ import random
 
 from hypothesis import settings
 
-from graphheat import WeightedVector
+from graphheat import ProceduralGraph, WeightedVector
 
 settings.register_profile("long", max_examples=10_000)
 settings.load_profile(os.environ.get("GRAPHHEAT_HYPOTHESIS_PROFILE", "default"))
+
+
+def doubling_line():
+    """The integer line with the weight 2^max(|a|, |b|) on the edge (a, b): its
+    1-balls pass the series gate while its moments overflow."""
+    return ProceduralGraph(lambda u: [(u - 1, 2.0 ** max(abs(u - 1), abs(u))),
+                                      (u + 1, 2.0 ** max(abs(u), abs(u + 1)))])
+
+
+def random_oracle(seed):
+    """A procedural graph drawn from ``seed``: the edge (u, u + k), k = 1..3, is present with
+    probability 0.6 and weighs 10^U(-4, 4); the measures are 10^U(-3, 3) and a killing term
+    is 0, 0.5 or 3, each drawn from the seed and the vertices it concerns."""
+    def drawn(*key):
+        return random.Random(":".join(map(str, (seed,) + key)))
+
+    def neighbors(u):
+        draws = [(v, drawn(min(u, v), max(u, v))) for k in (1, 2, 3) for v in (u - k, u + k)]
+        return sorted((v, 10.0 ** rng.uniform(-4, 4)) for v, rng in draws if rng.random() < 0.6)
+
+    return ProceduralGraph(neighbors, measure_fn=lambda u: 10.0 ** drawn("m", u).uniform(-3, 3),
+                           killing_fn=lambda u: drawn("c", u).choice((0.0, 0.5, 3.0)))
 
 
 def random_vector(graph, seed, complex_values=False, density=0.7):

@@ -8,7 +8,9 @@ import sys
 import pytest
 
 from graphheat import (INFINITE, LaplacianOperator, cli, combinatorial_distance, from_spec,
-                       leading_exponent_fit, path_graph)
+                       heat_element, leading_exponent_fit, path_graph)
+from graphheat.moments import PairRows
+from graphheat.spectral import select_route
 from graphheat.cli import CliError, _select_pairs, main
 from graphheat.graphs import BallSearch
 
@@ -556,6 +558,30 @@ def test_sweep_chooses_each_route_once_per_time(capsys, monkeypatch):
     ts = [float(row[2]) for row in table if row[0] == "0"]
     assert calls == ts and len(ts) == 17
     assert {row[6] for row in table} == {"series", "eigen"}  # both routes run
+
+
+def test_sweep_reads_each_block_of_pairs_from_one_stream(capsys, monkeypatch):
+    # 1,770 pairs at 17 times: blocks of 4096 // 17 = 240 pairs, one stream each, and the
+    # values and routes of a heat_element call per pair on the graph
+    sizes, real = [], PairRows.__init__
+
+    def counting(self, source, pairs):
+        sizes.append(len(pairs))
+        real(self, source, pairs)
+
+    monkeypatch.setattr(PairRows, "__init__", counting)
+    code, out, _ = run(capsys, "heat", "--gen", "random:60:0.1:4:c", "--pairs", "all")
+    assert code == 0 and sizes == [240] * 7 + [90]
+    monkeypatch.undo()
+    g = from_spec("random:60:0.1:4:c")
+    ts = sorted([0.5 ** k for k in range(16)] + [0.0])
+    routes = [select_route(g, t, "auto") for t in ts]
+    expected = "".join(f"{x},{y},{t!r},{heat_element(g, x, y, t, method=route)!r},{route}\n"
+                       for x in range(g.n) for y in range(x + 1, g.n)
+                       for t, route in zip(ts, routes))
+    _, table = rows(out)
+    assert "".join(",".join(row[:4] + row[6:]) + "\n" for row in table) == expected
+    assert {route for route in routes} == {"series", "eigen"}
 
 
 @pytest.mark.parametrize("command", ["heat", "wave"])

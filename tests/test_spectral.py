@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_vector
+from conftest import doubling_line, random_vector
 from graphheat import spectral
-from graphheat import (LaplacianOperator, ProceduralGraph, ScalarFunction, WeightedGraph,
-                       WeightedVector, complete_graph, decompose,
+from graphheat import (LaplacianOperator, ScalarFunction, WeightedGraph,
+                       WeightedVector, complete_graph, decompose, dense_matrices, from_spec,
                        functional_calculus, heat_element, inner, integer_line, moment,
                        path_graph, path_sum_moment, polarized_measure,
                        propagate_heat, propagate_wave, random_connected_graph,
@@ -235,24 +235,17 @@ def test_series_gate_on_procedural_sources():
     assert abs(heat_element(line, 0, 0, 0.5, method="series") - exact) <= 1e-14 * exact
 
 
-def _doubling_line():
-    """The integer line with the weight 2^max(|a|, |b|) on the edge (a, b): its
-    1-balls pass the series gate while its moments overflow."""
-    return ProceduralGraph(lambda u: [(u - 1, 2.0 ** max(abs(u - 1), abs(u))),
-                                      (u + 1, 2.0 ** max(abs(u), abs(u + 1)))])
-
-
 def test_series_rejects_terms_that_are_not_finite():
     # the stopping rule took SERIES_RTOL * abs(-inf) for a met target and returned -inf;
     # under the error filter for RuntimeWarning the overflow must surface as this error
     for t in (0.05, 0.1, 0.2):
         for element in (heat_element, wave_element):
             with pytest.raises(ArithmeticError, match="at order [1-9][0-9]? short"):
-                element(_doubling_line(), 0, 0, t, method="series")
+                element(doubling_line(), 0, 0, t, method="series")
 
 
 def test_array_series_rejects_terms_that_are_not_finite():
-    rows = PairRows(_doubling_line(), [(0, 0), (0, 1)])  # two pairs take the array series
+    rows = PairRows(doubling_line(), [(0, 0), (0, 1)])  # two pairs take the array series
     for unitary in (False, True):
         with pytest.raises(ArithmeticError, match="at order [1-9][0-9]? short"):
             spectral.block_elements(rows, slice(None), [0.05, 0.1], ["series"] * 2, unitary)
@@ -408,3 +401,46 @@ def test_select_route_reads_the_bound_of_the_rows():
     assert spectral.select_route(rows, 0.1, "auto") == "series"
     with pytest.raises(ValueError, match="series evaluation rejected at t=0.75"):
         spectral.select_route(rows, 0.75, "auto")
+
+
+@pytest.mark.parametrize("spec", ["path:7", "star:6", "complete:5", "random:12:0.15:8:c",
+                                  "random:40:0.1:1:0.01:100:0.001:10:c"])
+def test_decompose_is_the_eigh_of_the_symmetrized_dense_form(spec):
+    # decompose builds A alone; its eigenpairs keep the bits of eigh of 0.5 (S + S^T),
+    # S = M^-1/2 A M^-1/2 taken from the A and M of dense_matrices
+    g = from_spec(spec)
+    A, M = dense_matrices(g)
+    assert M.tobytes() == np.diag(g.m).tobytes()
+    s = 1.0 / np.sqrt(g.m)
+    S = A * s[:, None] * s
+    w, V = np.linalg.eigh(0.5 * (S + S.T))
+    dec = decompose(g)
+    assert dec.eigenvalues.tobytes() == np.where(w < 0, 0.0, w).tobytes()
+    assert dec.eigenvectors.tobytes() == (V * s[:, None]).tobytes()
+
+
+def test_elements_read_from_pair_rows_equal_the_graph_source_calls():
+    # every pair of a graph with two components and two isolated vertices (9 and 11), one
+    # stream for all of them, on the sweep's default grid and through both routes
+    g = from_spec("random:12:0.15:8:c")
+    pairs = [(x, y) for x in range(g.n) for y in range(x, g.n)]
+    rows, ts, routes = PairRows(g, pairs), sorted([0.5 ** k for k in range(16)] + [0.0]), set()
+    assert {(0, 9), (9, 11), (0, 2)} <= set(pairs) and heat_element(g, 0, 9, 0.01) == 0.0
+    for method in ("auto", "series", "eigen"):
+        ts_m = [t for t in ts if method != "series" or t * g.bound <= 2]
+        routes.update(spectral.select_route(rows, t, method) for t in ts_m)
+        for x, y in pairs:
+            for t in ts_m:
+                for element in (heat_element, wave_element):
+                    expected = element(g, x, y, t, method=method)
+                    assert repr(element(rows, x, y, t, method=method)) == repr(expected)
+    assert routes == {"series", "eigen"}
+
+
+def test_rows_hold_only_their_own_pairs():
+    rows = PairRows(path_graph(4), [(0, 2), (1, 1)])
+    for element in (heat_element, wave_element):
+        element(rows, 0, 2, 0.1)
+        for x, y in [(2, 0), (0, 1), (3, 3)]:  # (2, 0) is the stored (0, 2) reversed
+            with pytest.raises(ValueError, match=re.escape(f"pair ({x}, {y}) is not among")):
+                element(rows, x, y, 0.1)

@@ -20,6 +20,8 @@ from graphheat.moments import (INITIAL_RADIUS, PairRows, first_nonzero_moments,
 from graphheat.graphs import CHUNK, BallSearch
 from graphheat.spectral import pair_element, select_route
 
+from conftest import doubling_line, random_oracle
+
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
@@ -249,7 +251,7 @@ def _ball_streams_match_the_whole_graph(g, x, y, orders):
         radii = [[call.args[1] for call in built.call_args_list]]
         built.reset_mock()
         rows = PairRows(g, [(x, y)])
-        whole = _whole_graph(g, sources, g.scale)
+        whole = _whole_graph(g, sources, rows.scale)
         for n in range(orders + 1):
             block = next(whole)
             assert _bits(rows[n]) == _bits([block[x, column[y]]]
@@ -310,7 +312,7 @@ def _reference_ball(source, centers, radius):
 def _ball_bits(labels, kernel):
     arrays = [labels] + [getattr(kernel, name) for name in ("rows", "cols", "w", "m", "diag")]
     return ([(a.dtype, a.tobytes()) for a in arrays]
-            + [(kernel.bound, kernel.scale, kernel.degree)])
+            + [(kernel.bound, kernel.degree)])
 
 
 def _killing_chain():
@@ -451,3 +453,19 @@ def test_array_kernel_matches_dense_matrix():
         measures = np.array([g.measure(x) for x in g.vertices])
         scale = np.abs(A) @ np.abs(f) / measures
         assert np.all(np.abs(op.apply(f) - A @ f / measures) <= 1e-14 * scale)
+
+
+@SETTINGS
+@given(st.sampled_from(["line", "doubling", "random"]), st.integers(0, 2 ** 32),
+       st.lists(st.integers(-30, 30), max_size=4))
+def test_the_bound_of_a_procedural_1_ball_is_that_of_its_slice(kind, seed, centers):
+    # PairRows reads its bound from the explored rows instead of slicing the 1-ball
+    make = {"line": integer_line, "doubling": doubling_line,
+            "random": lambda: random_oracle(seed)}[kind]
+    kernel = BallSearch(make(), centers).ball(1)[1]
+    assert make().ball_bound(centers).hex() == kernel.bound.hex()
+    rows = PairRows(make(), [(x, x + 1) for x in centers])
+    vertices = sorted({v for x in centers for v in (x, x + 1)})
+    sliced = BallSearch(make(), vertices).ball(1)[1]
+    scale = 2.0 ** math.ceil(math.log2(sliced.bound)) if sliced.bound > 0 else 1.0
+    assert (rows.bound.hex(), rows.scale, 2.0 ** rows.exp) == (sliced.bound.hex(), scale, scale)
