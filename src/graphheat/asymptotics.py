@@ -13,13 +13,12 @@ element carries an absolute rounding floor of about n * eps * sqrt(m(x) m(y))
 whatever its size, so where the bound is that small, ``lhs`` can be off by
 more than 1e-9 * rhs.
 
-A pair's report at order n has the series' own n-th term as its leading
-term and that term's remainder bound, the series route's stopping bound, as
-its bound, both over the moments scaled by s^n, so they hold at any hop
-distance.  Every report and fit reads its pairs from one block stream, as arrays of
-:func:`~graphheat.spectral.block_elements` over BLOCK_ELEMENTS (pair, t) elements or one
-pair: one builder forms the reports, which :func:`verification_blocks` yields and every
-other check reads as :class:`BoundReport` lists, and :func:`exponent_fits` fits them.
+A pair's report at order n has the series' own n-th term as its leading term and that term's
+remainder bound, the series route's stopping bound, as its bound, both over the moments scaled by
+s^n, so they hold at any hop distance.  Every report and fit reads its pairs from one block stream,
+as arrays of :func:`~graphheat.spectral.block_elements` over BLOCK_ELEMENTS (pair, t) elements or
+one pair: one builder forms the reports, which :func:`verification_blocks` yields and every other
+check reads as :class:`BoundReport` lists, and :func:`exponent_fits` fits a block in one solve.
 """
 
 from __future__ import annotations
@@ -274,8 +273,9 @@ def leading_exponent_fit(source, x, y, t0: float = 1e-3, ratio: float = 0.1,
 def exponent_fits(source, pairs, t0: float = 1e-3, ratio: float = 0.1,
                   count: int = 4, group: str = "heat"):
     """Yield the :func:`leading_exponent_fit` of each (x, y) of ``pairs`` in order,
-    bitwise, from one :class:`PairRows` stream, a block at a time; the grid
-    is checked and the route chosen once, when the first fit is taken."""
+    bitwise, from one :class:`PairRows` stream, a block at a time, whose pairs up to
+    the first that underflows share one ``np.polyfit`` (a column each, fitted as alone);
+    the grid is checked and the route chosen once, when the first fit is taken."""
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     if not 0 < ratio < 1:
@@ -293,20 +293,21 @@ def exponent_fits(source, pairs, t0: float = 1e-3, ratio: float = 0.1,
     for start in range(0, len(pairs), size):
         values = block_elements(rows, slice(start, start + size), grid,
                                 ["series"] * count, unitary=(group == "wave"))
-        # |value| as Python's abs takes it, for either propagator
-        for (x, y), row in zip(pairs[start:start + size],
-                               np.hypot(values.real, values.imag).tolist()):
-            low = next((k for k, value in enumerate(row) if value <= UNDERFLOW_FLOOR), None)
-            if low is not None:
-                raise ArithmeticError(
-                    f"element underflowed at t={grid[low]} after {low} of {count} grid "
-                    f"points (|value|={row[low]}); collected grid {grid[:low]}")
-            logs = [math.log(value) for value in row]
-            ys = np.array(logs)
-            slope, intercept = np.polyfit(xs, ys, 1)
-            residuals = np.abs(ys - (slope * xs + intercept))
-            yield ExponentFit(x, y, group, tuple(grid), tuple(logs),
-                              float(slope), float(intercept), float(np.max(residuals)))
+        table = np.hypot(values.real, values.imag).tolist()  # |value| as Python's abs takes it
+        end = next((j for j, row in enumerate(table) if min(row) <= UNDERFLOW_FLOOR), len(table))
+        logs = [[math.log(value) for value in row] for row in table[:end]]
+        ys = np.array(logs).reshape(-1, count).T  # a column per pair, each fitted as alone
+        slopes, intercepts = np.polyfit(xs, ys, 1)
+        residuals = np.abs(ys - (slopes * xs[:, None] + intercepts)).max(axis=0)
+        fits = zip(pairs[start:start + end], logs, slopes.tolist(), intercepts.tolist(),
+                   residuals.tolist())
+        for (x, y), row, slope, intercept, residual in fits:
+            yield ExponentFit(x, y, group, tuple(grid), tuple(row), slope, intercept, residual)
+        if end < len(table):
+            low = next(k for k, value in enumerate(table[end]) if value <= UNDERFLOW_FLOOR)
+            raise ArithmeticError(
+                f"element underflowed at t={grid[low]} after {low} of {count} grid "
+                f"points (|value|={table[end][low]}); collected grid {grid[:low]}")
 
 
 def vanishing_order_check(source, x, y, n: int, t_samples,

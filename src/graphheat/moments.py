@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -120,8 +121,8 @@ class PairRows:
     m(v) u_v[v] for the j-th vertex v at index P + j, where u_v is the column of
     1_v, P the number of pairs and s = ``self.scale``; ``at[i]`` holds the indices
     of the i-th pair's (xy, xx, yy), ``pairs[i]`` the pair and ``index[pair]`` i.  The
-    stream runs only as far as the highest order asked for, and every order
-    read is kept, so all pairs, times and propagators share one stream.
+    stream runs only as far as the highest order asked for, and every order read is
+    kept, so all pairs, times, propagators and threads (under a lock) share one stream.
     """
 
     def __init__(self, source, pairs):
@@ -141,19 +142,21 @@ class PairRows:
         self.scale = 2.0 ** self.exp
         targets = [(x, column[y]) for x, y in pairs] + [(v, column[v]) for v in vertices]
         self._steps = stream(source, [{v: 1.0} for v in vertices], self.scale, targets)
-        self._orders, self.converted = [], defaultdict(list)
+        self._orders, self.converted, self._lock = [], defaultdict(list), threading.RLock()
 
     def __getitem__(self, n: int) -> np.ndarray:
-        while len(self._orders) <= n:
-            self._orders.append(next(self._steps))
-        return self._orders[n]
+        with self._lock:  # threads may share the rows: one advances the stream at a time
+            while len(self._orders) <= n:
+                self._orders.append(next(self._steps))
+            return self._orders[n]
 
     def floats(self, i: int, n: int) -> tuple:
         """The i-th pair's (xy, xx, yy) of ``self[n]`` as floats, kept in ``converted[i]``."""
-        values = self.converted[i]
-        while len(values) <= n:
-            values.append(tuple(self[len(values)][self.at[i]].tolist()))
-        return values[n]
+        with self._lock:
+            values = self.converted[i]
+            while len(values) <= n:
+                values.append(tuple(self[len(values)][self.at[i]].tolist()))
+            return values[n]
 
 
 def _moments_at(op: LaplacianOperator, x, y, n_max: int):

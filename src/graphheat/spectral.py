@@ -29,14 +29,13 @@ Matrix elements of e^{-tL} and e^{-itL} come in two routes:
   (t times lambda_max, or on a procedural source the pairs' 1-neighborhood bound, above 2); every
   reader passes it its rows and ``auto`` or its caller's method, so one gate covers them all.
 
-Two evaluators run these routes with the same arithmetic, so their values
-agree bitwise, and only this module picks one.  :func:`block_elements` takes
-the pairs and times of a block of :class:`~graphheat.moments.PairRows` as
-arrays, with the series' stopping rule as a mask of the elements still
-running; every report and fit reads it.  For one pair, and in
-:func:`heat_element` / :func:`wave_element`, :func:`pair_element` takes each
-element in scalar Python, where numpy's per-call cost makes it 25 times dearer.
-Both round each series sum as ``math.fsum`` does (the array series by :func:`_rounded_sums`).
+Two evaluators run these routes with the same arithmetic, so their values agree bitwise, and only
+this module picks one.  :func:`block_elements` takes the pairs and times of a block of
+:class:`~graphheat.moments.PairRows` as arrays, with the series' stopping rule as a mask of the
+elements still running; every report and fit reads it.  For one pair, and in :func:`heat_element` /
+:func:`wave_element`, :func:`pair_element` takes each element in scalar Python from its first
+nonzero term, where numpy's per-call cost makes it 25 times dearer.  Both round each series sum as
+``math.fsum`` does (the array series by :func:`_rounded_sums`).
 """
 
 from __future__ import annotations
@@ -292,18 +291,28 @@ def select_route(source, t, method: str) -> str:
 def pair_element(rows: PairRows, i: int, t, route: str, unitary: bool):
     """<1_x, e^{-tL} 1_y> (e^{-itL} if ``unitary``) of the i-th pair of rows via ``route``.
 
-    The series route reads the rows' stream as Python floats and accumulates
-    terms until the remainder bound drops below SERIES_RTOL times the current
-    partial-sum scale, with an absolute floor of SERIES_FLOOR; eigen reads the
-    cached eigenpairs of the rows' graph.
+    The series route reads the rows' stream as Python floats.  Below the first nonzero
+    term it tests only the remainder bound (the hop distance's zero terms leave the sums
+    0.0), then accumulates terms until that bound drops below SERIES_RTOL times the
+    partial-sum scale, with an absolute floor of SERIES_FLOOR; eigen reads the cached
+    eigenpairs of the rows' graph.
     """
     if route == "eigen":
         return _eigen_sum(rows.source, *rows.pairs[i], t, unitary).item()
     signs = (1.0, -1.0, -1.0, 1.0) if unitary else (1.0, -1.0)  # (-i)^n's sign for the wave
     ts = t * rows.scale
-    coef = 1.0  # (t s)^n / n!, against moments scaled by s^-n
-    terms, parts, n = [], [0.0, 0.0], 0  # the wave's term is real at even n, imaginary at odd n
+    coef, n = 1.0, 0  # (t s)^n / n!, against moments scaled by s^-n
     xy, known = rows.floats(i, 0)[0], rows.converted[i]
+    while coef * xy == 0.0:  # a zero term: the sums stay 0.0, so only the bound is tested
+        n += 1
+        coef *= ts / n
+        xy, xx, yy = known[n] if n < len(known) else rows.floats(i, n)
+        bound = 0.5 * coef * (xx + yy)
+        if bound <= SERIES_FLOOR:  # what fsum of the zero terms gives
+            return 0j if unitary else 0.0
+        if n >= MAX_SERIES_TERMS or not math.isfinite(bound):
+            raise _unmet(n)
+    terms, parts = [0.0] * n, [0.0, 0.0]  # the wave's term is real at even n, imaginary at odd n
     while True:
         terms.append(signs[n % len(signs)] * (coef * xy))
         parts[n % 2 if unitary else 0] += terms[-1]

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_unit_vector, random_vector
 from graphheat import asymptotics
@@ -266,14 +269,38 @@ def test_exponent_fit_underflow_reports_truncation():
 
 def test_exponent_fits_raise_at_an_underflowing_pair_after_the_earlier_fits():
     g = path_graph(80)
-    pairs = [(0, 1), (0, 2), (0, 60), (0, 3)]  # one block; (0, 60) underflows at t = 1e-4
+    size = asymptotics.BLOCK_ELEMENTS // 4  # pairs per block at the 4 default grid points
     with pytest.raises(ArithmeticError, match="after 1 of 4 grid points") as alone:
         leading_exponent_fit(g, 0, 60)
-    fits = asymptotics.exponent_fits(g, pairs)
-    assert [next(fits) for _ in range(2)] == [leading_exponent_fit(g, x, y) for x, y in pairs[:2]]
-    with pytest.raises(ArithmeticError) as blocked:
-        next(fits)
-    assert str(blocked.value) == str(alone.value)
+    singles = {(0, y): leading_exponent_fit(g, 0, y) for y in range(1, 10)}
+    for pairs in ([(0, 1), (0, 2), (0, 60), (0, 3)],  # one block; (0, 60) underflows at t = 1e-4
+                  # mid-block, before a pair that underflows at t = 1e-3
+                  [(0, y) for y in range(1, 6)] + [(0, 60), (0, 75), (0, 4)],
+                  # in the second block, after its first fits
+                  [(0, 1 + k % 9) for k in range(size + 7)] + [(0, 60), (0, 2)]):
+        low = pairs.index((0, 60))
+        fits = asymptotics.exponent_fits(g, pairs)
+        assert [next(fits) for _ in range(low)] == [singles[pair] for pair in pairs[:low]]
+        with pytest.raises(ArithmeticError) as blocked:
+            next(fits)
+        assert str(blocked.value) == str(alone.value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 600), st.integers(3, 6), st.floats(-8, -1), st.floats(0.01, 0.9),
+       st.integers(0, 2 ** 32 - 1))
+def test_one_polyfit_per_block_equals_the_fit_of_each_column_bitwise(pairs, count, e, ratio,
+                                                                     seed):
+    # exponent_fits solves a block's (count, pairs) table of logs at once; each column
+    # must keep the bits of its own np.polyfit
+    xs = np.log([10.0 ** e * ratio ** k for k in range(count)])
+    rng = np.random.default_rng(seed)
+    slopes, intercepts = rng.integers(0, 40, pairs), rng.uniform(-700, 50, pairs)
+    noise = rng.standard_normal((count, pairs)) * 10.0 ** rng.uniform(-16, 1, pairs)
+    ys = slopes * xs[:, None] + intercepts + noise
+    batched = np.polyfit(xs, ys, 1)
+    alone = np.stack([np.polyfit(xs, ys[:, j], 1) for j in range(pairs)], axis=1)
+    assert batched.shape == alone.shape and batched.tobytes() == alone.tobytes()
 
 
 # -- vanishing order and the t log p diagnostic ----------------------------

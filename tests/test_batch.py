@@ -25,6 +25,8 @@ from graphheat.moments import INITIAL_RADIUS, PairRows
 from graphheat.spectral import (MAX_SERIES_TERMS, _series_coefficient, block_elements,
                                 pair_element, select_route)
 
+from conftest import doubling_line, random_oracle
+
 TS = sorted(0.1 * 0.1 ** k for k in range(4))  # the verify default grid
 
 
@@ -483,3 +485,99 @@ def test_another_thread_does_not_evict_this_threads_stream(monkeypatch):
     assert not other.is_alive()
     heat_element(g, 0, 5, 1e-3)
     assert built == [(0, 5), (1, 2)]
+
+
+# -- the scalar series from its first nonzero term ------------------------
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as pair_element, whose stream may overflow
+def _summed_from_order_zero(rows, i, t, unitary):
+    """pair_element's series as it summed every term from order 0, the zero ones too."""
+    signs = (1.0, -1.0, -1.0, 1.0) if unitary else (1.0, -1.0)
+    ts = t * rows.scale
+    coef = 1.0
+    terms, parts, n = [], [0.0, 0.0], 0
+    xy = rows.floats(i, 0)[0]
+    while True:
+        terms.append(signs[n % len(signs)] * (coef * xy))
+        parts[n % 2 if unitary else 0] += terms[-1]
+        n += 1
+        coef *= ts / n
+        xy, xx, yy = rows.floats(i, n)
+        bound, size = 0.5 * coef * (xx + yy), abs(complex(*parts)) if unitary else abs(parts[0])
+        finite = math.isfinite(bound + size)
+        if finite and bound <= max(spectral.SERIES_RTOL * size, spectral.SERIES_FLOOR):
+            break
+        if n >= MAX_SERIES_TERMS or not finite:
+            raise spectral._unmet(n)
+    return complex(math.fsum(terms[::2]), math.fsum(terms[1::2])) if unitary else math.fsum(terms)
+
+
+def _from_first_nonzero_term(rows, i, t, unitary):
+    return pair_element(rows, i, t, "series", unitary)
+
+
+def _outcome(evaluate, make_rows, t, unitary):
+    """(repr of the value or the error's text, orders read) of the pair of fresh rows."""
+    rows = make_rows()
+    try:
+        value = repr(evaluate(rows, 0, t, unitary))
+    except ArithmeticError as error:
+        value = str(error)
+    return value, len(rows.converted[0])
+
+
+def _same_as_summed_from_order_zero(make_rows, t):
+    """pair_element's heat and wave of the pair equal the reference's, read as far."""
+    for unitary in (False, True):
+        got = _outcome(_from_first_nonzero_term, make_rows, t, unitary)
+        assert got == _outcome(_summed_from_order_zero, make_rows, t, unitary), (t, unitary)
+
+
+_SCALED = st.one_of(st.just(0.0), st.floats(-300, 0).map(lambda e: 10.0 ** e))  # of the limit
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-40, 40), _SCALED)
+def test_the_series_from_its_first_nonzero_term_on_the_line(b, d, f):
+    # the series limit of the line is t = 2 / 4
+    _same_as_summed_from_order_zero(lambda: PairRows(integer_line(), [(b, b + d)]), 0.5 * f)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32), st.integers(-20, 20), st.integers(0, 12), _SCALED)
+def test_the_series_from_its_first_nonzero_term_on_random_oracles(seed, x, d, f):
+    bound = PairRows(random_oracle(seed), [(x, x + d)]).bound
+    _same_as_summed_from_order_zero(lambda: PairRows(random_oracle(seed), [(x, x + d)]),
+                                    2 * f / bound if bound > 0 else f)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_spread_graphs(), st.data(), _SCALED)
+def test_the_series_from_its_first_nonzero_term_on_finite_graphs(graph, data, f):
+    # the last vertex is isolated, and x = y may be drawn
+    x, y = (data.draw(st.integers(0, graph.n - 1)) for _ in range(2))
+    top = spectral.decompose(graph).largest_eigenvalue
+    _same_as_summed_from_order_zero(lambda: PairRows(graph, [(x, y)]), 2 * f / top if top else f)
+
+
+def test_the_series_returns_zero_where_the_coefficient_underflows_below_the_first_term():
+    # at t = 1e-200 the coefficient (4t)^2 / 2 of order 2 underflows to 0.0, so the
+    # remainder bound meets SERIES_FLOOR before the first nonzero term, at order 5
+    for unitary, zero in ((False, "0.0"), (True, "0j")):
+        got = _outcome(_from_first_nonzero_term, lambda: PairRows(integer_line(), [(0, 5)]),
+                       1e-200, unitary)
+        assert got == (zero, 3)
+    for d in range(6):
+        for t in (0.0, 1e-200, 1e-20):
+            _same_as_summed_from_order_zero(lambda: PairRows(integer_line(), [(0, d)]), t)
+    g = from_spec("random:40:0.1:1:c")  # its isolated vertex: every term is 0.0 across it
+    isolated = next(v for v in g.vertices if not g.neighbors(v))
+    for t in (0.0, 1e-3, 0.01):
+        _same_as_summed_from_order_zero(lambda: PairRows(g, [(0, isolated)]), t)
+        _same_as_summed_from_order_zero(lambda: PairRows(g, [(isolated, isolated)]), t)
+
+
+def test_the_series_from_its_first_nonzero_term_rejects_overflow_at_the_same_order():
+    for pair in ((0, 0), (0, 1), (0, 3)):  # (0, 3) past the gate, read by pair_element
+        _same_as_summed_from_order_zero(lambda: PairRows(doubling_line(), [pair]), 0.05)

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphheat import (LaplacianOperator, ProceduralGraph, WeightedGraph, ball,
-                       cycle_graph, decompose, distances_from, heat_element,
+                       cycle_graph, decompose, distances_from, from_spec, heat_element,
                        integer_line, moment_table, pair_verification_reports,
                        path_graph, path_sum_moment, random_connected_graph,
                        spectral_radius_bound, wave_element)
 from graphheat.moments import (INITIAL_RADIUS, PairRows, first_nonzero_moments,
                                first_nonzero_orders)
+from graphheat.cli import _select_pairs
 from graphheat.graphs import CHUNK, BallSearch
 from graphheat.spectral import pair_element, select_route
 
@@ -469,3 +470,35 @@ def test_the_bound_of_a_procedural_1_ball_is_that_of_its_slice(kind, seed, cente
     sliced = BallSearch(make(), vertices).ball(1)[1]
     scale = 2.0 ** math.ceil(math.log2(sliced.bound)) if sliced.bound > 0 else 1.0
     assert (rows.bound.hex(), rows.scale, 2.0 ** rows.exp) == (sliced.bound.hex(), scale, scale)
+
+
+def test_threads_sharing_pair_rows_read_the_single_thread_values():
+    # one stream, one list of converted orders per pair: without the lock a thread's
+    # next() met the other's ('generator already executing') or a half-built list
+    g = from_spec("random:200:0.03:1")
+    pairs = _select_pairs(g, "sample:50", 1)
+    alone = PairRows(g, pairs)
+    want = [(heat_element(alone, x, y, 1e-3), wave_element(alone, x, y, 1e-3)) for x, y in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            rows, got, errors = PairRows(g, pairs), {}, []
+
+            def work(share):
+                try:
+                    for x, y in share:
+                        got[x, y] = heat_element(rows, x, y, 1e-3), wave_element(rows, x, y, 1e-3)
+                except Exception as error:  # noqa: BLE001 - reported below
+                    errors.append(error)
+
+            threads = [threading.Thread(target=work, args=(pairs[k::2],)) for k in (0, 1)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+            assert not any(th.is_alive() for th in threads)
+            assert errors == []
+            assert [got[pair] for pair in pairs] == want
+    finally:
+        sys.setswitchinterval(interval)
