@@ -3,7 +3,8 @@
 Subcommands: ``distance`` (hop distance vs first nonzero moment order with an
 equality flag), ``verify`` (leading-order and short-time bound reports),
 ``exponent`` (log-log slope fits), ``heat``/``wave`` (propagator sweeps with
-leading-term and bound overlays), and ``moments`` (moment tables).
+leading-term and bound overlays), and ``moments`` (moment tables).  Hop distances
+come from :func:`_hop_distances`: layered searches or an array search, no moment.
 
 Each subcommand takes only the options it reads.  All take the graph
 (``--input`` or ``--gen``), ``--pairs``, ``--seed`` and ``--out``; all but
@@ -25,9 +26,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import math
 import random
+import shutil
 import sys
 from contextlib import contextmanager
 
@@ -36,7 +37,7 @@ import numpy as np
 from .asymptotics import BLOCK_ELEMENTS, TAGS, exponent_fits, passes, verification_blocks
 from .generators import from_spec
 from .graphio import GraphFormatError, load_graph
-from .graphs import INFINITE, combinatorial_distance, distances_from
+from .graphs import INFINITE, combinatorial_distance, distances_from, pair_distances
 from .moments import PairRows, UnknownAbove, first_nonzero_orders, moment_table
 from .operators import LaplacianOperator
 from .spectral import _series_coefficient, heat_element, select_route, wave_element
@@ -47,6 +48,7 @@ EXIT_USAGE = 2
 
 PAIR_CAP = 10_000
 WRITE_SLICE = 256  # (pair, t) elements of verify's rows formatted per write
+FRONTIER_BYTES, WIDE_LAYERS, MIN_ARRAY_SOURCES = 1 << 20, 16, 8  # see _hop_distances
 
 
 class CliError(Exception):
@@ -92,14 +94,12 @@ def _load(args):
 
 
 def _pairs_at(n: int, indices) -> list[tuple[int, int]]:
-    """The pairs x < y of n vertices at the given positions of their sorted list,
-    sorted, found by walking its rows (n - 1 pairs from 0, n - 2 from 1, ...)."""
-    pairs, x, start = [], 0, 0
-    for k in sorted(indices):
-        while k >= start + n - 1 - x:
-            start, x = start + n - 1 - x, x + 1
-        pairs.append((x, x + 1 + k - start))
-    return pairs
+    """The pairs x < y of n vertices at the given positions of their sorted list, sorted:
+    row x of that list (its n - 1 - x pairs from x) starts at x (2n - x - 1) / 2."""
+    at, x = np.fromiter(sorted(indices), np.int64), np.arange(n, dtype=np.int64)
+    starts = x * (2 * n - x - 1) // 2
+    rows = starts.searchsorted(at, side="right") - 1
+    return list(zip(rows.tolist(), (at - starts[rows] + rows + 1).tolist()))
 
 
 def _select_pairs(graph, spec: str, seed) -> list[tuple[int, int]]:
@@ -158,35 +158,36 @@ def _order_label(order) -> str:
 # -- subcommands ---------------------------------------------------------
 
 
-def _hop_distances(graph, pairs, cutoff):
-    """Yield (x, y, d) for the sorted pairs, d being their hop distance within ``cutoff``
-    or INFINITE: one search from each x, which stops once it has reached all its ys."""
-    for x, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
-        ys = [y for _, y in group]
-        dist = distances_from(graph, x, cutoff=cutoff, targets=ys)
-        yield from ((x, y, dist.get(y, INFINITE)) for y in ys)
+def _hop_distances(graph, pairs, cutoff) -> np.ndarray:
+    """Hop distances of the sorted pairs (a list or (P, 2) array) within ``cutoff``, or -1. Blocks
+    of FRONTIER_BYTES / max(edges, n) xs search per x up to its last y until one search's layers
+    average n / WIDE_LAYERS vertices; MIN_ARRAY_SOURCES or more xs left take one array search."""
+    xy = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    firsts = np.flatnonzero(np.diff(xy[:, 0], prepend=-1)).tolist() + [len(xy)]  # x's first pair
+    hops, xs, ys = np.full(len(xy), -1), xy[:, 0].tolist(), xy[:, 1].tolist()
+    size = max(1, FRONTIER_BYTES // max(len(graph.cols), graph.n))  # sources per block
+    for block in range(0, len(firsts) - 1, size):
+        last = min(block + size, len(firsts) - 1)
+        for j, lo, hi in zip(range(block, last), firsts[block:], firsts[block + 1:]):
+            dist = distances_from(graph, xs[lo], cutoff=cutoff, targets=ys[lo:hi])
+            hops[lo:hi] = [dist.get(y, -1) for y in ys[lo:hi]]
+            if (last - j > MIN_ARRAY_SOURCES
+                    and len(dist) * WIDE_LAYERS >= (max(dist.values()) + 1) * graph.n):
+                hops[hi:firsts[last]] = pair_distances(graph, *xy[hi:firsts[last]].T, cutoff)
+                break
+    return hops
 
 
 def _cmd_distance(args, graph, pairs, fh) -> int:
-    out = csv.writer(fh, lineterminator="\n")  # floats print as their repr
     cutoff = args.cutoff if args.cutoff is not None else graph.n
-    sources = sorted({x for x, _ in pairs})
-    positions, orders, _ = first_nonzero_orders(LaplacianOperator(graph), sources, cutoff)
-    column = {x: j for j, x in enumerate(sources)}
-    mismatches = 0
-    out.writerow(["x", "y", "d_E", "d_L", "status"])
-    for x, y, d_hop in _hop_distances(graph, pairs, cutoff):
-        order = int(orders[positions[y], column[x]])
-        if order < 0:
-            consistent = d_hop == INFINITE
-            order_text = _order_label(UnknownAbove(cutoff))
-        else:
-            consistent = d_hop == order
-            order_text = str(order)
-        if not consistent:
-            mismatches += 1
-        out.writerow([x, y, d_hop if d_hop != INFINITE else float("inf"),
-                      order_text, "ok" if consistent else "mismatch"])
+    xy, sources = np.array(pairs, dtype=np.intp).reshape(-1, 2), sorted({x for x, _ in pairs})
+    _, orders, _ = first_nonzero_orders(LaplacianOperator(graph), sources, cutoff)  # peak memory first
+    found = orders[xy[:, 1], np.searchsorted(sources, xy[:, 0])]  # -1 where the hops are, if equal
+    hops, unknown = _hop_distances(graph, xy, cutoff), _order_label(UnknownAbove(cutoff))
+    fh.write("x,y,d_E,d_L,status\n" + "".join([  # the bytes of csv.writer's rows
+        f"{x},{y},{'inf' if d < 0 else d},{unknown if n < 0 else n},{('mismatch', 'ok')[d == n]}\n"
+        for (x, y), d, n in zip(pairs, hops.tolist(), found.tolist())]))
+    mismatches = int(np.count_nonzero(hops != found))
     if mismatches:
         print(f"graphheat: {mismatches} pair(s) where the moment order differs from the "
               "hop distance", file=sys.stderr)
@@ -214,7 +215,8 @@ def _write_reports(fh, triples, t_text, lhs, rhs, margin, passed):
 
 def _cmd_verify(args, graph, pairs, fh) -> int:
     ts = sorted(args.t0 * args.ratio ** k for k in range(args.count))
-    connected = [pair for pair in _hop_distances(graph, pairs, args.cutoff) if pair[2] != INFINITE]
+    hops = _hop_distances(graph, pairs, args.cutoff).tolist()
+    connected = [(x, y, d) for (x, y), d in zip(pairs, hops) if d >= 0]
     total = failures = vacuous = 0
     worst = None  # (lhs/rhs, which, x, y, t) at the first largest ratio
     t_text = [repr(t) for t in ts]
@@ -247,7 +249,8 @@ def _cmd_verify(args, graph, pairs, fh) -> int:
 def _cmd_exponent(args, graph, pairs, fh) -> int:
     out = csv.writer(fh, lineterminator="\n")  # floats print as their repr
     worst = 0.0
-    connected = [pair for pair in _hop_distances(graph, pairs, args.cutoff) if pair[2] != INFINITE]
+    hops = _hop_distances(graph, pairs, args.cutoff).tolist()
+    connected = [(x, y, d) for (x, y), d in zip(pairs, hops) if d >= 0]
     fits = exponent_fits(graph, [(x, y) for x, y, _ in connected], args.t0, args.ratio,
                          args.count, args.group)
     out.writerow(["x", "y", "group", "slope", "d_E", "abs_error", "max_residual"])
@@ -350,11 +353,12 @@ def _subcommand(subs, name, handler, help_text, cutoff=True, grid=None, method=F
 
 @functools.cache  # once per process: a build costs more than parsing a command line
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="graphheat",
-        description="Weighted graph Laplacians: distance/moment tables, short-time "
-                    "bound verification, exponent fits, and propagator sweeps.")
-    subs = parser.add_subparsers(dest="command", required=True)
+    parser_class = functools.partial(argparse.ArgumentParser, formatter_class=functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2))  # queried once
+    parser = parser_class(prog="graphheat", description="Weighted graph Laplacians: distance/"
+                          "moment tables, short-time bound verification, exponent fits, and "
+                          "propagator sweeps.")
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
     _subcommand(subs, "distance", _cmd_distance, "hop distance vs first nonzero moment order")
     _subcommand(subs, "verify", _cmd_verify, "leading-order and short-time bound reports",
                 grid=(1e-1, 0.1, 4), method=True)

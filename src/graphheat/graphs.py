@@ -464,6 +464,28 @@ def distances_from(source, x, cutoff: int | None = None, targets=None) -> dict:
     return dist
 
 
+def pair_distances(graph: WeightedGraph, xs, ys, cutoff: int | None = None) -> np.ndarray:
+    """Hop distances of the pairs (xs[i], ys[i]) of a finite graph within ``cutoff``, else -1, from
+    one frontier with a bit per (vertex, x), advanced by ``np.bitwise_or.reduceat`` over each row's
+    edges (an (edges, x) gather of bits, which callers bound) to the layer of the last y."""
+    xs, ys = _integers(xs, "vertex id"), _integers(ys, "vertex id")
+    if (cutoff or 0) < 0 or not all(0 <= v.min() and v.max() < graph.n for v in (xs, ys) if len(v)):
+        raise ValueError("pair_distances takes a non-negative cutoff and vertex ids of the graph")
+    sources, column = np.unique(xs, return_inverse=True)
+    starts = np.flatnonzero(np.diff(graph.rows, prepend=-1))  # of the rows that have edges
+    dist = np.full((graph.n, len(sources)), -1, np.min_scalar_type(-graph.n - 1))  # small ints
+    dist[sources, np.arange(len(sources))] = 0
+    front = seen = np.packbits(dist == 0, axis=1)  # a bit per (vertex, x)
+    for d in range(1, (graph.n if cutoff is None else cutoff) + 1):
+        if not (front.any() and (dist[ys, column] < 0).any()):
+            break
+        reach = np.zeros_like(seen)
+        reach[graph.rows[starts]] = np.bitwise_or.reduceat(front[graph.cols], starts, axis=0)
+        front, seen = reach & ~seen, seen | reach
+        dist[np.unpackbits(front, axis=1, count=dist.shape[1]).view(bool)] = d
+    return dist[ys, column]
+
+
 def is_connected(g: WeightedGraph) -> bool:
     """True iff every pair of vertices is joined by a path."""
     if not g.is_finite:

@@ -121,42 +121,46 @@ class PairRows:
     m(v) u_v[v] for the j-th vertex v at index P + j, where u_v is the column of
     1_v, P the number of pairs and s = ``self.scale``; ``at[i]`` holds the indices
     of the i-th pair's (xy, xx, yy), ``pairs[i]`` the pair and ``index[pair]`` i.  The
-    stream runs only as far as the highest order asked for, and every order read is
-    kept, so all pairs, times, propagators and threads (under a lock) share one stream.
+    stream runs only as far as the highest order asked for, and every order read is kept, so
+    all pairs, times, propagators and threads share one stream, locked to advance or convert.
     """
 
     def __init__(self, source, pairs):
-        for x, y in pairs:
-            source._check(x)
-            source._check(y)
-        vertices = sorted({v for pair in pairs for v in pair})
-        column = {v: j for j, v in enumerate(vertices)}
         self.source, self.pairs = source, list(pairs)
-        self.vertices = np.array(vertices, dtype=np.intp)
-        self.at = np.array([(i, len(pairs) + column[x], len(pairs) + column[y])
-                            for i, (x, y) in enumerate(pairs)], dtype=np.intp).reshape(-1, 3)
-        self.index = {(x, y): i for i, (x, y) in enumerate(self.pairs)}
+        ids = list(itertools.chain.from_iterable(self.pairs))
+        if not set(map(type, ids)) <= {int, bool} or source.is_finite and not (
+                0 <= min(ids, default=0) and max(ids, default=0) < source.n):
+            for v in ids:  # raises at the first id the source lacks, in pair order
+                source._check(v)
+        xy, count = np.array(ids, dtype=np.intp).reshape(-1, 2), len(self.pairs)
+        self.vertices = np.array(sorted(set(ids)), dtype=np.intp)  # vertex j has column j
+        self.at = np.column_stack((np.arange(count), count + self.vertices.searchsorted(xy)))
+        self.index = dict(zip(map(tuple, self.pairs), range(count)))
         # the bound of the graph, or of the pairs' 1-ball, and the power of two at or above it
-        self.bound = source.bound if source.is_finite else source.ball_bound(vertices)
+        self.bound = source.bound if source.is_finite else source.ball_bound(self.vertices.tolist())
         self.exp = math.ceil(math.log2(self.bound)) if self.bound > 0 else 0
         self.scale = 2.0 ** self.exp
-        targets = [(x, column[y]) for x, y in pairs] + [(v, column[v]) for v in vertices]
-        self._steps = stream(source, [{v: 1.0} for v in vertices], self.scale, targets)
+        targets = np.column_stack((np.append(xy[:, 0], self.vertices),
+                                   np.append(self.at[:, 2] - count, np.arange(len(self.vertices)))))
+        self._steps = stream(source, [{v: 1.0} for v in self.vertices.tolist()], self.scale, targets)
         self._orders, self.converted, self._lock = [], defaultdict(list), threading.RLock()
 
     def __getitem__(self, n: int) -> np.ndarray:
-        with self._lock:  # threads may share the rows: one advances the stream at a time
-            while len(self._orders) <= n:
-                self._orders.append(next(self._steps))
-            return self._orders[n]
+        if n >= len(self._orders):  # the list only grows, so an order held is read without the lock
+            with self._lock:  # threads may share the rows: one advances the stream at a time
+                while len(self._orders) <= n:
+                    self._orders.append(next(self._steps))
+        return self._orders[n]
 
     def floats(self, i: int, n: int) -> tuple:
         """The i-th pair's (xy, xx, yy) of ``self[n]`` as floats, kept in ``converted[i]``."""
-        with self._lock:
-            values = self.converted[i]
-            while len(values) <= n:
-                values.append(tuple(self[len(values)][self.at[i]].tolist()))
-            return values[n]
+        values = self.converted.get(i, ())
+        if n >= len(values):  # converted floats only grow, as the orders do
+            with self._lock:
+                values = self.converted[i]
+                while len(values) <= n:
+                    values.append(tuple(self[len(values)][self.at[i]].tolist()))
+        return values[n]
 
 
 def _moments_at(op: LaplacianOperator, x, y, n_max: int):

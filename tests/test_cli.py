@@ -1,17 +1,22 @@
+import argparse
 import csv
 import io
 import math
 import random
 import re
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphheat import (INFINITE, LaplacianOperator, cli, combinatorial_distance, from_spec,
-                       heat_element, leading_exponent_fit, path_graph)
+                       distances_from, heat_element, leading_exponent_fit, path_graph,
+                       random_graph)
 from graphheat.moments import PairRows
 from graphheat.spectral import select_route
-from graphheat.cli import CliError, _select_pairs, main
+from graphheat.cli import PAIR_CAP, CliError, _hop_distances, _pairs_at, _select_pairs, main
 from graphheat.graphs import BallSearch
 
 P3_TEXT = """\
@@ -315,6 +320,23 @@ def test_help_lists_the_options_the_subcommand_reads(capsys, command):
     assert set(re.findall(r"--[a-z0-9]+", capsys.readouterr().out)) == OPTIONS[command] | {"--help"}
 
 
+@pytest.mark.parametrize("command", [None, *OPTIONS])
+def test_help_prints_the_default_formatters_bytes_at_a_fixed_width(capsys, monkeypatch, command):
+    # the parser reads the terminal width once; argparse's own formatter reads it per use
+    monkeypatch.setenv("COLUMNS", "67")
+    cli._build_parser.cache_clear()
+    try:
+        with pytest.raises(SystemExit):
+            main([command, "--help"] if command else ["--help"])
+        parser = cli._build_parser()
+        if command:
+            parser = parser._subparsers._group_actions[0].choices[command]
+        parser.formatter_class = argparse.HelpFormatter
+        assert capsys.readouterr().out == parser.format_help()
+    finally:
+        cli._build_parser.cache_clear()
+
+
 def test_exponent_underflow_is_a_usage_error(capsys):
     # at hop distance 70 the element sinks below the fit's floor at every grid time
     code, _, err = run(capsys, "exponent", "--gen", "path:71", "--pairs", "0,70")
@@ -407,6 +429,27 @@ def test_sampled_pairs_are_those_the_full_pair_list_gives(n):
             assert _select_pairs(g, "all", seed) == everything
 
 
+def _walk(n, indices):
+    """The pairs at ``indices`` found by walking the rows of the sorted pair list."""
+    pairs, x, start = [], 0, 0
+    for k in sorted(indices):
+        while k >= start + n - 1 - x:
+            start, x = start + n - 1 - x, x + 1
+        pairs.append((x, x + 1 + k - start))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 40, 150])
+def test_pairs_at_equals_the_row_walk(n):
+    total = n * (n - 1) // 2
+    draws = [range(total)] + [random.Random(seed).sample(range(total), min(k, total))
+                              for seed in (1, 7) for k in (0, 1, 3, total // 2, PAIR_CAP)]
+    for indices in draws:
+        got = _pairs_at(n, indices)
+        assert got == _walk(n, indices)
+        assert all(type(v) is int for pair in got for v in pair)
+
+
 def _count_balls(monkeypatch):
     built = []
     real = BallSearch.ball
@@ -492,6 +535,64 @@ def test_exponent_searches_once_from_each_source_up_to_its_last_target(capsys, m
     code, _, _ = run(capsys, "exponent", "--gen", "cycle:2000", "--pairs", CYCLE_PAIRS)
     assert code == 0
     assert [len(dist) for dist in searched] == [41]
+
+
+def _count_searches(monkeypatch):
+    counts = {"alone": 0, "array": 0}
+
+    def counted(kind, real):
+        def wrapped(*args, **kwargs):
+            counts[kind] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "distances_from", counted("alone", cli.distances_from))
+    monkeypatch.setattr(cli, "pair_distances", counted("array", cli.pair_distances))
+    return counts
+
+
+@pytest.mark.parametrize("spec, pairs, alone, array", [
+    ("cycle:2000", [(1464, 1464 + d) for d in range(21)], 1, 0),  # one source
+    ("path:400", [(x, x + d) for x in range(0, 380, 20) for d in range(21)], 19, 0),  # thin
+    ("path:400", [(x, y) for x in range(0, 380, 20) for y in (0, 399)], 19, 0),  # deep
+    ("random:40:0.1:1:c", "all", 1, 1),  # the certify workload's graph, one isolated vertex
+    ("random:500:0.02:1", "sample:2000", 3, 3),  # blocks of 209 sources
+])
+def test_a_block_takes_the_array_search_once_a_search_shows_wide_layers(
+        monkeypatch, spec, pairs, alone, array):
+    g = from_spec(spec)
+    pairs = _select_pairs(g, pairs, 1) if isinstance(pairs, str) else sorted(pairs)
+    want = [distances_from(g, x).get(y, -1) for x, y in pairs]
+    counts = _count_searches(monkeypatch)
+    assert _hop_distances(g, pairs, None).tolist() == want
+    assert counts == {"alone": alone, "array": array}
+
+
+@settings(deadline=None, max_examples=50)
+@given(n=st.integers(1, 30), p=st.floats(0.0, 0.3), seed=st.integers(0, 10 ** 6),
+       size=st.integers(1, 4), cutoff=st.sampled_from([0, 1, 2, None]), data=st.data())
+def test_blocks_below_the_sources_give_the_search_per_source(n, p, seed, size, cutoff, data):
+    # blocks of `size` sources, each past its first search taken as an array search
+    g = random_graph(n, p, seed)
+    pairs = sorted(data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                      min_size=1, max_size=40)))
+    frontier = size * max(len(g.cols), g.n)
+    with mock.patch.multiple(cli, FRONTIER_BYTES=frontier, WIDE_LAYERS=10 ** 9, MIN_ARRAY_SOURCES=0):
+        got = _hop_distances(g, pairs, cutoff).tolist()
+    assert got == [distances_from(g, x, cutoff=cutoff).get(y, -1) for x, y in pairs]
+
+
+def test_distance_keeps_the_tiny_weight_mismatches(tmp_path, capsys):
+    # <1_0, L^2 1_2> = 1e-400 underflows, so the moment orders of (0, 2) and (0, 3) read
+    # as unknown within the cutoff while the hop distances are 2 and 3
+    path = tmp_path / "g.txt"
+    path.write_text("graph 4\n" + "".join(f"v {i} 1 0\n" for i in range(4))
+                    + "e 0 1 1e-200\ne 1 2 1e-200\ne 2 3 1.0\n")
+    code, out, err = run(capsys, "distance", "--input", str(path))
+    assert (code, out, err) == (1, "x,y,d_E,d_L,status\n0,1,1,1,ok\n0,2,2,>4,mismatch\n"
+                                   "0,3,3,>4,mismatch\n1,2,1,1,ok\n1,3,2,2,ok\n2,3,1,1,ok\n",
+                                "graphheat: 2 pair(s) where the moment order differs from the "
+                                "hop distance\n")
 
 
 # above the dense size limit the series route needs no decomposition

@@ -14,7 +14,7 @@ from graphheat import (INFINITE, ProceduralGraph, WeightedGraph, ball,
                        integer_line, is_connected, path_graph,
                        random_connected_graph, random_graph, validate)
 from graphheat.asymptotics import exponent_fits
-from graphheat.graphs import neighborhood
+from graphheat.graphs import neighborhood, pair_distances
 
 
 def test_constructor_mirrors_edges():
@@ -217,6 +217,30 @@ def test_a_search_for_targets_stops_at_the_layer_of_the_last():
     assert distances_from(g, 0, targets=[1, 4]) == distances_from(g, 0) == {0: 0, 1: 1, 2: 2}
     assert distances_from(integer_line(), 0, cutoff=9, targets=[-2]) == {
         v: abs(v) for v in range(-2, 3)}
+
+
+@settings(deadline=None)
+@given(n=st.integers(0, 30), p=st.floats(0.0, 0.3), seed=st.integers(0, 10 ** 6),
+       cutoff=st.sampled_from([0, 1, 2, None]), data=st.data())
+def test_the_array_search_equals_a_search_per_source(n, p, seed, cutoff, data):
+    # sparse random graphs have isolated vertices and several components
+    g = random_graph(n, p, seed)
+    vertex = st.integers(0, max(n - 1, 0))
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=40 if n else 0))
+    pairs += [(x, x) for x, _ in pairs[:3]]  # x == y
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    got = pair_distances(g, xs, ys, cutoff)
+    assert got.dtype.kind == "i" and got.dtype.itemsize <= 2
+    assert got.tolist() == [distances_from(g, x, cutoff=cutoff).get(y, -1) for x, y in pairs]
+
+
+def test_the_array_search_rejects_what_the_layered_search_rejects():
+    g = path_graph(4)
+    for xs, ys, cutoff in (([0], [4], None), ([-1], [2], None), ([0], [2], -1)):
+        with pytest.raises(ValueError, match="non-negative cutoff and vertex ids"):
+            pair_distances(g, xs, ys, cutoff)
+    with pytest.raises(ValueError, match="vertex id must be an integer, got 1.5"):
+        pair_distances(g, [0], [1.5])
 
 
 def test_procedural_requires_cutoff():

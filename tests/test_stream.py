@@ -472,6 +472,32 @@ def test_the_bound_of_a_procedural_1_ball_is_that_of_its_slice(kind, seed, cente
     assert (rows.bound.hex(), rows.scale, 2.0 ** rows.exp) == (sliced.bound.hex(), scale, scale)
 
 
+@pytest.mark.parametrize("source, pairs, bad", [
+    (path_graph(10), [(0, 1), (np.int64(2), 3), (0, 12)], np.int64(2)),
+    (path_graph(10), [(0, 1), (2, np.intp(3))], np.intp(3)),
+    (path_graph(10), [(0, 1), (2, "3")], "3"),
+    (path_graph(10), [(0, 1.0)], 1.0),
+    (path_graph(10), [(0, 1), (5, 9), (12, 0), (-1, 2)], 12),
+    (path_graph(10), [(0, 1), (-1, 2), (12, 0)], -1),
+    (path_graph(10), [(3, 2), (4, 10)], 10),
+    (integer_line(), [(-4, 7), (0, np.int64(3))], np.int64(3)),
+])
+def test_pair_rows_raise_at_the_first_id_the_source_lacks(source, pairs, bad):
+    with pytest.raises(ValueError) as error:
+        PairRows(source, pairs)
+    assert str(error.value) == f"unknown vertex id {bad!r}"
+
+
+def test_pair_rows_take_bools_as_the_ints_they_are():
+    g, pairs = path_graph(4), [(True, 3), (0, False), (2, 2)]
+    rows, ints = PairRows(g, pairs), PairRows(g, [(1, 3), (0, 0), (2, 2)])
+    assert rows.index == {(1, 3): 0, (0, 0): 1, (2, 2): 2}
+    assert rows.vertices.tolist() == [0, 1, 2, 3]
+    assert (rows.at == ints.at).all()
+    assert [rows.floats(i, 3) for i in range(3)] == [ints.floats(i, 3) for i in range(3)]
+    assert PairRows(integer_line(), [(-4, True)]).vertices.tolist() == [-4, 1]
+
+
 def test_threads_sharing_pair_rows_read_the_single_thread_values():
     # one stream, one list of converted orders per pair: without the lock a thread's
     # next() met the other's ('generator already executing') or a half-built list
