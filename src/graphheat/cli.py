@@ -4,7 +4,9 @@ Subcommands: ``distance`` (hop distance vs first nonzero moment order with an
 equality flag), ``verify`` (leading-order and short-time bound reports),
 ``exponent`` (log-log slope fits), ``heat``/``wave`` (propagator sweeps with
 leading-term and bound overlays), and ``moments`` (moment tables).  Hop distances
-come from :func:`_hop_distances`: layered searches or an array search, no moment.
+come from :func:`_hop_distances`: layered searches or an array search, no moment.  A sweep
+evaluates each block of pairs a time at a time from one PairRows, which keeps the time's eigen
+phases for the block, and then writes the block's rows pair by pair, each time's text made once.
 
 Each subcommand takes only the options it reads.  All take the graph
 (``--input`` or ``--gen``), ``--pairs``, ``--seed`` and ``--out``; all but
@@ -15,10 +17,10 @@ take ``--method``; ``exponent`` takes ``--group`` and ``--tol``, and
 loads the graph, checks the option values, selects the pairs and opens the
 output once, then hands the three to the subcommand.
 
-Exit codes: 0 success, 1 a theorem-backed check failed, 2 usage or parse
-error.  Identical invocations produce byte-identical CSV: pairs and times are
-emitted in sorted order and floats are formatted with shortest round-trip
-representation.  Wave sweeps report the modulus of the complex element.
+Exit codes: 0 success, 1 a theorem-backed check failed, 2 usage or parse error, or an
+element that raised.  Identical invocations produce byte-identical CSV: pairs and times are
+emitted in sorted order and floats are formatted with shortest round-trip representation.
+Wave sweeps report the modulus of the complex element.
 """
 
 from __future__ import annotations
@@ -284,28 +286,33 @@ def _pair_overlay(rows, op, x, y, cutoff):
 
 
 def _cmd_sweep(args, graph, pairs, fh) -> int:
-    out = csv.writer(fh, lineterminator="\n")  # floats print as their repr
     ts = sorted([args.t0 * args.ratio ** k for k in range(args.count)] + [0.0])
     op, size = LaplacianOperator(graph), max(1, BLOCK_ELEMENTS // len(ts))  # pairs per stream
-    out.writerow(["x", "y", "t", "value", "leading", "bound", "method"])
+    fh.write("x,y,t,value,leading,bound,method\n")
     try:
         routes = [select_route(graph, t, args.method) for t in ts]
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from exc
-    for k, (x, y) in enumerate(pairs):
-        if k % size == 0:  # one stream per block: the floats a stream converts live with it
-            rows = PairRows(graph, pairs[k:k + size])
-        overlay = _pair_overlay(rows, op, x, y, args.cutoff)
-        for t, method in zip(ts, routes):
-            value = (abs(wave_element(rows, x, y, t, method=method)) if args.unitary
-                     else heat_element(rows, x, y, t, method=method))
-            if overlay is None:
-                leading, bound = "", ""
-            else:
-                d, scale, lead, diagonal = overlay
-                leading = _series_coefficient(t * scale, d) * lead
-                bound = 0.5 * _series_coefficient(t * scale, d + 1) * diagonal
-            out.writerow([x, y, t, value, leading, bound, method])
+    element, t_text = wave_element if args.unitary else heat_element, [repr(t) for t in ts]
+    for lo in range(0, len(pairs), size):
+        block = pairs[lo:lo + size]
+        rows = PairRows(graph, block)  # one stream per block: the floats it converts live with it
+        try:  # a time at a time, so the rows keep each eigen time's phases for the whole block
+            values = [[element(rows, x, y, t, method=method) for x, y in block]
+                      for t, method in zip(ts, routes)]
+        except (ValueError, ArithmeticError) as exc:
+            raise CliError(EXIT_USAGE, str(exc)) from exc
+        lines = []  # the block's rows, pair by pair, in the bytes of csv.writer's
+        for j, (x, y) in enumerate(block):
+            overlay = _pair_overlay(rows, op, x, y, args.cutoff)
+            for t, text, method, column in zip(ts, t_text, routes, values):
+                value, leading, bound = abs(column[j]) if args.unitary else column[j], "", ""
+                if overlay is not None:
+                    d, scale, lead, diagonal = overlay
+                    leading = repr(_series_coefficient(t * scale, d) * lead)
+                    bound = repr(0.5 * _series_coefficient(t * scale, d + 1) * diagonal)
+                lines.append(f"{x},{y},{text},{value!r},{leading},{bound},{method}\n")
+        fh.write("".join(lines))
     return EXIT_OK
 
 

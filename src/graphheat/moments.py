@@ -123,6 +123,7 @@ class PairRows:
     of the i-th pair's (xy, xx, yy), ``pairs[i]`` the pair and ``index[pair]`` i.  The
     stream runs only as far as the highest order asked for, and every order read is kept, so
     all pairs, times, propagators and threads share one stream, locked to advance or convert.
+    ``phases`` is one slot for the eigen route's last (t, unitary) and its e^{-t lambda} vector.
     """
 
     def __init__(self, source, pairs):
@@ -144,6 +145,7 @@ class PairRows:
                                    np.append(self.at[:, 2] - count, np.arange(len(self.vertices)))))
         self._steps = stream(source, [{v: 1.0} for v in self.vertices.tolist()], self.scale, targets)
         self._orders, self.converted, self._lock = [], defaultdict(list), threading.RLock()
+        self.phases = None, None
 
     def __getitem__(self, n: int) -> np.ndarray:
         if n >= len(self._orders):  # the list only grows, so an order held is read without the lock

@@ -9,9 +9,10 @@ whose eigenpairs are built once while it lives or come from a decomposition.
 
 Matrix elements of e^{-tL} and e^{-itL} come in two routes:
 
-* ``eigen`` sums exponentials over the eigenpairs.  Accurate for moderate and
-  large t, but at small t the target value ~ const * t^d is the sum of O(1)
-  eigencontributions, so cancellation destroys the relative accuracy exactly
+* ``eigen`` sums the phases e^{-t lambda_i} (e^{-it lambda_i}) over the eigenpairs, the
+  last time's kept on the rows, so a block read a time at a time makes each time's once.
+  Accurate for moderate and large t, but at small t the target value ~ const * t^d is the
+  sum of O(1) eigencontributions, so cancellation destroys the relative accuracy exactly
   where the short-time behavior lives.
 * ``series`` sums the Taylor terms (-t)^n <1_x, L^n 1_y> / n! with a stopping
   rule driven by the rigorous remainder bound
@@ -22,8 +23,8 @@ Matrix elements of e^{-tL} and e^{-itL} come in two routes:
   disconnected components exactly 0.0.  The moments come from the streams
   (L/s)^n of :class:`~graphheat.moments.PairRows` and meet the bounded
   coefficients (t s)^n / n!; one stream serves every t, both propagators and
-  every pair of the rows, which :func:`heat_element` / :func:`wave_element` read
-  when passed (a sweep passes one per block of pairs), else the last pair's per thread.
+  every pair of the rows, which :func:`heat_element` / :func:`wave_element` read when
+  passed (a sweep passes one per block of pairs), else per thread the last pair's on its graph.
 * ``auto`` picks series when t * lambda_max <= 1/2 and eigen otherwise (the series, its only
   route, on a procedural source).  Only :func:`select_route` picks a route or rejects the series
   (t times lambda_max, or on a procedural source the pairs' 1-neighborhood bound, above 2); every
@@ -298,7 +299,7 @@ def pair_element(rows: PairRows, i: int, t, route: str, unitary: bool):
     eigenpairs of the rows' graph.
     """
     if route == "eigen":
-        return _eigen_sum(rows.source, *rows.pairs[i], t, unitary).item()
+        return _eigen_sum(rows, *rows.pairs[i], t, unitary).item()
     signs = (1.0, -1.0, -1.0, 1.0) if unitary else (1.0, -1.0)  # (-i)^n's sign for the wave
     ts = t * rows.scale
     coef, n = 1.0, 0  # (t s)^n / n!, against moments scaled by s^-n
@@ -346,20 +347,31 @@ def block_elements(rows: PairRows, block, ts, routes, unitary: bool) -> np.ndarr
     series = np.array([route == "series" for route in routes], dtype=bool)
     if series.any():
         out[:, series] = _series_block(rows, at, ts[series] * rows.scale, unitary)
-    if not series.all():  # in slices of at most CHUNK pair x eigenvalue entries
+    if not series.all():  # a time at a time, in slices of at most CHUNK pair x eigenvalue entries
         x, y = np.array(rows.pairs[block], dtype=np.intp).reshape(-1, 2).T
         step = max(1, CHUNK // max(rows.source.n, 1))
-        for part in (slice(lo, lo + step) for lo in range(0, len(x), step)):
-            out[part, ~series] = np.stack([_eigen_sum(rows.source, x[part], y[part], t, unitary)
-                                           for t in ts[~series]], axis=1)
+        for j in np.flatnonzero(~series).tolist():
+            for part in (slice(lo, lo + step) for lo in range(0, len(x), step)):
+                out[part, j] = _eigen_sum(rows, x[part], y[part], ts[j], unitary)
     return out
 
 
-def _eigen_sum(graph, x, y, t, unitary):
-    """The eigen route at the vertices x and y, or at the pairs of the arrays x and y."""
-    eigenvalues, eigenvectors, measures = _eigen(graph)
+def _phases(graph, t, unitary) -> np.ndarray:
+    """e^{-t lambda_i}, or e^{-it lambda_i} if ``unitary``, over the graph's eigenvalues."""
+    return np.exp((-1j if unitary else -1.0) * t * _eigen(graph)[0])
+
+
+def _eigen_sum(rows: PairRows, x, y, t, unitary):
+    """The eigen route at the vertices x and y, or at the pairs of the arrays x and y, of the rows.
+    Their one slot keeps the last (t, unitary) and its phases as one tuple, so no thread pairs a time
+    with another time's phases."""
+    _, eigenvectors, measures = _eigen(rows.source)
+    key, phases = rows.phases
+    if key != (t, unitary):
+        phases = _phases(rows.source, t, unitary)
+        rows.phases = (t, unitary), phases
     coeffs = eigenvectors[x] * eigenvectors[y] * (measures[x] * measures[y])[..., None]
-    return np.sum(np.exp((-1j if unitary else -1.0) * t * eigenvalues) * coeffs, axis=-1)
+    return np.sum(phases * coeffs, axis=-1)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan arise as in Python floats
@@ -429,22 +441,21 @@ def _series_coefficient(ts, n: int) -> float:
     return coef
 
 
-# per thread, the last pair's (graph, x, y) and rows: one pair's run of elements reads one stream
-_LAST_PAIR = threading.local()
-
-
 def _element(source, x, y, t, method, unitary):
     if isinstance(source, PairRows):  # rows the caller keeps, which hold the pair
         if (x, y) not in source.index:
             raise ValueError(f"pair ({x}, {y}) is not among the pairs of the rows")
         return pair_element(source, source.index[x, y], t, select_route(source, t, method), unitary)
     graph = _resolve(source)
-    key, rows = getattr(_LAST_PAIR, "pair", (None, None))
-    _LAST_PAIR.pair = None, None  # kept only after a success: a stream that raised cannot go on
-    if key != (graph, x, y):
-        key, rows = (graph, x, y), PairRows(graph, [(x, y)])
+    last = getattr(graph, "_last_pair", None)  # per thread: one pair's run reads one stream
+    if last is None:  # on the graph, so the pair dies with it; a race loses only a cached pair
+        last = graph._last_pair = threading.local()
+    key, rows = getattr(last, "pair", (None, None))
+    last.pair = None, None  # kept only after a success: a stream that raised cannot go on
+    if key != (x, y):
+        key, rows = (x, y), PairRows(graph, [(x, y)])
     value = pair_element(rows, 0, t, select_route(rows, t, method), unitary)
-    _LAST_PAIR.pair = key, rows
+    last.pair = key, rows
     return value
 
 

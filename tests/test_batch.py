@@ -5,10 +5,12 @@ built here pair by pair from the one-pair functions, and `verify`'s array
 evaluator must equal the scalar series loop `pair_element` element by element.
 """
 
+import gc
 import math
 import re
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -231,6 +233,18 @@ def test_eigen_slices_of_block_elements_equal_pair_element_bitwise(monkeypatch):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     sliced = [size for size in sizes if size > 1]
     assert max(sliced) == 3 and len(sliced) == 2 * len(ts) * -(-len(pairs) // 3)
+
+
+def test_eigen_slices_form_each_times_phases_once(monkeypatch):
+    graph = from_spec("random:30:0.2:2:c")
+    rows, ts = PairRows(graph, [(x, y) for x in range(30) for y in range(x, 30, 7)]), [0.5, 3.0]
+    formed, phases = [], spectral._phases
+    monkeypatch.setattr(spectral, "_phases", lambda g, t, unitary: formed.append(
+        (t, unitary)) or phases(g, t, unitary))
+    monkeypatch.setattr(spectral, "CHUNK", 3 * graph.n)  # 3 pairs per slice
+    for unitary in (False, True):
+        block_elements(rows, slice(None), ts, ["eigen"] * len(ts), unitary)
+    assert formed == [(t, unitary) for unitary in (False, True) for t in ts]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -485,6 +499,49 @@ def test_another_thread_does_not_evict_this_threads_stream(monkeypatch):
     assert not other.is_alive()
     heat_element(g, 0, 5, 1e-3)
     assert built == [(0, 5), (1, 2)]
+
+
+def test_the_last_pair_dies_with_its_graph():
+    g = random_connected_graph(30, 0.2, 1)
+    heat_element(g, 0, 5, 2.0)  # the eigen route: the graph's eigenpairs are cached
+    assert select_route(g, 2.0, "auto") == "eigen" and g in spectral._DECOMPOSITIONS
+    graph = weakref.ref(g)
+    del g
+    gc.collect()
+    assert graph() is None
+
+
+def test_threads_sharing_rows_read_the_eigen_times_in_opposite_orders_bitwise():
+    g = random_connected_graph(30, 0.2, 1)
+    pairs = [(x, y) for x in range(0, 30, 3) for y in range(x, 30, 4)]
+    ts = [0.3, 0.7, 1.5, 4.0, 9.0]
+
+    def walk(rows, part, times):
+        """Heat and wave of the pairs ``part``, a time at a time, as bytes per (pair, t)."""
+        got = {}
+        for t in times:
+            for x, y in part:
+                values = heat_element(rows, x, y, t, "eigen"), wave_element(rows, x, y, t, "eigen")
+                got[x, y, t] = np.array(values, dtype=complex).tobytes()
+        return got
+
+    want = walk(PairRows(g, pairs), pairs, ts)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            rows, results = PairRows(g, pairs), [{}, {}]
+            halves = [(pairs[::2], ts), (pairs[1::2], ts[::-1])]
+            threads = [threading.Thread(target=lambda i, part, times: results[i].update(
+                walk(rows, part, times)), args=(i, *half)) for i, half in enumerate(halves)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+            assert not any(th.is_alive() for th in threads)
+            assert {**results[0], **results[1]} == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- the scalar series from its first nonzero term ------------------------

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from graphheat import (INFINITE, LaplacianOperator, cli, combinatorial_distance, from_spec,
                        distances_from, heat_element, leading_exponent_fit, path_graph,
-                       random_graph)
+                       random_graph, spectral, wave_element)
 from graphheat.moments import PairRows
-from graphheat.spectral import select_route
+from graphheat.spectral import _series_coefficient, select_route
 from graphheat.cli import PAIR_CAP, CliError, _hop_distances, _pairs_at, _select_pairs, main
 from graphheat.graphs import BallSearch
 
@@ -683,6 +683,81 @@ def test_sweep_reads_each_block_of_pairs_from_one_stream(capsys, monkeypatch):
     _, table = rows(out)
     assert "".join(",".join(row[:4] + row[6:]) + "\n" for row in table) == expected
     assert {route for route in routes} == {"series", "eigen"}
+
+
+SWEEP_SPEC = "random:12:0.15:8:c"  # 66 pairs, 11 at the isolated 9; auto runs both routes
+
+
+def _sweep_pair_major(unitary, method, t0):
+    """A sweep's CSV from one element call per (pair, t) on the graph, pair by pair."""
+    g, fh = from_spec(SWEEP_SPEC), io.StringIO()
+    ts = sorted([t0 * 0.5 ** k for k in range(16)] + [0.0])
+    routes, op = [select_route(g, t, method) for t in ts], LaplacianOperator(g)
+    out = csv.writer(fh, lineterminator="\n")
+    out.writerow(["x", "y", "t", "value", "leading", "bound", "method"])
+    for x, y in _select_pairs(g, "all", None):
+        overlay = cli._pair_overlay(PairRows(g, [(x, y)]), op, x, y, None)
+        for t, route in zip(ts, routes):
+            value = (wave_element if unitary else heat_element)(g, x, y, t, method=route)
+            leading = bound = ""
+            if overlay is not None:
+                d, scale, lead, diagonal = overlay
+                leading = _series_coefficient(t * scale, d) * lead
+                bound = 0.5 * _series_coefficient(t * scale, d + 1) * diagonal
+            out.writerow([x, y, t, abs(value) if unitary else value, leading, bound, route])
+    return fh.getvalue(), routes
+
+
+@pytest.mark.parametrize("command", ["heat", "wave"])
+@pytest.mark.parametrize("method, t0", [("auto", 1.0), ("eigen", 1.0), ("series", None)])
+def test_sweep_blocks_read_a_time_at_a_time_give_the_pair_major_bytes(capsys, monkeypatch,
+                                                                       command, method, t0):
+    t0 = t0 or 1.0 / from_spec(SWEEP_SPEC).bound  # at or below half of what the series admits
+    sizes = []
+    monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 3 * 17)  # 3 pairs per block at 17 times
+    monkeypatch.setattr(cli, "PairRows", lambda g, pairs: sizes.append(len(pairs)) or PairRows(
+        g, pairs))
+    code, out, err = run(capsys, command, "--gen", SWEEP_SPEC, "--method", method,
+                         "--t0", repr(t0))
+    expected, routes = _sweep_pair_major(command == "wave", method, t0)
+    assert (code, err, sizes) == (0, "", [3] * 22)
+    assert out == expected
+    assert set(routes) == ({"series", "eigen"} if method == "auto" else {method})
+    _, table = rows(out)
+    assert any(row[4] == "" for row in table) and any(row[4] != "" for row in table)
+
+
+@pytest.mark.parametrize("command", ["heat", "wave"])
+@pytest.mark.parametrize("method", ["auto", "eigen"])
+def test_a_sweep_forms_each_eigen_times_phases_once_per_block(capsys, monkeypatch, command,
+                                                              method):
+    formed, phases = [], spectral._phases
+    monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 3 * 17)  # 22 blocks of 3 pairs
+    monkeypatch.setattr(spectral, "_phases", lambda g, t, unitary: formed.append(
+        (t, unitary)) or phases(g, t, unitary))
+    code, out, _ = run(capsys, command, "--gen", SWEEP_SPEC, "--method", method)
+    _, table = rows(out)
+    eigen = [float(row[2]) for row in table[:17] if row[6] == "eigen"]
+    assert code == 0 and 0 < len(eigen) <= 17 and len(table) == 66 * 17
+    assert formed == [(t, command == "wave") for t in eigen] * 22
+
+
+@pytest.mark.parametrize("error", [ValueError, ArithmeticError])
+def test_an_element_that_raises_ends_the_sweep_with_exit_2(capsys, monkeypatch, error):
+    argv = ["heat", "--gen", "path:5", "--pairs", "all"]  # 10 pairs
+    _, complete, _ = run(capsys, *argv)
+    real = cli.heat_element
+
+    def failing(rows, x, y, t, method):
+        if (x, y) == (1, 3) and t > 0.1:  # in the third block of two pairs
+            raise error("the element failed")
+        return real(rows, x, y, t, method=method)
+
+    monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 2 * 17)
+    monkeypatch.setattr(cli, "heat_element", failing)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (2, "graphheat: the element failed\n")
+    assert out.splitlines(keepends=True) == complete.splitlines(keepends=True)[:1 + 4 * 17]
 
 
 @pytest.mark.parametrize("command", ["heat", "wave"])
