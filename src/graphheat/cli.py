@@ -3,10 +3,10 @@
 Subcommands: ``distance`` (hop distance vs first nonzero moment order with an
 equality flag), ``verify`` (leading-order and short-time bound reports),
 ``exponent`` (log-log slope fits), ``heat``/``wave`` (propagator sweeps with
-leading-term and bound overlays), and ``moments`` (moment tables).  Hop distances
-come from :func:`_hop_distances`: layered searches or an array search, no moment.  A sweep
-evaluates each block of pairs a time at a time from one PairRows, which keeps the time's eigen
-phases for the block, and then writes the block's rows pair by pair, each time's text made once.
+leading-term and bound overlays), and ``moments`` (moment tables).  Every hop distance
+comes from :func:`_hop_distances` (layered searches or an array search, no moment), which a
+sweep calls once per block.  A sweep evaluates each block a time at a time from one PairRows,
+which keeps the time's eigen phases for the block, then writes the rows pair by pair.
 
 Each subcommand takes only the options it reads.  All take the graph
 (``--input`` or ``--gen``), ``--pairs``, ``--seed`` and ``--out``; all but
@@ -17,10 +17,10 @@ take ``--method``; ``exponent`` takes ``--group`` and ``--tol``, and
 loads the graph, checks the option values, selects the pairs and opens the
 output once, then hands the three to the subcommand.
 
-Exit codes: 0 success, 1 a theorem-backed check failed, 2 usage or parse error, or an
-element that raised.  Identical invocations produce byte-identical CSV: pairs and times are
-emitted in sorted order and floats are formatted with shortest round-trip representation.
-Wave sweeps report the modulus of the complex element.
+Exit codes: 0 success, 1 a theorem-backed check failed, 2 a usage or parse error, an unreadable
+input or unwritable output, or a library ValueError or ArithmeticError, reported by :func:`main`
+alone as one ``graphheat:`` line.  Identical invocations produce byte-identical CSV: pairs and
+times sorted, floats in shortest round-trip form.  Wave sweeps report the modulus of the element.
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ import math
 import random
 import shutil
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import numpy as np
 
 from .asymptotics import BLOCK_ELEMENTS, TAGS, exponent_fits, passes, verification_blocks
 from .generators import from_spec
 from .graphio import GraphFormatError, load_graph
-from .graphs import INFINITE, combinatorial_distance, distances_from, pair_distances
+from .graphs import distances_from, pair_distances
 from .moments import PairRows, UnknownAbove, first_nonzero_orders, moment_table
 from .operators import LaplacianOperator
 from .spectral import _series_coefficient, heat_element, select_route, wave_element
@@ -53,46 +53,38 @@ WRITE_SLICE = 256  # (pair, t) elements of verify's rows formatted per write
 FRONTIER_BYTES, WIDE_LAYERS, MIN_ARRAY_SOURCES = 1 << 20, 16, 8  # see _hop_distances
 
 
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+class CliError(ValueError):
+    """A usage error; :func:`main` prints its message and exits 2, as for any ValueError."""
 
 
 def _validate(args) -> None:
     """Reject the values no run can use, of the options the subcommand takes."""
     if "t0" in args:
         if not 0 < args.t0 < math.inf:
-            raise CliError(EXIT_USAGE, "--t0 must be positive and finite")
+            raise CliError("--t0 must be positive and finite")
         if not 0 < args.ratio < 1:
-            raise CliError(EXIT_USAGE, "--ratio must lie strictly between 0 and 1")
+            raise CliError("--ratio must lie strictly between 0 and 1")
         if args.count < 3:
-            raise CliError(EXIT_USAGE, "--count must be at least 3")
+            raise CliError("--count must be at least 3")
     if getattr(args, "cutoff", None) is not None and args.cutoff < 0:
-        raise CliError(EXIT_USAGE, "--cutoff must be non-negative")
+        raise CliError("--cutoff must be non-negative")
     if getattr(args, "nmax", 0) < 0:
-        raise CliError(EXIT_USAGE, "--nmax must be non-negative")
+        raise CliError("--nmax must be non-negative")
     if not getattr(args, "tol", 0) >= 0:
-        raise CliError(EXIT_USAGE, "--tol must be non-negative")
+        raise CliError("--tol must be non-negative")
 
 
 def _load(args):
     if args.input and args.gen:
-        raise CliError(EXIT_USAGE, "give either --input or --gen, not both")
+        raise CliError("give either --input or --gen, not both")
     if args.input:
         try:
             return load_graph(args.input)
         except GraphFormatError as exc:
-            raise CliError(EXIT_USAGE, f"{args.input}: {exc}") from exc
-        except OSError as exc:
-            raise CliError(EXIT_USAGE, str(exc)) from exc
+            raise CliError(f"{args.input}: {exc}") from exc
     if args.gen:
-        try:
-            return from_spec(args.gen)
-        except ValueError as exc:
-            raise CliError(EXIT_USAGE, str(exc)) from exc
-    raise CliError(EXIT_USAGE, "one of --input FILE or --gen SPEC is required")
+        return from_spec(args.gen)
+    raise CliError("one of --input FILE or --gen SPEC is required")
 
 
 def _pairs_at(n: int, indices) -> list[tuple[int, int]]:
@@ -110,20 +102,19 @@ def _select_pairs(graph, spec: str, seed) -> list[tuple[int, int]]:
         if total <= PAIR_CAP:
             return _pairs_at(graph.n, range(total))
         if seed is None:
-            raise CliError(EXIT_USAGE,
-                           f"all-pairs selection has {total} pairs, above the cap "
-                           f"{PAIR_CAP}; provide --seed to sample")
+            raise CliError(f"all-pairs selection has {total} pairs, above the cap {PAIR_CAP}; "
+                           "provide --seed to sample")
         # a range samples the same positions as the list of pairs would
         return _pairs_at(graph.n, random.Random(seed).sample(range(total), PAIR_CAP))
     if spec.startswith("sample:"):
         try:
             k = int(spec.split(":", 1)[1])
         except ValueError:
-            raise CliError(EXIT_USAGE, f"bad sample size in --pairs {spec!r}") from None
+            raise CliError(f"bad sample size in --pairs {spec!r}") from None
         if k < 0:
-            raise CliError(EXIT_USAGE, "sample size must be non-negative")
+            raise CliError("sample size must be non-negative")
         if seed is None:
-            raise CliError(EXIT_USAGE, "--pairs sample:k requires --seed for reproducibility")
+            raise CliError("--pairs sample:k requires --seed for reproducibility")
         return _pairs_at(graph.n, random.Random(seed).sample(range(total), min(k, total)))
     pairs = []
     for item in spec.split(";"):
@@ -132,25 +123,22 @@ def _select_pairs(graph, spec: str, seed) -> list[tuple[int, int]]:
             continue
         bits = item.split(",")
         if len(bits) != 2:
-            raise CliError(EXIT_USAGE, f"bad pair {item!r}; expected 'x,y'")
+            raise CliError(f"bad pair {item!r}; expected 'x,y'")
         try:
             x, y = int(bits[0]), int(bits[1])
         except ValueError:
-            raise CliError(EXIT_USAGE, f"bad pair {item!r}; vertex ids must be integers") from None
+            raise CliError(f"bad pair {item!r}; vertex ids must be integers") from None
         if not (graph.has_vertex(x) and graph.has_vertex(y)):
-            raise CliError(EXIT_USAGE, f"pair {item!r} references an unknown vertex")
+            raise CliError(f"pair {item!r} references an unknown vertex")
         pairs.append((x, y))
     return sorted(set(pairs))
 
 
-@contextmanager
 def _open_out(path: str):
-    """The text file ``path``, or stdout for "-"."""
+    """The text file ``path``, or stdout for "-", as a context that closes only the file."""
     if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _order_label(order) -> str:
@@ -223,21 +211,18 @@ def _cmd_verify(args, graph, pairs, fh) -> int:
     worst = None  # (lhs/rhs, which, x, y, t) at the first largest ratio
     t_text = [repr(t) for t in ts]
     fh.write("which,x,y,d,t,n,lhs,rhs,margin,passed\n")
-    try:
-        for triples, lhs, rhs in verification_blocks(graph, connected, ts, method=args.method):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                margin = rhs - lhs
-                # lhs/rhs, 0 where lhs is exactly 0 even at rhs = 0
-                ratio = np.where(lhs == 0.0, 0.0, np.where(rhs != 0.0, lhs / rhs, np.inf))
-            passed = passes(lhs, rhs)
-            total, failures = total + passed.size, failures + passed.size - int(passed.sum())
-            vacuous += int(np.count_nonzero((lhs == 0.0) & (rhs == 0.0)))
-            top = np.unravel_index(np.argmax(ratio), ratio.shape)
-            if worst is None or ratio[top] > worst[0]:
-                worst = (float(ratio[top]), TAGS[top[2]], *triples[top[0]][:2], ts[top[1]])
-            _write_reports(fh, triples, t_text, lhs, rhs[..., 0], margin, passed)
-    except (ValueError, ArithmeticError) as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
+    for triples, lhs, rhs in verification_blocks(graph, connected, ts, method=args.method):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            margin = rhs - lhs
+            # lhs/rhs, 0 where lhs is exactly 0 even at rhs = 0
+            ratio = np.where(lhs == 0.0, 0.0, np.where(rhs != 0.0, lhs / rhs, np.inf))
+        passed = passes(lhs, rhs)
+        total, failures = total + passed.size, failures + passed.size - int(passed.sum())
+        vacuous += int(np.count_nonzero((lhs == 0.0) & (rhs == 0.0)))
+        top = np.unravel_index(np.argmax(ratio), ratio.shape)
+        if worst is None or ratio[top] > worst[0]:
+            worst = (float(ratio[top]), TAGS[top[2]], *triples[top[0]][:2], ts[top[1]])
+        _write_reports(fh, triples, t_text, lhs, rhs[..., 0], margin, passed)
     summary = (f"graphheat: {total - failures}/{total} checks passed on {len(connected)} "
                f"pair(s), {len(pairs) - len(connected)} disconnected pair(s) skipped")
     if vacuous:  # 0 <= 0 says nothing of t^d, as where element, term and bound underflow
@@ -256,14 +241,11 @@ def _cmd_exponent(args, graph, pairs, fh) -> int:
     fits = exponent_fits(graph, [(x, y) for x, y, _ in connected], args.t0, args.ratio,
                          args.count, args.group)
     out.writerow(["x", "y", "group", "slope", "d_E", "abs_error", "max_residual"])
-    try:
-        # connected leads the zip, so a run without connected pairs takes no fit
-        for (x, y, d), fit in zip(connected, fits):
-            err = abs(fit.slope - d)
-            worst = max(worst, err)
-            out.writerow([x, y, args.group, fit.slope, d, err, fit.max_residual])
-    except (ValueError, ArithmeticError) as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
+    # connected leads the zip, so a run without connected pairs takes no fit
+    for (x, y, d), fit in zip(connected, fits):
+        err = abs(fit.slope - d)
+        worst = max(worst, err)
+        out.writerow([x, y, args.group, fit.slope, d, err, fit.max_residual])
     if len(connected) < len(pairs):
         print(f"graphheat: {len(pairs) - len(connected)} disconnected pair(s) skipped",
               file=sys.stderr)
@@ -274,10 +256,10 @@ def _cmd_exponent(args, graph, pairs, fh) -> int:
     return EXIT_OK
 
 
-def _pair_overlay(rows, op, x, y, cutoff):
-    """(d, s, |m_xy(d)|/s^d, (m_xx(d+1) + m_yy(d+1))/s^(d+1)) at the rows' scale s, or None."""
-    d = combinatorial_distance(rows.source, x, y, cutoff=cutoff)
-    if d == INFINITE:
+def _pair_overlay(rows, op, x, y, d):
+    """(d, s, |m_xy(d)|/s^d, (m_xx(d+1) + m_yy(d+1))/s^(d+1)) at the rows' scale s for the pair
+    at hop distance d, or None for d = -1 (not reached within the cutoff)."""
+    if d < 0:
         return None
     exp, lead = rows.exp, abs(moment_table(op, x, y, d).values[d])
     mxx = moment_table(op, x, x, d + 1).values[d + 1]
@@ -289,22 +271,18 @@ def _cmd_sweep(args, graph, pairs, fh) -> int:
     ts = sorted([args.t0 * args.ratio ** k for k in range(args.count)] + [0.0])
     op, size = LaplacianOperator(graph), max(1, BLOCK_ELEMENTS // len(ts))  # pairs per stream
     fh.write("x,y,t,value,leading,bound,method\n")
-    try:
-        routes = [select_route(graph, t, args.method) for t in ts]
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from exc
+    routes = [select_route(graph, t, args.method) for t in ts]
     element, t_text = wave_element if args.unitary else heat_element, [repr(t) for t in ts]
     for lo in range(0, len(pairs), size):
         block = pairs[lo:lo + size]
         rows = PairRows(graph, block)  # one stream per block: the floats it converts live with it
-        try:  # a time at a time, so the rows keep each eigen time's phases for the whole block
-            values = [[element(rows, x, y, t, method=method) for x, y in block]
-                      for t, method in zip(ts, routes)]
-        except (ValueError, ArithmeticError) as exc:
-            raise CliError(EXIT_USAGE, str(exc)) from exc
+        # a time at a time, so the rows keep each eigen time's phases for the whole block
+        values = [[element(rows, x, y, t, method=method) for x, y in block]
+                  for t, method in zip(ts, routes)]
+        hops = _hop_distances(graph, block, args.cutoff).tolist()
         lines = []  # the block's rows, pair by pair, in the bytes of csv.writer's
         for j, (x, y) in enumerate(block):
-            overlay = _pair_overlay(rows, op, x, y, args.cutoff)
+            overlay = _pair_overlay(rows, op, x, y, hops[j])
             for t, text, method, column in zip(ts, t_text, routes, values):
                 value, leading, bound = abs(column[j]) if args.unitary else column[j], "", ""
                 if overlay is not None:
@@ -390,11 +368,11 @@ def main(argv=None) -> int:
         pairs = _select_pairs(graph, args.pairs, args.seed)
         with _open_out(args.out) as fh:
             return args.handler(args, graph, pairs, fh)
-    except CliError as exc:
-        print(f"graphheat: {exc.message}", file=sys.stderr)
-        return exc.code
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError: the reader has all it wanted
         return EXIT_OK
+    except (ValueError, ArithmeticError, OSError) as exc:
+        print(f"graphheat: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -100,7 +100,7 @@ class WeightedGraph(_DictRows):
     (u, v, weight) triples; :meth:`from_arrays` takes them as three arrays, checked
     alike.  The queries return Python numbers; :meth:`neighbors` makes a vertex's
     dict row when first asked for it.  Instances are immutable after construction
-    (the arrays are read-only) and safe to share between threads.
+    (the arrays are read-only, a pickled copy's too) and safe to share between threads.
 
     The graph is its Laplacian's kernel (see the module docstring): :meth:`apply`
     applies it, ``bound`` is the Gershgorin bound of M^-1/2 A M^-1/2, an upper bound
@@ -163,6 +163,13 @@ class WeightedGraph(_DictRows):
         self._dict_rows: dict[int, dict[int, float]] = {}
         self._index = rows[:0]  # rows + n j for the columns j of the widest block so far
         self.labels = None
+
+    def __getstate__(self):  # the stored arrays: no caches, nor heat_element's pair per thread
+        return self.n, self.rows, self.cols, self.w, self.m, self.c, self.labels
+
+    def __setstate__(self, state) -> None:  # read-only arrays again, as _store makes them
+        self._store(*state[:-1])
+        self.labels = state[-1]
 
     @classmethod
     def from_adjacency(cls, rows, measure=None, killing=None):

@@ -237,20 +237,58 @@ def test_bad_generator_spec(capsys):
         assert "generator spec" in err, spec
 
 
+# every message a CliError carries, each a whole stderr line, and the errors of loading a
+# graph, which main reports alike
 @pytest.mark.parametrize("argv,message", [
     (["--gen", "path:3", "--input", "g.txt"], "give either --input or --gen, not both"),
-    (["--input", "missing.txt"], "No such file or directory: 'missing.txt'"),
+    ([], "one of --input FILE or --gen SPEC is required"),
+    (["--input", "missing.txt"], "[Errno 2] No such file or directory: 'missing.txt'"),
+    (["--input", "bad.txt"], "bad.txt: line 3: measure is not a number: 'x'"),
+    (["--gen", "pentagon:5"], "bad generator spec 'pentagon:5': unknown family 'pentagon'"),
+    (["--gen", "path:150"],
+     "all-pairs selection has 11175 pairs, above the cap 10000; provide --seed to sample"),
     (["--gen", "path:3", "--pairs", "sample:x"], "bad sample size in --pairs 'sample:x'"),
     (["--gen", "path:3", "--pairs", "sample:-1"], "sample size must be non-negative"),
+    (["--gen", "path:3", "--pairs", "sample:2"],
+     "--pairs sample:k requires --seed for reproducibility"),
     (["--gen", "path:3", "--pairs", "0,1,2"], "bad pair '0,1,2'; expected 'x,y'"),
     (["--gen", "path:3", "--pairs", "a,b"], "bad pair 'a,b'; vertex ids must be integers"),
+    (["--gen", "path:3", "--pairs", "0,9"], "pair '0,9' references an unknown vertex"),
+    (["--gen", "path:3", "--t0", "0"], "--t0 must be positive and finite"),
     (["--gen", "path:3", "--ratio", "1.5"], "--ratio must lie strictly between 0 and 1"),
+    (["--gen", "path:3", "--count", "2"], "--count must be at least 3"),
+    (["--gen", "path:3", "--cutoff", "-1"], "--cutoff must be non-negative"),
 ], ids=" ".join)
 def test_usage_errors_name_their_fault(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, "verify", *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("graphheat: ") and message in err
+    (tmp_path / "bad.txt").write_text("graph 2\nv 0 1.0 0.0\nv 1 x 0.0\n")
+    assert run(capsys, "verify", *argv) == (2, "", f"graphheat: {message}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["moments", "--nmax", "-1"], "--nmax must be non-negative"),
+    (["exponent", "--tol", "nan"], "--tol must be non-negative"),
+    (["distance", "--out", "missing/x.csv"],
+     "[Errno 2] No such file or directory: 'missing/x.csv'"),
+], ids=" ".join)
+def test_the_other_subcommands_name_their_fault_in_one_line(tmp_path, monkeypatch, capsys,
+                                                            argv, message):
+    monkeypatch.chdir(tmp_path)  # no directory "missing" there: the output cannot be opened
+    assert run(capsys, argv[0], "--gen", "path:3", *argv[1:]) == (2, "", f"graphheat: {message}\n")
+
+
+@pytest.mark.parametrize("command, name, out", [
+    ("distance", "first_nonzero_orders", ""),
+    ("moments", "moment_table", "x,y,n,moment,d_L\n"),
+])
+@pytest.mark.parametrize("error", [ValueError, ArithmeticError])
+def test_a_library_error_inside_a_subcommand_ends_the_run_with_one_line(capsys, monkeypatch,
+                                                                        command, name, out, error):
+    def failing(*args):
+        raise error("the stream failed")
+
+    monkeypatch.setattr(cli, name, failing)
+    assert run(capsys, command, "--gen", "path:3") == (2, out, "graphheat: the stream failed\n")
 
 
 def test_a_closed_stdout_ends_the_run_quietly(monkeypatch, capsys):
@@ -696,7 +734,8 @@ def _sweep_pair_major(unitary, method, t0):
     out = csv.writer(fh, lineterminator="\n")
     out.writerow(["x", "y", "t", "value", "leading", "bound", "method"])
     for x, y in _select_pairs(g, "all", None):
-        overlay = cli._pair_overlay(PairRows(g, [(x, y)]), op, x, y, None)
+        d = distances_from(g, x).get(y, -1)
+        overlay = cli._pair_overlay(PairRows(g, [(x, y)]), op, x, y, d)
         for t, route in zip(ts, routes):
             value = (wave_element if unitary else heat_element)(g, x, y, t, method=route)
             leading = bound = ""
@@ -725,6 +764,33 @@ def test_sweep_blocks_read_a_time_at_a_time_give_the_pair_major_bytes(capsys, mo
     assert set(routes) == ({"series", "eigen"} if method == "auto" else {method})
     _, table = rows(out)
     assert any(row[4] == "" for row in table) and any(row[4] != "" for row in table)
+
+
+@pytest.mark.parametrize("command", ["heat", "wave"])
+@pytest.mark.parametrize("spec, block", [(SWEEP_SPEC, 3), ("random:40:0.1:1:c", None)])
+@pytest.mark.parametrize("cutoff", [None, 1])
+def test_a_sweeps_overlays_read_one_search_per_source_of_each_block(capsys, monkeypatch, command,
+                                                                    spec, block, cutoff):
+    # blocks of 3 pairs at 17 times on a graph whose vertex 9 is isolated, and 240-pair blocks
+    # of the certify workload's graph, whose wide layers send most sources to the array search
+    g, starts = from_spec(spec), []
+    if block is not None:
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", block * 17)
+    counts = _count_searches(monkeypatch)
+    monkeypatch.setattr(cli, "PairRows", lambda source, pairs: starts.append(
+        (pairs, counts["alone"] + counts["array"])) or PairRows(source, pairs))
+    code, out, _ = run(capsys, command, "--gen", spec,
+                       *([] if cutoff is None else ["--cutoff", str(cutoff)]))
+    _, table = rows(out)
+    assert code == 0 and len(table) == g.n * (g.n - 1) // 2 * 17
+    for x, y, _, _, leading, bound, _ in table:
+        reached = int(y) in distances_from(g, int(x), cutoff=cutoff)
+        assert (leading != "", bound != "") == (reached, reached), (x, y)
+    assert any(row[4] == "" for row in table) and any(row[4] != "" for row in table)
+    ends = [searches for _, searches in starts[1:]] + [counts["alone"] + counts["array"]]
+    for (pairs, before), after in zip(starts, ends):
+        assert 1 <= after - before <= len({x for x, _ in pairs})
+    assert counts["array"] > 0 if block is None else counts["array"] == 0
 
 
 @pytest.mark.parametrize("command", ["heat", "wave"])

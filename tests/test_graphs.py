@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+import pickle
 import sys
 import threading
 
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 
 from graphheat import (INFINITE, ProceduralGraph, WeightedGraph, ball,
                        combinatorial_distance, degree, distances_from, from_spec,
-                       integer_line, is_connected, path_graph,
-                       random_connected_graph, random_graph, validate)
+                       heat_element, integer_line, is_connected, path_graph,
+                       random_connected_graph, random_graph, validate, wave_element)
 from graphheat.asymptotics import exponent_fits
 from graphheat.graphs import neighborhood, pair_distances
+from graphheat.spectral import select_route
 
 
 def test_constructor_mirrors_edges():
@@ -520,3 +522,21 @@ def test_threads_that_share_a_graph_read_one_dict_row_per_vertex():
         assert all(got[x][0] is g._dict_rows[x] for got in rows)
         assert all(got[x][1] == list(zip(*(a[g._indptr[x]:g._indptr[x + 1]].tolist()
                                            for a in (g.cols, g.w)))) for got in rows)
+
+
+def test_a_pickled_graph_has_read_only_arrays_and_gives_the_elements_bits():
+    g = random_connected_graph(30, 0.2, 1)
+    heat_element(g, 0, 5, 0.01)  # leaves the pair's stream on the graph, per thread
+    ts = [0.0, 0.01, 0.3, 2.0]
+    assert {select_route(g, t, "auto") for t in ts} == {"series", "eigen"}
+    for original in (g, ball(g, 3, 2)):  # a ball keeps its labels
+        copy = pickle.loads(pickle.dumps(original))
+        assert (copy.n, copy.labels) == (original.n, original.labels)
+        for name in ("rows", "cols", "w", "m", "c", "wsum", "diag"):
+            array = getattr(copy, name)
+            assert not array.flags.writeable, name
+            assert array.tobytes() == getattr(original, name).tobytes(), name
+        for x, y in [(0, 5), (1, 2), (4, 4)]:
+            for t in ts:
+                assert heat_element(copy, x, y, t) == heat_element(original, x, y, t)
+                assert wave_element(copy, x, y, t) == wave_element(original, x, y, t)
