@@ -13,12 +13,13 @@ element carries an absolute rounding floor of about n * eps * sqrt(m(x) m(y))
 whatever its size, so where the bound is that small, ``lhs`` can be off by
 more than 1e-9 * rhs.
 
-A pair's report at order n has the series' own n-th term as its leading term and that term's
-remainder bound, the series route's stopping bound, as its bound, both over the moments scaled by
-s^n, so they hold at any hop distance.  Every report and fit reads its pairs from one block stream,
-as arrays of :func:`~graphheat.spectral.block_elements` over BLOCK_ELEMENTS (pair, t) elements or
-one pair: one builder forms the reports, which :func:`verification_blocks` yields and every other
-check reads as :class:`BoundReport` lists, and :func:`exponent_fits` fits a block in one solve.
+A pair's report at order n takes the series' n-th term as its leading term and that term's remainder
+bound, the series route's stopping bound, as its bound, over the moments scaled by s^n, so they hold
+at any hop distance: :func:`~graphheat.spectral.order_terms` forms both.  Every report and fit reads
+its pairs from one block stream, as arrays of :func:`~graphheat.spectral.block_elements` over
+BLOCK_ELEMENTS (pair, t) elements or one pair: one builder forms the reports, which
+:func:`verification_blocks` yields and every other check reads as :class:`BoundReport` lists, and
+:func:`exponent_fits` fits a block in one solve.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import numpy as np
 from .graphs import INFINITE, combinatorial_distance
 from .moments import PairRows, stream
 from .operators import WeightedVector, _exact_sum
-from .spectral import (ScalarFunction, SpectralDecomposition, _resolve, _series_coefficient,
-                       block_elements, functional_calculus, heat_element, select_route)
+from .spectral import (ScalarFunction, SpectralDecomposition, _resolve, block_elements,
+                       functional_calculus, heat_element, order_terms, select_route)
 
 PASS_SLACK_REL = 1e-9
 PASS_SLACK_ABS = 1e-300
@@ -134,11 +135,9 @@ def _order_reports(rows: PairRows, block, orders, ts, routes):
     """(lhs, rhs) of the pairs ``block`` (a slice) of the rows at their ``orders``,
     shaped (pair, t, tag) over TAGS, for the times ``ts`` taken through ``routes``.
 
-    A pair's leading term at order n is the series' own n-th term
-    (t s)^n/n! xy_n and its bound that term's remainder bound
-    1/2 (t s)^(n+1)/(n+1)! (xx_{n+1} + yy_{n+1}), in the scaled moments with the
-    coefficients of :func:`pair_element`; a term or bound not finite raises ArithmeticError,
-    as a series sum does.  Every moment of a pair below its order must vanish.
+    A pair's leading term at order n and its bound are the :func:`order_terms` of its
+    scaled moments; a term or bound not finite raises ArithmeticError, as a series sum
+    does.  Every moment of a pair below its order must vanish.
     """
     at, orders = rows.at[block], np.asarray(orders, dtype=np.intp)
     if (orders < 0).any():
@@ -150,12 +149,8 @@ def _order_reports(rows: PairRows, block, orders, ts, routes):
         k, i = below[0].tolist()
         raise ValueError(f"bound requires every moment below n to vanish; moment {k} "
                          f"is {math.ldexp(table[k, i, 0], rows.exp * k)}")
-    coef = [np.ones(len(ts))]  # (t s)^k / k! by the recursion of pair_element
-    for k in range(1, top + 2):
-        coef.append(coef[-1] * (np.multiply(ts, rows.scale) / k))
-    coef, after = np.array(coef), table[orders + 1, pair]
-    lead = coef[orders] * table[orders, pair, 0][:, None]
-    rhs = 0.5 * coef[orders + 1] * (after[:, 1] + after[:, 2])[:, None]
+    lead, rhs = order_terms(np.multiply(ts, rows.scale), orders, table[orders, pair, 0],
+                            table[orders + 1, pair, 1] + table[orders + 1, pair, 2])
     for i, j in np.argwhere(~(np.isfinite(lead) & np.isfinite(rhs)))[:1].tolist():
         raise ArithmeticError(f"the leading term or bound of pair {rows.pairs[block][i]} "
                               f"at t={float(ts[j])!r} is not finite")
@@ -323,8 +318,7 @@ def vanishing_order_check(source, x, y, n: int, t_samples,
     under eigen they only vanish to round-off, so that route is informative
     about magnitudes, not exactness.
     """
-    graph = _resolve(source)
-    rows = PairRows(graph, [(x, y)])
+    rows = PairRows(_resolve(source), [(x, y)])
     order = next((k for k in range(n + 1) if rows[k][0] != 0.0), None)
     if order is not None:
         raise ValueError(f"pair ({x}, {y}) has a nonzero moment at order {order} <= {n}; "
@@ -332,9 +326,8 @@ def vanishing_order_check(source, x, y, n: int, t_samples,
     ts = list(t_samples)
     lhs, rhs = _order_reports(rows, slice(None), [n], ts, [select_route(rows, t, method) for t in ts])
     samples = _pair_reports(x, y, n, ts, lhs[0], rhs[0], ("semigroup", "unitary"))
-    _, xx, yy = rows.floats(0, n + 1)
-    # the reports' bound at t = 1
-    constant = 0.5 * _series_coefficient(rows.scale, n + 1) * (xx + yy)
+    (xy, _, _), (_, xx, yy) = rows.floats(0, n), rows.floats(0, n + 1)
+    constant = order_terms([rows.scale], [n], [xy], [xx + yy])[1].item()  # the bound at t = 1
     return VanishingOrderReport(x, y, n, constant, tuple(samples))
 
 

@@ -1,12 +1,12 @@
 """Command-line front end emitting CSV reports.
 
-Subcommands: ``distance`` (hop distance vs first nonzero moment order with an
-equality flag), ``verify`` (leading-order and short-time bound reports),
-``exponent`` (log-log slope fits), ``heat``/``wave`` (propagator sweeps with
-leading-term and bound overlays), and ``moments`` (moment tables).  Every hop distance
-comes from :func:`_hop_distances` (layered searches or an array search, no moment), which a
-sweep calls once per block.  A sweep evaluates each block a time at a time from one PairRows,
-which keeps the time's eigen phases for the block, then writes the rows pair by pair.
+Subcommands: ``distance`` (hop distance vs first nonzero moment order with an equality flag),
+``verify`` (leading-order and short-time bound reports), ``exponent`` (log-log slope fits),
+``heat``/``wave`` (propagator sweeps overlaid with each pair's leading term and bound, the
+:func:`~graphheat.spectral.order_terms` of its :func:`moment_table` values), and ``moments`` (moment
+tables).  Every hop distance comes from :func:`_hop_distances` (layered searches or an array search,
+no moment), which a sweep calls once per block.  A sweep evaluates each block a time at a time from
+one PairRows, which keeps the time's eigen phases for the block, then writes the rows pair by pair.
 
 Each subcommand takes only the options it reads.  All take the graph
 (``--input`` or ``--gen``), ``--pairs``, ``--seed`` and ``--out``; all but
@@ -42,7 +42,7 @@ from .graphio import GraphFormatError, load_graph
 from .graphs import distances_from, pair_distances
 from .moments import PairRows, UnknownAbove, first_nonzero_orders, moment_table
 from .operators import LaplacianOperator
-from .spectral import _series_coefficient, heat_element, select_route, wave_element
+from .spectral import heat_element, order_terms, select_route, wave_element
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -256,15 +256,18 @@ def _cmd_exponent(args, graph, pairs, fh) -> int:
     return EXIT_OK
 
 
-def _pair_overlay(rows, op, x, y, d):
-    """(d, s, |m_xy(d)|/s^d, (m_xx(d+1) + m_yy(d+1))/s^(d+1)) at the rows' scale s for the pair
-    at hop distance d, or None for d = -1 (not reached within the cutoff)."""
+def _pair_overlay(rows, op, x, y, d, ts):
+    """Per t of ``ts``, the (leading, bound) texts of the pair at hop distance d: the
+    :func:`order_terms` of |m_xy(d)|/s^d and (m_xx(d+1) + m_yy(d+1))/s^(d+1) at the rows'
+    scale s, or empty texts for d = -1 (not reached within the cutoff)."""
     if d < 0:
-        return None
+        return [("", "")] * len(ts)
     exp, lead = rows.exp, abs(moment_table(op, x, y, d).values[d])
     mxx = moment_table(op, x, x, d + 1).values[d + 1]
     myy = moment_table(op, y, y, d + 1).values[d + 1]
-    return d, rows.scale, math.ldexp(lead, -exp * d), math.ldexp(mxx + myy, -exp * (d + 1))
+    terms = order_terms(np.multiply(ts, rows.scale), [d], [math.ldexp(lead, -exp * d)],
+                        [math.ldexp(mxx + myy, -exp * (d + 1))])
+    return list(zip(*(map(repr, side[0].tolist()) for side in terms)))
 
 
 def _cmd_sweep(args, graph, pairs, fh) -> int:
@@ -282,13 +285,9 @@ def _cmd_sweep(args, graph, pairs, fh) -> int:
         hops = _hop_distances(graph, block, args.cutoff).tolist()
         lines = []  # the block's rows, pair by pair, in the bytes of csv.writer's
         for j, (x, y) in enumerate(block):
-            overlay = _pair_overlay(rows, op, x, y, hops[j])
-            for t, text, method, column in zip(ts, t_text, routes, values):
-                value, leading, bound = abs(column[j]) if args.unitary else column[j], "", ""
-                if overlay is not None:
-                    d, scale, lead, diagonal = overlay
-                    leading = repr(_series_coefficient(t * scale, d) * lead)
-                    bound = repr(0.5 * _series_coefficient(t * scale, d + 1) * diagonal)
+            overlay = _pair_overlay(rows, op, x, y, hops[j], ts)
+            for text, method, column, (leading, bound) in zip(t_text, routes, values, overlay):
+                value = abs(column[j]) if args.unitary else column[j]
                 lines.append(f"{x},{y},{text},{value!r},{leading},{bound},{method}\n")
         fh.write("".join(lines))
     return EXIT_OK

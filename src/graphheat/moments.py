@@ -166,7 +166,8 @@ class PairRows:
 
 
 def _moments_at(op: LaplacianOperator, x, y, n_max: int):
-    """<1_x, L^n 1_y> for n = 0..n_max, from the unscaled stream of 1_y."""
+    """<1_x, L^n 1_y> for n = 0..n_max, from the unscaled stream of 1_y, which may overflow far
+    behind the front: its readers drain it under np.errstate, which a yield here would leak."""
     g = op.graph
     g._check(x)
     g._check(y)
@@ -183,7 +184,8 @@ def moment_table(op: LaplacianOperator, x, y, n_max: int) -> MomentTable:
     """Moments for n = 0..n_max in one pass over the vector stream."""
     if n_max < 0:
         raise ValueError("moment order must be non-negative")
-    values = tuple(_moments_at(op, x, y, n_max))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in first_nonzero_orders
+        values = tuple(_moments_at(op, x, y, n_max))
     order = next((n for n, v in enumerate(values) if v != 0.0), UnknownAbove(n_max))
     return MomentTable(x, y, values, order)
 
@@ -192,8 +194,9 @@ def leading_moment_order(op: LaplacianOperator, x, y, n_max: int):
     """Smallest n <= n_max with a nonzero moment, else ``UnknownAbove(n_max)``."""
     if n_max < 0:
         raise ValueError("search bound must be non-negative")
-    return next((n for n, v in enumerate(_moments_at(op, x, y, n_max)) if v != 0.0),
-                UnknownAbove(n_max))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in first_nonzero_orders
+        return next((n for n, v in enumerate(_moments_at(op, x, y, n_max)) if v != 0.0),
+                    UnknownAbove(n_max))
 
 
 def first_nonzero_moments(op: LaplacianOperator, y, n_max: int) -> dict:

@@ -36,7 +36,8 @@ this module picks one.  :func:`block_elements` takes the pairs and times of a bl
 elements still running; every report and fit reads it.  For one pair, and in :func:`heat_element` /
 :func:`wave_element`, :func:`pair_element` takes each element in scalar Python from its first
 nonzero term, where numpy's per-call cost makes it 25 times dearer.  Both round each series sum as
-``math.fsum`` does (the array series by :func:`_rounded_sums`).
+``math.fsum`` does (the array series by :func:`_rounded_sums`).  :func:`order_terms` alone forms the
+certificate, a pair's n-th term and its remainder bound, for every report and overlay.
 """
 
 from __future__ import annotations
@@ -329,6 +330,19 @@ def pair_element(rows: PairRows, i: int, t, route: str, unitary: bool):
     return complex(math.fsum(terms[::2]), math.fsum(terms[1::2])) if unitary else math.fsum(terms)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a term above the largest double reads inf
+def order_terms(ts, orders, xy, diagonal):
+    """Each pair's series term (t s)^n/n! xy_n and remainder bound 1/2 (t s)^(n+1)/(n+1)!
+    (xx + yy)_(n+1) at the scaled times ``ts`` = t s, as (pair, t) arrays, from its order n,
+    xy_n and (xx + yy)_(n+1), by :func:`pair_element`'s recursion, so bitwise its own."""
+    ts, orders = np.asarray(ts, dtype=float), np.asarray(orders, dtype=np.intp)
+    coef = np.ones((int(orders.max(initial=-1)) + 2, len(ts)))
+    for k in range(1, len(coef)):
+        coef[k] = coef[k - 1] * (ts / k)
+    return (coef[orders] * np.asarray(xy, dtype=float)[:, None],
+            0.5 * coef[orders + 1] * np.asarray(diagonal, dtype=float)[:, None])
+
+
 def _unmet(n: int) -> ArithmeticError:
     """The series' error at order n: MAX_SERIES_TERMS reached, or a sum or bound not finite."""
     return ArithmeticError(f"series stopped at order {n} short of its remainder target: it takes "
@@ -430,15 +444,6 @@ def _rounded_sums(terms: np.ndarray) -> np.ndarray:
     for j in np.flatnonzero(~certified).tolist():
         c[j] = math.fsum(terms[:, j].tolist())
     return c
-
-
-def _series_coefficient(ts, n: int) -> float:
-    """(t s)^n / n! at ts = t s by the recursion of :func:`pair_element`, so bitwise
-    the coefficient of its n-th term; no factorial is formed, so it holds at any n."""
-    coef = 1.0
-    for k in range(1, n + 1):
-        coef *= ts / k
-    return coef
 
 
 def _element(source, x, y, t, method, unitary):

@@ -16,6 +16,15 @@ settings.register_profile("long", max_examples=10_000)
 settings.load_profile(os.environ.get("GRAPHHEAT_HYPOTHESIS_PROFILE", "default"))
 
 
+def series_coefficient(ts, n):
+    """(t s)^n / n! at ts = t s, by the series' own recursion coef *= ts / k in Python
+    floats: the reference for every certificate coefficient."""
+    coef = 1.0
+    for k in range(1, n + 1):
+        coef *= ts / k
+    return coef
+
+
 def doubling_line():
     """The integer line with the weight 2^max(|a|, |b|) on the edge (a, b): its
     1-balls pass the series gate while its moments overflow."""

@@ -10,6 +10,7 @@ import math
 import re
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -24,10 +25,10 @@ from graphheat import (INFINITE, BoundReport, LaplacianOperator, ProceduralGraph
                        wave_element)
 from graphheat.cli import _select_pairs, main
 from graphheat.moments import INITIAL_RADIUS, PairRows
-from graphheat.spectral import (MAX_SERIES_TERMS, _series_coefficient, block_elements,
-                                pair_element, select_route)
+from graphheat.spectral import (MAX_SERIES_TERMS, block_elements, order_terms, pair_element,
+                                select_route)
 
-from conftest import doubling_line, random_oracle
+from conftest import doubling_line, random_oracle, series_coefficient
 
 TS = sorted(0.1 * 0.1 ** k for k in range(4))  # the verify default grid
 
@@ -59,8 +60,8 @@ def _pair_reference(graph, x, y, d, ts, method):
     for t in ts:
         route = select_route(graph, t, method)
         h, w = pair_element(rows, 0, t, route, False), pair_element(rows, 0, t, route, True)
-        lead = _series_coefficient(t * rows.scale, d) * xy
-        rhs = 0.5 * _series_coefficient(t * rows.scale, d + 1) * (xx + yy)
+        lead = series_coefficient(t * rows.scale, d) * xy
+        rhs = 0.5 * series_coefficient(t * rows.scale, d + 1) * (xx + yy)
         yield "heat_leading", t, abs(h - abs(lead)), rhs
         yield "wave_leading", t, abs(abs(w) - abs(lead)), rhs
         yield "semigroup", t, abs(h - (1.0, -1.0)[d % 2] * lead), rhs
@@ -356,6 +357,35 @@ def test_rounded_sums_equal_fsum_bitwise(terms):
                 spectral._rounded_sums(terms)
             return
     assert spectral._rounded_sums(terms).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+_MOMENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals to the largest double
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 1.7976931348623157e308]))
+# scaled times: 0, anything up to 1e300, and the moderate values whose terms neither overflow
+# nor underflow for dozens of orders, where each rounding of the recursion shows
+_SCALED_TIMES = st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(1e-2, 1e2))
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.lists(_SCALED_TIMES, min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 300), _MOMENTS, _MOMENTS), max_size=4))
+@example([1e300, 0.0], [(3, 0.0, 1.0), (0, 1.7976931348623157e308, 5e-324)])  # inf, nan, 0.0
+@example([0.3, 1.7, 123.456], [(5, 1.0, 1.0), (17, -0.75, 3.0)])  # ts / k rounds, then the product
+def test_order_terms_equal_the_series_recursion_bitwise(ts, pairs):
+    """Each pair's n-th term and its remainder bound are the Python loop coef *= ts / k times
+    its moments, bit for bit; terms past the largest double read inf (or nan), silently."""
+    orders, xy, diagonal = zip(*pairs) if pairs else ((), (), ())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lead, bound = order_terms(ts, orders, xy, diagonal)
+    assert lead.shape == bound.shape == (len(pairs), len(ts))
+    for i, (n, m, diag) in enumerate(pairs):
+        assert [v.hex() for v in lead[i].tolist()] == [
+            (series_coefficient(t, n) * m).hex() for t in ts]
+        assert [v.hex() for v in bound[i].tolist()] == [
+            (0.5 * series_coefficient(t, n + 1) * diag).hex() for t in ts]
 
 
 def test_ordinary_sums_take_the_certified_path(monkeypatch):

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+import warnings
 from unittest import mock
 
 import pytest
@@ -12,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphheat import (INFINITE, LaplacianOperator, cli, combinatorial_distance, from_spec,
-                       distances_from, heat_element, leading_exponent_fit, path_graph,
-                       random_graph, spectral, wave_element)
+                       distances_from, heat_element, leading_exponent_fit, moment_table,
+                       path_graph, random_graph, spectral, wave_element)
 from graphheat.moments import PairRows
-from graphheat.spectral import _series_coefficient, select_route
+from graphheat.spectral import select_route
 from graphheat.cli import PAIR_CAP, CliError, _hop_distances, _pairs_at, _select_pairs, main
 from graphheat.graphs import BallSearch
+
+from conftest import series_coefficient
 
 P3_TEXT = """\
 graph 3
@@ -191,6 +194,26 @@ def test_moments_disconnected_label(capsys):
     assert code == 0
     _, body = rows(out)
     assert all(r[4] == ">3" for r in body)
+
+
+def test_moments_far_past_overflow_warn_nothing(capsys):
+    # far behind the front the unscaled stream of 1_520 overflows: the rows stay exact, and
+    # stderr stays empty under warnings raised as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "moments", "--gen", "cycle:2000", "--pairs", "0,520",
+                             "--nmax", "520")
+    assert (code, err) == (0, "")
+    assert rows(out)[1][-2:] == [["0", "520", "519", "0.0", "520"],
+                                 ["0", "520", "520", "1.0", "520"]]
+
+
+def test_distance_reads_far_fronts_from_the_unscaled_stream(capsys):
+    # the scaled PairRows (s = 4) would read 0.0 at these orders, 4^-600 lying below the smallest
+    # subnormal, and so report false mismatches
+    code, out, err = run(capsys, "distance", "--gen", "cycle:2000", "--pairs", "0,600;0,1000")
+    assert (code, err) == (0, "")
+    assert out == "x,y,d_E,d_L,status\n0,600,600,600,ok\n0,1000,1000,1000,ok\n"
 
 
 def test_output_deterministic(tmp_path, capsys):
@@ -727,22 +750,28 @@ SWEEP_SPEC = "random:12:0.15:8:c"  # 66 pairs, 11 at the isolated 9; auto runs b
 
 
 def _sweep_pair_major(unitary, method, t0):
-    """A sweep's CSV from one element call per (pair, t) on the graph, pair by pair."""
+    """A sweep's CSV from one element call per (pair, t) on the graph, pair by pair, its
+    overlays the series' order-d term and remainder bound over the moments of moment_table
+    scaled by the sweep's power of two s = 2^exp, by the series' own recursion."""
     g, fh = from_spec(SWEEP_SPEC), io.StringIO()
     ts = sorted([t0 * 0.5 ** k for k in range(16)] + [0.0])
     routes, op = [select_route(g, t, method) for t in ts], LaplacianOperator(g)
     out = csv.writer(fh, lineterminator="\n")
     out.writerow(["x", "y", "t", "value", "leading", "bound", "method"])
     for x, y in _select_pairs(g, "all", None):
-        d = distances_from(g, x).get(y, -1)
-        overlay = cli._pair_overlay(PairRows(g, [(x, y)]), op, x, y, d)
+        d, rows = distances_from(g, x).get(y, -1), PairRows(g, [(x, y)])
+        if d >= 0:
+            lead = abs(moment_table(op, x, y, d).values[d])
+            diagonal = (moment_table(op, x, x, d + 1).values[d + 1]
+                        + moment_table(op, y, y, d + 1).values[d + 1])
+            lead, diagonal = (math.ldexp(lead, -rows.exp * d),
+                              math.ldexp(diagonal, -rows.exp * (d + 1)))
         for t, route in zip(ts, routes):
             value = (wave_element if unitary else heat_element)(g, x, y, t, method=route)
             leading = bound = ""
-            if overlay is not None:
-                d, scale, lead, diagonal = overlay
-                leading = _series_coefficient(t * scale, d) * lead
-                bound = 0.5 * _series_coefficient(t * scale, d + 1) * diagonal
+            if d >= 0:
+                leading = series_coefficient(t * rows.scale, d) * lead
+                bound = 0.5 * series_coefficient(t * rows.scale, d + 1) * diagonal
             out.writerow([x, y, t, abs(value) if unitary else value, leading, bound, route])
     return fh.getvalue(), routes
 

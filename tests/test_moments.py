@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import pytest
 
 from graphheat import (EnumerationBudgetError, LaplacianOperator, UnknownAbove,
-                       WeightedGraph, ball, combinatorial_distance,
+                       WeightedGraph, ball, combinatorial_distance, cycle_graph,
                        distances_from, first_nonzero_moments, integer_line,
                        leading_moment_order, moment, moment_table,
                        path_graph, path_sum_moment, random_connected_graph,
@@ -163,3 +164,23 @@ def test_first_nonzero_moments_matches_per_pair():
                 n, value = table[x]
                 assert n == dist[x]
                 assert value == moment(op, x, y, n)
+
+
+def _far_front(warning_filter):
+    """moment_table and leading_moment_order of (0, 600) on the 2,000-cycle through order 600,
+    under the warnings filter given: by then the stream of 1_600 overflows far behind its front."""
+    op = LaplacianOperator(cycle_graph(2000))
+    with warnings.catch_warnings():
+        warnings.simplefilter(warning_filter)
+        return moment_table(op, 0, 600, 600), leading_moment_order(op, 0, 600, 600)
+
+
+def test_unscaled_readers_hold_the_far_front():
+    # the front's entries stay exact; the scaled PairRows (s = 4) read 0.0 there, as 4^-600
+    # lies below the smallest subnormal
+    table, order = _far_front("ignore")  # the values alone, whatever the readers warn
+    assert (table.values[599], table.values[600], table.order, order) == (0.0, 1.0, 600, 600)
+
+
+def test_unscaled_readers_keep_the_overflow_to_themselves():
+    assert _far_front("error") == _far_front("ignore")
