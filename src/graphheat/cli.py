@@ -4,9 +4,10 @@ Subcommands: ``distance`` (hop distance vs first nonzero moment order with an eq
 ``verify`` (leading-order and short-time bound reports), ``exponent`` (log-log slope fits),
 ``heat``/``wave`` (propagator sweeps overlaid with each pair's leading term and bound, the
 :func:`~graphheat.spectral.order_terms` of its :func:`moment_table` values), and ``moments`` (moment
-tables).  Every hop distance comes from :func:`_hop_distances` (layered searches or an array search,
-no moment), which a sweep calls once per block.  A sweep evaluates each block a time at a time from
-one PairRows, which keeps the time's eigen phases for the block, then writes the rows pair by pair.
+tables, a block of pairs per :func:`pair_moments` stream).  Every hop distance comes from
+:func:`_hop_distances` (layered searches or an array search, no moment), which a sweep calls once per
+block.  A sweep evaluates each block a time at a time from one PairRows, which keeps the time's eigen
+phases for the block.  Every subcommand writes its rows as text, in the bytes of ``csv.writer``'s.
 
 Each subcommand takes only the options it reads.  All take the graph
 (``--input`` or ``--gen``), ``--pairs``, ``--seed`` and ``--out``; all but
@@ -18,15 +19,16 @@ loads the graph, checks the option values, selects the pairs and opens the
 output once, then hands the three to the subcommand.
 
 Exit codes: 0 success, 1 a theorem-backed check failed, 2 a usage or parse error, an unreadable
-input or unwritable output, or a library ValueError or ArithmeticError, reported by :func:`main`
-alone as one ``graphheat:`` line.  Identical invocations produce byte-identical CSV: pairs and
-times sorted, floats in shortest round-trip form.  Wave sweeps report the modulus of the element.
+input or unwritable output, or a library ValueError or ArithmeticError (among them a moment that is
+not finite, refused before its block's rows), reported by :func:`main` alone as one ``graphheat:``
+line.  Identical invocations produce byte-identical CSV: pairs and times sorted, floats in shortest
+round-trip form.  Wave sweeps report the modulus of the element.  Pairs without a hop distance are
+skipped by ``verify`` and ``exponent``, as disconnected or, given ``--cutoff``, beyond it.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import random
@@ -40,7 +42,7 @@ from .asymptotics import BLOCK_ELEMENTS, TAGS, exponent_fits, passes, verificati
 from .generators import from_spec
 from .graphio import GraphFormatError, load_graph
 from .graphs import distances_from, pair_distances
-from .moments import PairRows, UnknownAbove, first_nonzero_orders, moment_table
+from .moments import PairRows, first_nonzero_orders, moment_table, pair_moments
 from .operators import LaplacianOperator
 from .spectral import heat_element, order_terms, select_route, wave_element
 
@@ -141,10 +143,6 @@ def _open_out(path: str):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _order_label(order) -> str:
-    return f">{order.n_max}" if isinstance(order, UnknownAbove) else str(order)
-
-
 # -- subcommands ---------------------------------------------------------
 
 
@@ -173,7 +171,7 @@ def _cmd_distance(args, graph, pairs, fh) -> int:
     xy, sources = np.array(pairs, dtype=np.intp).reshape(-1, 2), sorted({x for x, _ in pairs})
     _, orders, _ = first_nonzero_orders(LaplacianOperator(graph), sources, cutoff)  # peak memory first
     found = orders[xy[:, 1], np.searchsorted(sources, xy[:, 0])]  # -1 where the hops are, if equal
-    hops, unknown = _hop_distances(graph, xy, cutoff), _order_label(UnknownAbove(cutoff))
+    hops, unknown = _hop_distances(graph, xy, cutoff), f">{cutoff}"
     fh.write("x,y,d_E,d_L,status\n" + "".join([  # the bytes of csv.writer's rows
         f"{x},{y},{'inf' if d < 0 else d},{unknown if n < 0 else n},{('mismatch', 'ok')[d == n]}\n"
         for (x, y), d, n in zip(pairs, hops.tolist(), found.tolist())]))
@@ -203,6 +201,12 @@ def _write_reports(fh, triples, t_text, lhs, rhs, margin, passed):
                           for mid, b, lh, lw, lu, mh, mw, mu, (ph, pw, ps, pu) in elements]))
 
 
+def _skipped(args, count: int) -> str:
+    """The pairs without a hop distance: disconnected, or beyond --cutoff where one is given."""
+    return f"{count} " + ("disconnected pair(s)" if args.cutoff is None
+                          else f"pair(s) beyond --cutoff {args.cutoff}") + " skipped"
+
+
 def _cmd_verify(args, graph, pairs, fh) -> int:
     ts = sorted(args.t0 * args.ratio ** k for k in range(args.count))
     hops = _hop_distances(graph, pairs, args.cutoff).tolist()
@@ -224,7 +228,7 @@ def _cmd_verify(args, graph, pairs, fh) -> int:
             worst = (float(ratio[top]), TAGS[top[2]], *triples[top[0]][:2], ts[top[1]])
         _write_reports(fh, triples, t_text, lhs, rhs[..., 0], margin, passed)
     summary = (f"graphheat: {total - failures}/{total} checks passed on {len(connected)} "
-               f"pair(s), {len(pairs) - len(connected)} disconnected pair(s) skipped")
+               f"pair(s), {_skipped(args, len(pairs) - len(connected))}")
     if vacuous:  # 0 <= 0 says nothing of t^d, as where element, term and bound underflow
         summary += f", {vacuous} vacuous (lhs = rhs = 0.0)"
     if worst is not None:
@@ -234,21 +238,19 @@ def _cmd_verify(args, graph, pairs, fh) -> int:
 
 
 def _cmd_exponent(args, graph, pairs, fh) -> int:
-    out = csv.writer(fh, lineterminator="\n")  # floats print as their repr
     worst = 0.0
     hops = _hop_distances(graph, pairs, args.cutoff).tolist()
     connected = [(x, y, d) for (x, y), d in zip(pairs, hops) if d >= 0]
     fits = exponent_fits(graph, [(x, y) for x, y, _ in connected], args.t0, args.ratio,
                          args.count, args.group)
-    out.writerow(["x", "y", "group", "slope", "d_E", "abs_error", "max_residual"])
+    fh.write("x,y,group,slope,d_E,abs_error,max_residual\n")
     # connected leads the zip, so a run without connected pairs takes no fit
     for (x, y, d), fit in zip(connected, fits):
         err = abs(fit.slope - d)
         worst = max(worst, err)
-        out.writerow([x, y, args.group, fit.slope, d, err, fit.max_residual])
+        fh.write(f"{x},{y},{args.group},{fit.slope!r},{d},{err!r},{fit.max_residual!r}\n")
     if len(connected) < len(pairs):
-        print(f"graphheat: {len(pairs) - len(connected)} disconnected pair(s) skipped",
-              file=sys.stderr)
+        print(f"graphheat: {_skipped(args, len(pairs) - len(connected))}", file=sys.stderr)
     if worst > args.tol:
         print(f"graphheat: worst slope error {worst!r} exceeds tolerance {args.tol!r}",
               file=sys.stderr)
@@ -294,14 +296,19 @@ def _cmd_sweep(args, graph, pairs, fh) -> int:
 
 
 def _cmd_moments(args, graph, pairs, fh) -> int:
-    out = csv.writer(fh, lineterminator="\n")  # floats print as their repr
-    op = LaplacianOperator(graph)
-    out.writerow(["x", "y", "n", "moment", "d_L"])
-    for x, y in pairs:
-        tbl = moment_table(op, x, y, args.nmax)
-        label = _order_label(tbl.order)
-        for n, value in enumerate(tbl.values):
-            out.writerow([x, y, n, value, label])
+    size, unknown = max(1, BLOCK_ELEMENTS // (args.nmax + 1)), f">{args.nmax}"  # pairs per stream
+    fh.write("x,y,n,moment,d_L\n")
+    for lo in range(0, len(pairs), size):
+        block = pairs[lo:lo + size]
+        with np.errstate(over="ignore", invalid="ignore"):  # at a target, refused below
+            table = np.array(list(pair_moments(graph, block, args.nmax))).T  # (pair, order)
+        if not np.isfinite(table).all():  # the block's first such row, before any is written
+            i, n = divmod(int(np.argmin(np.isfinite(table))), args.nmax + 1)
+            raise ArithmeticError(f"the moment of pair {block[i]} at order {n} is not finite")
+        firsts = (table != 0.0).argmax(axis=1).tolist()  # d_L, where that moment is nonzero
+        fh.write("".join([f"{x},{y},{n},{value!r},{d if values[d] else unknown}\n"
+                          for (x, y), values, d in zip(block, table.tolist(), firsts)
+                          for n, value in enumerate(values)]))
     return EXIT_OK
 
 

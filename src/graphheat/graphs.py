@@ -454,8 +454,7 @@ def combinatorial_distance(source, x, y, cutoff: int | None = None):
     exist beyond it).
     """
     source._check(y)
-    return next((d for d, layer in enumerate(_layers(source, [x], cutoff)) if y in layer),
-                INFINITE)
+    return distances_from(source, x, cutoff, targets=[y]).get(y, INFINITE)
 
 
 def distances_from(source, x, cutoff: int | None = None, targets=None) -> dict:

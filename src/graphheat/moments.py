@@ -1,29 +1,27 @@
 """Moment matrix elements <1_x, L^n 1_y> and their first nonzero order.
 
-Every moment is read from :func:`stream`, which advances a block of vectors
-v, one column each, to (L/s)^n v with one :meth:`LaplacianOperator.apply` per
-step, and yields per order one array, the moments at the (vertex, column)
-targets its caller names, so no reader knows the block's layout or the
-hop ball it runs on; that ball grows with the orders, so a stream costs what
-its support costs.  Each column is bitwise the stream of its vector alone on
-the whole graph, so one stream serves many pairs: :class:`PairRows` reads the
-pairs of a report or fit run, or of a sweep's block, from one stream over their
-distinct vertices, and :func:`first_nonzero_orders` the first nonzero orders
-of many sources.  The array kernel keeps exact zeros (see
-:mod:`graphheat.graphs`), so a moment is the float 0.0 precisely when no
-walk of length n joins x and y, and the first nonzero order is found by exact
-comparison.  On connected graphs it is the hop distance, and the moment there
-has sign (-1)^distance: every shortest-walk product has that sign, so no
-cancellation can occur at the critical order.
+Every moment is read from :func:`stream`, which advances a block of vectors v, one column each, to
+(L/s)^n v with one :meth:`LaplacianOperator.apply` per step, and yields per order one array, the
+moments at the (vertex, column) targets its caller names, so no reader knows the block's layout or
+the hop ball it runs on; that ball grows with the orders, so a stream costs what its support costs.
+Each column is bitwise the stream of its vector alone on the whole graph, so one stream serves many
+pairs: :class:`PairRows` reads the pairs of a report or fit run, or of a sweep's block, from one
+stream over their distinct vertices, :func:`pair_moments` the moments of many pairs from one over
+their distinct y, and :func:`first_nonzero_orders` the first nonzero orders of many sources.  The
+array kernel keeps exact zeros (see :mod:`graphheat.graphs`), so a moment is the float 0.0
+precisely when no walk of length n joins x and y, and the first nonzero order is found by exact
+comparison.  On connected graphs it is the hop distance, and the moment there has sign
+(-1)^distance: every shortest-walk product has that sign, so no cancellation can occur at the
+critical order.
 
-The moment readers stream with s = 1, since their values are the moments
-themselves.  :class:`PairRows`, which feeds the series route, divides by the
-Gershgorin bound (the pairs' 1-ball's on a procedural source) rounded up to a
-power of two: its vectors stay bounded, and the exact division keeps L^n v's digits.
+The moment readers stream with s = 1, since their values are the moments themselves; far behind the
+front such a stream may overflow, and the library readers return the IEEE values.
+:class:`PairRows`, which feeds the series route, divides by the Gershgorin bound (the pairs'
+1-ball's on a procedural source) rounded up to a power of two: its vectors stay bounded, and the
+exact division keeps L^n v's digits.
 
-``path_sum_moment`` recomputes a moment by brute-force enumeration of the
-contributing vertex sequences; it is an independent cross-check for the
-streams, intended for small n on small graphs.
+``path_sum_moment`` recomputes a moment by brute-force enumeration of the contributing vertex
+sequences; it is an independent cross-check for the streams, intended for small n on small graphs.
 """
 
 from __future__ import annotations
@@ -165,14 +163,17 @@ class PairRows:
         return values[n]
 
 
-def _moments_at(op: LaplacianOperator, x, y, n_max: int):
-    """<1_x, L^n 1_y> for n = 0..n_max, from the unscaled stream of 1_y, which may overflow far
-    behind the front: its readers drain it under np.errstate, which a yield here would leak."""
-    g = op.graph
-    g._check(x)
-    g._check(y)
-    for _, values in zip(range(n_max + 1), stream(g, [{y: 1.0}], 1.0, [(x, 0)])):
-        yield float(values[0])
+def pair_moments(source, pairs, n_max: int):
+    """Per order n = 0..n_max, the array of moments <1_x, L^n 1_y> of the pairs (x, y), read from
+    one unscaled stream with a column per distinct y, ids checked in pair order.  Its readers drain
+    it under np.errstate, which a yield here would leak: it may overflow far behind the front."""
+    column = {}
+    for x, y in pairs:
+        source._check(x)
+        source._check(y)
+        column.setdefault(y, len(column))
+    targets = [(x, column[y]) for x, y in pairs]
+    return itertools.islice(stream(source, [{y: 1.0} for y in column], 1.0, targets), n_max + 1)
 
 
 def moment(op: LaplacianOperator, x, y, n: int) -> float:
@@ -185,7 +186,7 @@ def moment_table(op: LaplacianOperator, x, y, n_max: int) -> MomentTable:
     if n_max < 0:
         raise ValueError("moment order must be non-negative")
     with np.errstate(over="ignore", invalid="ignore"):  # as in first_nonzero_orders
-        values = tuple(_moments_at(op, x, y, n_max))
+        values = tuple(float(v[0]) for v in pair_moments(op.graph, [(x, y)], n_max))
     order = next((n for n, v in enumerate(values) if v != 0.0), UnknownAbove(n_max))
     return MomentTable(x, y, values, order)
 
@@ -195,8 +196,8 @@ def leading_moment_order(op: LaplacianOperator, x, y, n_max: int):
     if n_max < 0:
         raise ValueError("search bound must be non-negative")
     with np.errstate(over="ignore", invalid="ignore"):  # as in first_nonzero_orders
-        return next((n for n, v in enumerate(_moments_at(op, x, y, n_max)) if v != 0.0),
-                    UnknownAbove(n_max))
+        return next((n for n, v in enumerate(pair_moments(op.graph, [(x, y)], n_max))
+                     if v[0] != 0.0), UnknownAbove(n_max))
 
 
 def first_nonzero_moments(op: LaplacianOperator, y, n_max: int) -> dict:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -148,9 +147,6 @@ class ScalarFunction:
         return cls(ev, derivs, 0.0)
 
 
-_DECOMPOSITIONS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def decompose(graph: WeightedGraph) -> SpectralDecomposition:
     """Eigendecomposition of the Laplacian in the m-weighted space.
 
@@ -175,24 +171,20 @@ def decompose(graph: WeightedGraph) -> SpectralDecomposition:
     return SpectralDecomposition(graph, w, U, m)
 
 
-def _eigen(graph: WeightedGraph):
-    """(eigenvalues, eigenvectors, measures) of the graph, decomposed once while it lives.
-
-    The cache holds the arrays: a decomposition refers to its graph, which
-    would keep the weak key, and so the entry, alive for good.
-    """
-    arrays = _DECOMPOSITIONS.get(graph)
-    if arrays is None:
-        dec = decompose(graph)
-        arrays = _DECOMPOSITIONS[graph] = (dec.eigenvalues, dec.eigenvectors, dec.measures)
-    return arrays
+def _eigen(graph: WeightedGraph) -> SpectralDecomposition:
+    """The graph's decomposition, made once and kept on the graph, as its last pair is, so
+    it dies with the graph; a race only decomposes twice."""
+    dec = getattr(graph, "_decomposition", None)
+    if dec is None:
+        dec = graph._decomposition = decompose(graph)
+    return dec
 
 
 def _resolve(source):
     """The graph of a decomposition, an operator, or a graph.  A decomposition
-    seeds the cache, so its graph is not decomposed again."""
+    is kept on its graph, so the graph is not decomposed again."""
     if isinstance(source, SpectralDecomposition):
-        _DECOMPOSITIONS[source.graph] = (source.eigenvalues, source.eigenvectors, source.measures)
+        source.graph._decomposition = source
         return source.graph
     if isinstance(source, LaplacianOperator):
         return source.graph
@@ -281,7 +273,7 @@ def select_route(source, t, method: str) -> str:
     # the rows' bound; a bare procedural source has no pairs, so nothing gates its series
     top = rows.bound if rows is not None else graph.bound if graph.is_finite else 0.0
     if graph.is_finite and t * top > limit * (1 - GATE_ROUNDING):
-        top = float(_eigen(graph)[0][-1]) if graph.n else 0.0  # eigenvalues ascend
+        top = _eigen(graph).largest_eigenvalue if graph.n else 0.0
     if gated and t * top > 2:
         raise ValueError(f"series evaluation rejected at t={t}: t times the top-eigenvalue bound "
                          f"{top:.6g} exceeds 2, where term growth costs accuracy"
@@ -372,19 +364,19 @@ def block_elements(rows: PairRows, block, ts, routes, unitary: bool) -> np.ndarr
 
 def _phases(graph, t, unitary) -> np.ndarray:
     """e^{-t lambda_i}, or e^{-it lambda_i} if ``unitary``, over the graph's eigenvalues."""
-    return np.exp((-1j if unitary else -1.0) * t * _eigen(graph)[0])
+    return np.exp((-1j if unitary else -1.0) * t * _eigen(graph).eigenvalues)
 
 
 def _eigen_sum(rows: PairRows, x, y, t, unitary):
     """The eigen route at the vertices x and y, or at the pairs of the arrays x and y, of the rows.
     Their one slot keeps the last (t, unitary) and its phases as one tuple, so no thread pairs a time
     with another time's phases."""
-    _, eigenvectors, measures = _eigen(rows.source)
-    key, phases = rows.phases
+    dec, (key, phases) = _eigen(rows.source), rows.phases
     if key != (t, unitary):
         phases = _phases(rows.source, t, unitary)
         rows.phases = (t, unitary), phases
-    coeffs = eigenvectors[x] * eigenvectors[y] * (measures[x] * measures[y])[..., None]
+    u, m = dec.eigenvectors, dec.measures
+    coeffs = u[x] * u[y] * (m[x] * m[y])[..., None]
     return np.sum(phases * coeffs, axis=-1)
 
 

@@ -184,6 +184,20 @@ def test_verify_summary_counts_the_vacuous_checks(capsys):
                           "pair(s) skipped, 424 vacuous (lhs = rhs = 0.0); worst lhs/rhs ")
 
 
+def test_pairs_beyond_the_cutoff_are_not_called_disconnected(capsys):
+    # random:40:0.1:1:c has 39 disconnected pairs, those of its isolated vertex; within one hop
+    # only its 72 edges are reached
+    argv = ["--gen", "random:40:0.1:1:c", "--pairs", "all"]
+    for cutoff, skipped in ((["--cutoff", "1"], "708 pair(s) beyond --cutoff 1 skipped"),
+                            ([], "39 disconnected pair(s) skipped")):
+        checked = 72 if cutoff else 780 - 39
+        code, _, err = _run(capsys, ["verify", *argv, *cutoff])
+        assert code == 0 and err.startswith(f"graphheat: {checked * 16}/{checked * 16} checks "
+                                            f"passed on {checked} pair(s), {skipped}; worst ")
+        code, _, err = _run(capsys, ["exponent", *argv, *cutoff])
+        assert (code, err) == (0, f"graphheat: {skipped}\n")
+
+
 def test_verify_series_past_its_limit_is_a_usage_error(capsys):
     code, out, err = _run(capsys, ["verify", "--gen", "random:12:0.3:1", "--method", "series",
                                    "--t0", "10"])
@@ -533,8 +547,8 @@ def test_another_thread_does_not_evict_this_threads_stream(monkeypatch):
 
 def test_the_last_pair_dies_with_its_graph():
     g = random_connected_graph(30, 0.2, 1)
-    heat_element(g, 0, 5, 2.0)  # the eigen route: the graph's eigenpairs are cached
-    assert select_route(g, 2.0, "auto") == "eigen" and g in spectral._DECOMPOSITIONS
+    heat_element(g, 0, 5, 2.0)  # the eigen route: the graph keeps its eigenpairs
+    assert select_route(g, 2.0, "auto") == "eigen" and g._decomposition.graph is g
     graph = weakref.ref(g)
     del g
     gc.collect()

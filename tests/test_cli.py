@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from graphheat import (INFINITE, LaplacianOperator, cli, combinatorial_distance, from_spec,
                        distances_from, heat_element, leading_exponent_fit, moment_table,
                        path_graph, random_graph, spectral, wave_element)
-from graphheat.moments import PairRows
+from graphheat.moments import PairRows, UnknownAbove
 from graphheat.spectral import select_route
 from graphheat.cli import PAIR_CAP, CliError, _hop_distances, _pairs_at, _select_pairs, main
 from graphheat.graphs import BallSearch
@@ -208,6 +208,49 @@ def test_moments_far_past_overflow_warn_nothing(capsys):
                                  ["0", "520", "520", "1.0", "520"]]
 
 
+def _moments_reference(spec, pairs, nmax):
+    """The moments subcommand's bytes from one moment_table per pair, written by csv.writer."""
+    graph, fh = from_spec(spec), io.StringIO()
+    op, out = LaplacianOperator(graph), csv.writer(fh, lineterminator="\n")
+    out.writerow(["x", "y", "n", "moment", "d_L"])
+    for x, y in _select_pairs(graph, pairs, None):
+        table = moment_table(op, x, y, nmax)
+        label = f">{nmax}" if isinstance(table.order, UnknownAbove) else table.order
+        out.writerows([x, y, n, value, label] for n, value in enumerate(table.values))
+    return fh.getvalue()
+
+
+# isolated vertices 9 and 11 (d_L above nmax), and (x, x), a repeated y and y < x
+@pytest.mark.parametrize("spec, pairs, nmax", [
+    ("random:12:0.15:8:c", "all", 30), ("random:12:0.15:8:c", "all", 2),
+    ("random:10:0.4:7:c", "0,0;3,1;0,9;5,9;9,9;2,1", 0), ("cycle:50", "0,25;3,1;7,7", 40),
+])
+def test_moments_bytes_do_not_depend_on_the_block_budget(capsys, monkeypatch, spec, pairs, nmax):
+    argv = ["moments", "--gen", spec, "--pairs", pairs, "--nmax", str(nmax)]
+    default = run(capsys, *argv)
+    assert default == (0, _moments_reference(spec, pairs, nmax), "")
+    for budget in (1, 7):  # one pair per block, then 7 // (nmax + 1) pairs
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", budget)
+        assert run(capsys, *argv) == default
+
+
+@pytest.mark.parametrize("budget", [None, 82])
+def test_moments_past_overflow_end_the_run_before_the_block(capsys, monkeypatch, budget):
+    # the unscaled moments of (2, 3) overflow at order 81, those of (0, 10) at 82: no nan row is
+    # written, and at 82 elements per block the block of (0, 10) alone is, before the one of (2, 3)
+    if budget is not None:
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", budget)
+    argv = ["moments", "--gen", "random:30:0.2:4:0.1:50:0.01:1", "--pairs", "0,10;2,3",
+            "--nmax", "81"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert (code, err) == (2, "graphheat: the moment of pair (2, 3) at order 81 is not finite\n")
+    assert out == _moments_reference("random:30:0.2:4:0.1:50:0.01:1", "0,10", 81)[
+        :None if budget else len("x,y,n,moment,d_L\n")]
+    assert "nan" not in out and "inf" not in out
+
+
 def test_distance_reads_far_fronts_from_the_unscaled_stream(capsys):
     # the scaled PairRows (s = 4) would read 0.0 at these orders, 4^-600 lying below the smallest
     # subnormal, and so report false mismatches
@@ -302,7 +345,7 @@ def test_the_other_subcommands_name_their_fault_in_one_line(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("command, name, out", [
     ("distance", "first_nonzero_orders", ""),
-    ("moments", "moment_table", "x,y,n,moment,d_L\n"),
+    ("moments", "pair_moments", "x,y,n,moment,d_L\n"),
 ])
 @pytest.mark.parametrize("error", [ValueError, ArithmeticError])
 def test_a_library_error_inside_a_subcommand_ends_the_run_with_one_line(capsys, monkeypatch,

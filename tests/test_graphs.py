@@ -236,6 +236,22 @@ def test_the_array_search_equals_a_search_per_source(n, p, seed, cutoff, data):
     assert got.tolist() == [distances_from(g, x, cutoff=cutoff).get(y, -1) for x, y in pairs]
 
 
+@settings(deadline=None)
+@given(n=st.integers(1, 30), p=st.floats(0.0, 0.3), seed=st.integers(0, 10 ** 6),
+       cutoff=st.sampled_from([0, 1, 2, None]), data=st.data())
+def test_a_distance_query_reads_the_layered_search(n, p, seed, cutoff, data):
+    # isolated vertices, several components, x == y and targets beyond the cutoff
+    g = random_graph(n, p, seed)
+    x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    assert combinatorial_distance(g, x, y, cutoff) == distances_from(g, x, cutoff).get(
+        y, INFINITE)
+    # the procedural line takes a cutoff, within or short of |u - v|
+    u, v, radius = (data.draw(st.integers(-12, 12)) for _ in range(3))
+    expected = abs(u - v) if abs(u - v) <= abs(radius) else INFINITE
+    assert combinatorial_distance(integer_line(), u, v, abs(radius)) == expected == (
+        distances_from(integer_line(), u, abs(radius)).get(v, INFINITE))
+
+
 def test_the_array_search_rejects_what_the_layered_search_rejects():
     g = path_graph(4)
     for xs, ys, cutoff in (([0], [4], None), ([-1], [2], None), ([0], [2], -1)):

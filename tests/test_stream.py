@@ -1,5 +1,6 @@
 """The Laplacian kernel of a finite graph, the moment streams read from it, and the route gate."""
 
+import itertools
 import math
 import sys
 import threading
@@ -16,7 +17,7 @@ from graphheat import (LaplacianOperator, ProceduralGraph, WeightedGraph, ball,
                        path_graph, path_sum_moment, random_connected_graph,
                        spectral_radius_bound, wave_element)
 from graphheat.moments import (INITIAL_RADIUS, PairRows, first_nonzero_moments,
-                               first_nonzero_orders)
+                               first_nonzero_orders, pair_moments, stream)
 from graphheat.cli import _select_pairs
 from graphheat.graphs import CHUNK, BallSearch
 from graphheat.spectral import pair_element, select_route
@@ -75,6 +76,25 @@ def test_moments_vanish_below_the_hop_distance_with_sign_at_it(g):
             assert all(rows.floats(0, k)[0] == 0.0 for k in range(d))
             assert (-1) ** d * table[d] > 0
             assert _unscaled(rows, d)[0] == table[d] == firsts[x][1]
+
+
+@SETTINGS
+@given(st.sampled_from(["spread", "line", "path"]), st.data())
+def test_a_block_of_pairs_reads_each_pairs_own_stream(kind, data):
+    # killing and isolated vertices (spread graphs), balls that double (a 300-vertex path, the
+    # procedural line), and among the pairs (x, x), a repeated y and y < x
+    g = {"spread": lambda: data.draw(spread_graphs()), "line": integer_line,
+         "path": lambda: path_graph(300)}[kind]()
+    vertex = st.integers(-30, 30) if kind == "line" else st.integers(0, g.n - 1)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=8))
+    (x, y), z = pairs[0], data.draw(vertex)
+    pairs += [(x, x), (z, y), (y, x)]
+    n_max = data.draw(st.integers(0, 40))
+    with np.errstate(over="ignore", invalid="ignore"):  # spread weights may overflow, alike
+        block = [[v.hex() for v in values.tolist()] for values in pair_moments(g, pairs, n_max)]
+        alone = [[float(values[0]).hex() for values in itertools.islice(
+            stream(g, [{y: 1.0}], 1.0, [(x, 0)]), n_max + 1)] for x, y in pairs]
+    assert block == [list(orders) for orders in zip(*alone)]
 
 
 def _unscaled(rows, n):
