@@ -52,7 +52,7 @@ EXIT_USAGE = 2
 
 PAIR_CAP = 10_000
 WRITE_SLICE = 256  # (pair, t) elements of verify's rows formatted per write
-FRONTIER_BYTES, WIDE_LAYERS, MIN_ARRAY_SOURCES = 1 << 20, 16, 8  # see _hop_distances
+FRONTIER_BYTES, WIDE_LAYERS, MIN_ARRAY_SOURCES = 1 << 20, 16, 8  # see _hop_distances, _cmd_moments
 
 
 class CliError(ValueError):
@@ -296,7 +296,8 @@ def _cmd_sweep(args, graph, pairs, fh) -> int:
 
 
 def _cmd_moments(args, graph, pairs, fh) -> int:
-    size, unknown = max(1, BLOCK_ELEMENTS // (args.nmax + 1)), f">{args.nmax}"  # pairs per stream
+    cap = FRONTIER_BYTES // (8 * max(len(graph.cols), graph.n))  # y columns of (edge, y) terms
+    size, unknown = max(1, min(BLOCK_ELEMENTS // (args.nmax + 1), cap)), f">{args.nmax}"  # pairs
     fh.write("x,y,n,moment,d_L\n")
     for lo in range(0, len(pairs), size):
         block = pairs[lo:lo + size]

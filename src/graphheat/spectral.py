@@ -172,8 +172,8 @@ def decompose(graph: WeightedGraph) -> SpectralDecomposition:
 
 
 def _eigen(graph: WeightedGraph) -> SpectralDecomposition:
-    """The graph's decomposition, made once and kept on the graph, as its last pair is, so
-    it dies with the graph; a race only decomposes twice."""
+    """The graph's decomposition, made once and kept on the graph, as its last pair is; both refer
+    back to the graph, so the cyclic collector frees them with it.  A race decomposes twice."""
     dec = getattr(graph, "_decomposition", None)
     if dec is None:
         dec = graph._decomposition = decompose(graph)

@@ -234,6 +234,19 @@ def test_moments_bytes_do_not_depend_on_the_block_budget(capsys, monkeypatch, sp
         assert run(capsys, *argv) == default
 
 
+def test_a_moments_stream_holds_no_more_y_columns_than_the_frontier_budget(capsys, monkeypatch):
+    # cycle:2000 has 4,000 directed edges, so FRONTIER_BYTES holds the (edge, y) terms of 32
+    # columns, so y spread round the cycle do not make each column run on all of their balls
+    columns, read = [], cli.pair_moments
+    monkeypatch.setattr(cli, "pair_moments", lambda source, pairs, n_max: columns.append(
+        len({y for _, y in pairs})) or read(source, pairs, n_max))
+    argv = ["moments", "--gen", "cycle:2000", "--pairs", "sample:200", "--seed", "1", "--nmax", "8"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err, len(columns), max(columns)) == (0, "", 7, 32)
+    monkeypatch.setattr(cli, "FRONTIER_BYTES", 1 << 30)  # one block of 200 pairs
+    assert run(capsys, *argv) == (code, out, err) and len(columns) == 8 and columns[7] > 32
+
+
 @pytest.mark.parametrize("budget", [None, 82])
 def test_moments_past_overflow_end_the_run_before_the_block(capsys, monkeypatch, budget):
     # the unscaled moments of (2, 3) overflow at order 81, those of (0, 10) at 82: no nan row is
