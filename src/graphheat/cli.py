@@ -2,12 +2,13 @@
 
 Subcommands: ``distance`` (hop distance vs first nonzero moment order with an equality flag),
 ``verify`` (leading-order and short-time bound reports), ``exponent`` (log-log slope fits),
-``heat``/``wave`` (propagator sweeps overlaid with each pair's leading term and bound, the
-:func:`~graphheat.spectral.order_terms` of its :func:`moment_table` values), and ``moments`` (moment
-tables, a block of pairs per :func:`pair_moments` stream).  Every hop distance comes from
-:func:`_hop_distances` (layered searches or an array search, no moment), which a sweep calls once per
-block.  A sweep evaluates each block a time at a time from one PairRows, which keeps the time's eigen
-phases for the block.  Every subcommand writes its rows as text, in the bytes of ``csv.writer``'s.
+``heat``/``wave`` (propagator sweeps overlaid with each pair's leading term and bound, a block's all
+from one :func:`order_terms` call on :func:`moment_table` values, each vertex's diagonal read once),
+and ``moments`` (moment tables, a block of pairs per :func:`pair_moments` stream).  Every hop
+distance comes from :func:`_hop_distances` (layered searches or an array search, no moment), which a
+sweep calls once per block.  A sweep evaluates each block a time at a time from one PairRows, which
+keeps the time's eigen phases for the block.  Every subcommand writes its rows as text, in the bytes
+of ``csv.writer``'s.
 
 Each subcommand takes only the options it reads.  All take the graph
 (``--input`` or ``--gen``), ``--pairs``, ``--seed`` and ``--out``; all but
@@ -153,7 +154,7 @@ def _hop_distances(graph, pairs, cutoff) -> np.ndarray:
     xy = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     firsts = np.flatnonzero(np.diff(xy[:, 0], prepend=-1)).tolist() + [len(xy)]  # x's first pair
     hops, xs, ys = np.full(len(xy), -1), xy[:, 0].tolist(), xy[:, 1].tolist()
-    size = max(1, FRONTIER_BYTES // max(len(graph.cols), graph.n))  # sources per block
+    size = max(1, FRONTIER_BYTES // max(len(graph.cols), graph.n, 1))  # sources per block
     for block in range(0, len(firsts) - 1, size):
         last = min(block + size, len(firsts) - 1)
         for j, lo, hi in zip(range(block, last), firsts[block:], firsts[block + 1:]):
@@ -258,20 +259,6 @@ def _cmd_exponent(args, graph, pairs, fh) -> int:
     return EXIT_OK
 
 
-def _pair_overlay(rows, op, x, y, d, ts):
-    """Per t of ``ts``, the (leading, bound) texts of the pair at hop distance d: the
-    :func:`order_terms` of |m_xy(d)|/s^d and (m_xx(d+1) + m_yy(d+1))/s^(d+1) at the rows'
-    scale s, or empty texts for d = -1 (not reached within the cutoff)."""
-    if d < 0:
-        return [("", "")] * len(ts)
-    exp, lead = rows.exp, abs(moment_table(op, x, y, d).values[d])
-    mxx = moment_table(op, x, x, d + 1).values[d + 1]
-    myy = moment_table(op, y, y, d + 1).values[d + 1]
-    terms = order_terms(np.multiply(ts, rows.scale), [d], [math.ldexp(lead, -exp * d)],
-                        [math.ldexp(mxx + myy, -exp * (d + 1))])
-    return list(zip(*(map(repr, side[0].tolist()) for side in terms)))
-
-
 def _cmd_sweep(args, graph, pairs, fh) -> int:
     ts = sorted([args.t0 * args.ratio ** k for k in range(args.count)] + [0.0])
     op, size = LaplacianOperator(graph), max(1, BLOCK_ELEMENTS // len(ts))  # pairs per stream
@@ -285,18 +272,31 @@ def _cmd_sweep(args, graph, pairs, fh) -> int:
         values = [[element(rows, x, y, t, method=method) for x, y in block]
                   for t, method in zip(ts, routes)]
         hops = _hop_distances(graph, block, args.cutoff).tolist()
+        reached = [(x, y, d) for (x, y), d in zip(block, hops) if d >= 0]
+        diagonal = {}  # per vertex, its m_vv(n) at each order n = d + 1 its reached pairs read
+        for v, n in ((v, d + 1) for x, y, d in reached for v in (x, y)):
+            diagonal.setdefault(v, set()).add(n)
+        for v, orders in diagonal.items():  # one stream per vertex, kept only where read
+            table = moment_table(op, v, v, max(orders)).values
+            diagonal[v] = {n: table[n] for n in orders}
+        exp = rows.exp  # the rows' scale is s = 2^exp; terms yields (leading, bound) by pair, t
+        terms = zip(*(map(repr, side.ravel().tolist()) for side in order_terms(
+            np.multiply(ts, rows.scale), [d for _, _, d in reached],
+            [math.ldexp(abs(moment_table(op, x, y, d).values[d]), -exp * d) for x, y, d in reached],
+            [math.ldexp(diagonal[x][d + 1] + diagonal[y][d + 1], -exp * (d + 1))
+             for x, y, d in reached])))
         lines = []  # the block's rows, pair by pair, in the bytes of csv.writer's
         for j, (x, y) in enumerate(block):
-            overlay = _pair_overlay(rows, op, x, y, hops[j], ts)
-            for text, method, column, (leading, bound) in zip(t_text, routes, values, overlay):
+            for text, method, column in zip(t_text, routes, values):
                 value = abs(column[j]) if args.unitary else column[j]
+                leading, bound = next(terms) if hops[j] >= 0 else ("", "")  # empty: not reached
                 lines.append(f"{x},{y},{text},{value!r},{leading},{bound},{method}\n")
         fh.write("".join(lines))
     return EXIT_OK
 
 
 def _cmd_moments(args, graph, pairs, fh) -> int:
-    cap = FRONTIER_BYTES // (8 * max(len(graph.cols), graph.n))  # y columns of (edge, y) terms
+    cap = FRONTIER_BYTES // (8 * max(len(graph.cols), graph.n, 1))  # y columns of (edge, y) terms
     size, unknown = max(1, min(BLOCK_ELEMENTS // (args.nmax + 1), cap)), f">{args.nmax}"  # pairs
     fh.write("x,y,n,moment,d_L\n")
     for lo in range(0, len(pairs), size):

@@ -113,6 +113,17 @@ def test_verify_empty_pair_selection(capsys):
     assert body == []
 
 
+@pytest.mark.parametrize("command", ["distance", "verify", "exponent", "heat", "wave", "moments"])
+def test_a_graph_without_vertices_writes_the_header_alone(tmp_path, capsys, command):
+    # as on path:1, which has a vertex but no pair: verify's stderr names 0 checks on 0 pairs
+    path = tmp_path / "empty.txt"
+    path.write_text("graph 0\n")
+    code, out, err = one_vertex = run(capsys, command, "--gen", "path:1")
+    assert code == 0 and out.count("\n") == 1 and (err != "") == (command == "verify")
+    assert run(capsys, command, "--gen", "path:0") == one_vertex
+    assert run(capsys, command, "--input", str(path)) == one_vertex
+
+
 def test_exponent_fits(capsys):
     code, out, _ = run(capsys, "exponent", "--gen", "path:3")
     assert code == 0
@@ -805,17 +816,18 @@ def test_sweep_reads_each_block_of_pairs_from_one_stream(capsys, monkeypatch):
 SWEEP_SPEC = "random:12:0.15:8:c"  # 66 pairs, 11 at the isolated 9; auto runs both routes
 
 
-def _sweep_pair_major(unitary, method, t0):
+def _sweep_pair_major(unitary, method, t0, pairs="all", cutoff=None):
     """A sweep's CSV from one element call per (pair, t) on the graph, pair by pair, its
-    overlays the series' order-d term and remainder bound over the moments of moment_table
-    scaled by the sweep's power of two s = 2^exp, by the series' own recursion."""
+    overlays the series' order-d term and remainder bound over the pair's own three
+    moment_table reads scaled by the sweep's power of two s = 2^exp, by the series' own
+    recursion, and empty beyond ``cutoff``."""
     g, fh = from_spec(SWEEP_SPEC), io.StringIO()
     ts = sorted([t0 * 0.5 ** k for k in range(16)] + [0.0])
     routes, op = [select_route(g, t, method) for t in ts], LaplacianOperator(g)
     out = csv.writer(fh, lineterminator="\n")
     out.writerow(["x", "y", "t", "value", "leading", "bound", "method"])
-    for x, y in _select_pairs(g, "all", None):
-        d, rows = distances_from(g, x).get(y, -1), PairRows(g, [(x, y)])
+    for x, y in _select_pairs(g, pairs, None):
+        d, rows = distances_from(g, x, cutoff=cutoff).get(y, -1), PairRows(g, [(x, y)])
         if d >= 0:
             lead = abs(moment_table(op, x, y, d).values[d])
             diagonal = (moment_table(op, x, x, d + 1).values[d + 1]
@@ -891,6 +903,31 @@ def test_a_sweep_forms_each_eigen_times_phases_once_per_block(capsys, monkeypatc
     eigen = [float(row[2]) for row in table[:17] if row[6] == "eigen"]
     assert code == 0 and 0 < len(eigen) <= 17 and len(table) == 66 * 17
     assert formed == [(t, command == "wave") for t in eigen] * 22
+
+
+@pytest.mark.parametrize("command", ["heat", "wave"])
+def test_sweep_overlays_do_not_depend_on_the_block_budget(capsys, monkeypatch, command):
+    # within --cutoff 1 the pairs at hop distance 0 (x, x) and 1 share vertices, and vertex 0
+    # reads its diagonal at orders 1 and 2; (0, 1), (3, 4) and (2, 5) lie at 2, (0, 9) at none
+    pairs = "0,0;0,3;0,4;0,1;1,3;1,4;3,4;4,4;4,6;6,10;2,10;2,5;9,9;0,9;1,10"
+    argv = [command, "--gen", SWEEP_SPEC, "--pairs", pairs, "--cutoff", "1"]
+    expected, _ = _sweep_pair_major(command == "wave", "auto", 1.0, pairs, 1)
+    _, table = rows(expected)
+    assert {row[4] == "" for row in table} == {True, False}
+    assert run(capsys, *argv) == (0, expected, "")
+    for budget in (17, 3 * 17):  # one pair per block, then three
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", budget)
+        assert run(capsys, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("spec, pairs, calls", [("path:5", "all", 10 + 5), ("path:4", "0,3", 3)])
+def test_a_sweep_reads_one_moment_table_per_pair_and_per_distinct_vertex(capsys, monkeypatch, spec,
+                                                                         pairs, calls):
+    read, table = [], cli.moment_table
+    monkeypatch.setattr(cli, "moment_table", lambda op, x, y, n_max: read.append(
+        (x, y)) or table(op, x, y, n_max))
+    code, _, _ = run(capsys, "heat", "--gen", spec, "--pairs", pairs)
+    assert code == 0 and len(read) == calls and len(set(read)) == calls
 
 
 @pytest.mark.parametrize("error", [ValueError, ArithmeticError])
