@@ -1,6 +1,7 @@
 """Command-line front end emitting CSV reports.
 
-Subcommands: ``distance`` (hop distance vs first nonzero moment order with an equality flag),
+Subcommands: ``distance`` (hop distance vs first nonzero moment order with an equality flag, the
+orders from one :func:`first_nonzero_orders` stream a block of sources, bounded as in ``moments``),
 ``verify`` (leading-order and short-time bound reports), ``exponent`` (log-log slope fits),
 ``heat``/``wave`` (propagator sweeps overlaid with each pair's leading term and bound, a block's all
 from one :func:`order_terms` call on :func:`moment_table` values, each vertex's diagonal read once),
@@ -168,10 +169,14 @@ def _hop_distances(graph, pairs, cutoff) -> np.ndarray:
 
 
 def _cmd_distance(args, graph, pairs, fh) -> int:
-    cutoff = args.cutoff if args.cutoff is not None else graph.n
+    cutoff, op = args.cutoff if args.cutoff is not None else graph.n, LaplacianOperator(graph)
     xy, sources = np.array(pairs, dtype=np.intp).reshape(-1, 2), sorted({x for x, _ in pairs})
-    _, orders, _ = first_nonzero_orders(LaplacianOperator(graph), sources, cutoff)  # peak memory first
-    found = orders[xy[:, 1], np.searchsorted(sources, xy[:, 0])]  # -1 where the hops are, if equal
+    size = max(1, FRONTIER_BYTES // (8 * max(len(graph.cols), graph.n, 1)))  # as in _cmd_moments
+    found = np.empty(len(xy), dtype=int)
+    for block in (sources[lo:lo + size] for lo in range(0, len(sources), size)):
+        at = slice(*xy[:, 0].searchsorted((block[0], block[-1] + 1)))  # the pairs are sorted by x
+        _, orders, _ = first_nonzero_orders(op, block, cutoff)  # peak memory first
+        found[at] = orders[xy[at, 1], np.searchsorted(block, xy[at, 0])]  # -1 unreached, as in hops
     hops, unknown = _hop_distances(graph, xy, cutoff), f">{cutoff}"
     fh.write("x,y,d_E,d_L,status\n" + "".join([  # the bytes of csv.writer's rows
         f"{x},{y},{'inf' if d < 0 else d},{unknown if n < 0 else n},{('mismatch', 'ok')[d == n]}\n"
@@ -273,12 +278,10 @@ def _cmd_sweep(args, graph, pairs, fh) -> int:
                   for t, method in zip(ts, routes)]
         hops = _hop_distances(graph, block, args.cutoff).tolist()
         reached = [(x, y, d) for (x, y), d in zip(block, hops) if d >= 0]
-        diagonal = {}  # per vertex, its m_vv(n) at each order n = d + 1 its reached pairs read
-        for v, n in ((v, d + 1) for x, y, d in reached for v in (x, y)):
-            diagonal.setdefault(v, set()).add(n)
-        for v, orders in diagonal.items():  # one stream per vertex, kept only where read
-            table = moment_table(op, v, v, max(orders)).values
-            diagonal[v] = {n: table[n] for n in orders}
+        top = {}  # per vertex, the highest order d + 1 its reached pairs read
+        for x, y, d in reached:
+            top[x], top[y] = max(top.get(x, 0), d + 1), max(top.get(y, 0), d + 1)
+        diagonal = {v: moment_table(op, v, v, n).values for v, n in top.items()}  # m_vv(0..n)
         exp = rows.exp  # the rows' scale is s = 2^exp; terms yields (leading, bound) by pair, t
         terms = zip(*(map(repr, side.ravel().tolist()) for side in order_terms(
             np.multiply(ts, rows.scale), [d for _, _, d in reached],

@@ -104,8 +104,9 @@ class WeightedGraph(_DictRows):
 
     The graph is its Laplacian's kernel (see the module docstring): :meth:`apply`
     applies it, ``bound`` is the Gershgorin bound of M^-1/2 A M^-1/2, an upper bound
-    for lambda_max, and ``degree`` the largest number of neighbors of a vertex, each
-    computed on first read.
+    for lambda_max (the only code that sums one: a procedural source's pairs read theirs
+    from their 1-ball's graph), and ``degree`` the largest number of neighbors of a
+    vertex, each computed on first read.
 
     ``labels`` records the original vertex ids of a hop ball (see :func:`ball`), and is
     None on other graphs; it plays no role in any computation.
@@ -345,19 +346,6 @@ class ProceduralGraph(_DictRows):
 
     def weight_sum(self, x) -> float:
         return math.fsum(self._row(x).values())
-
-    def ball_bound(self, centers) -> float:
-        """``BallSearch(self, centers).ball(1)[1].bound`` bitwise, without slicing the ball: the
-        sums of each of its rows over its edges inside, in edge order, as its arrays take them."""
-        inside, top = set(centers).union(*map(self._row, centers)), 0.0
-        for x in sorted(inside):
-            m, edges = self.measure(x), [(y, w) for y, w in self._row(x).items() if y in inside]
-            radius = 0.0
-            for y, w in edges:  # in edge order from +0.0
-                radius += w / math.sqrt(m * self.measure(y))
-            # the row weight is fsum's, as _store takes it: up to two terms it is their plain sum
-            top = max(top, (math.fsum(w for _, w in edges) + self.killing(x)) / m + radius)
-        return top
 
     def positions(self, ids) -> np.ndarray:
         """The rows of ``ids`` in the explored arrays; a vertex enters once, its row,

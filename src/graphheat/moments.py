@@ -16,9 +16,9 @@ critical order.
 
 The moment readers stream with s = 1, since their values are the moments themselves; far behind the
 front such a stream may overflow, and the library readers return the IEEE values.
-:class:`PairRows`, which feeds the series route, divides by the Gershgorin bound (the pairs'
-1-ball's on a procedural source) rounded up to a power of two: its vectors stay bounded, and the
-exact division keeps L^n v's digits.
+:class:`PairRows`, which feeds the series route, divides by the Gershgorin bound (on a procedural
+source, that of the pairs' 1-ball as :class:`BallSearch` slices it) rounded up to a power of two:
+its vectors stay bounded, and the exact division keeps L^n v's digits.
 
 ``path_sum_moment`` recomputes a moment by brute-force enumeration of the contributing vertex
 sequences; it is an independent cross-check for the streams, intended for small n on small graphs.
@@ -136,7 +136,7 @@ class PairRows:
         self.at = np.column_stack((np.arange(count), count + self.vertices.searchsorted(xy)))
         self.index = dict(zip(map(tuple, self.pairs), range(count)))
         # the bound of the graph, or of the pairs' 1-ball, and the power of two at or above it
-        self.bound = source.bound if source.is_finite else source.ball_bound(self.vertices.tolist())
+        self.bound = (source if source.is_finite else BallSearch(source, ids).ball(1)[1]).bound
         self.exp = math.ceil(math.log2(self.bound)) if self.bound > 0 else 0
         self.scale = 2.0 ** self.exp
         targets = np.column_stack((np.append(xy[:, 0], self.vertices),

@@ -150,9 +150,9 @@ class ScalarFunction:
 def decompose(graph: WeightedGraph) -> SpectralDecomposition:
     """Eigendecomposition of the Laplacian in the m-weighted space.
 
-    Rounding dust below EIGENVALUE_DUST * max(1, lambda_max) is clamped to
-    zero; genuinely negative eigenvalues raise, since the operator is
-    positive semidefinite by construction.
+    An eigenvalue below -EIGENVALUE_DUST * max(1, lambda_max) raises, as L >= 0; a negative
+    one above it reads 0.0, and so do the k smallest, k the number of components without
+    killing, whose m-weighted constants are null vectors that eigh leaves at rounding size.
     """
     A, m = _dense_form(graph), graph.m
     s = 1.0 / np.sqrt(m)
@@ -167,6 +167,15 @@ def decompose(graph: WeightedGraph) -> SpectralDecomposition:
             raise ArithmeticError(
                 f"eigenvalue {w[0]} is negative beyond rounding dust; operator should be >= 0")
         w = np.where(w < 0, 0.0, w)
+        # each component labelled by its least vertex: its neighbors' least label, then that one's
+        if not graph.c.all():
+            label, low = None, np.arange(graph.n)
+            while not np.array_equal(label, low):
+                label, low = low, low.copy()
+                np.minimum.at(low, graph.rows, label[graph.cols])
+                low = low[low]
+            free = set(label.tolist()).difference(label[graph.c > 0].tolist())  # without killing
+            w[:len(free)] = 0.0
     U = V * s[:, None]
     return SpectralDecomposition(graph, w, U, m)
 

@@ -283,6 +283,21 @@ def test_distance_reads_far_fronts_from_the_unscaled_stream(capsys):
     assert out == "x,y,d_E,d_L,status\n0,600,600,600,ok\n0,1000,1000,1000,ok\n"
 
 
+@pytest.mark.parametrize("cutoff", [[], ["--cutoff", "2"]])
+def test_distance_bytes_do_not_depend_on_the_block_budget(capsys, monkeypatch, cutoff):
+    # random:14:0.15:3 has disconnected pairs; a stream per block of sources, down to one source
+    streams, read = [], cli.first_nonzero_orders
+    monkeypatch.setattr(cli, "first_nonzero_orders", lambda op, sources, n_max: streams.append(
+        len(sources)) or read(op, sources, n_max))
+    argv = ["distance", "--gen", "random:14:0.15:3", "--pairs", "all", *cutoff]
+    default = run(capsys, *argv)
+    assert default[0] == 0 and ",inf," in default[1] and (">2," in default[1]) == bool(cutoff)
+    for frontier, blocks in ((1, [1] * 13), (1 << 30, [13])):
+        monkeypatch.setattr(cli, "FRONTIER_BYTES", frontier)
+        streams.clear()
+        assert run(capsys, *argv) == default and streams == blocks
+
+
 def test_output_deterministic(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

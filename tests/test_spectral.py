@@ -14,6 +14,7 @@ from graphheat import (LaplacianOperator, ScalarFunction, WeightedGraph,
                        propagate_heat, propagate_wave, random_connected_graph,
                        spectral_measure, spectral_measure_diag,
                        spectral_radius_bound, wave_element)
+from graphheat.graphs import distances_from
 from graphheat.moments import PairRows
 
 
@@ -416,9 +417,35 @@ def test_decompose_is_the_eigh_of_the_symmetrized_dense_form(spec):
     s = 1.0 / np.sqrt(g.m)
     S = A * s[:, None] * s
     w, V = np.linalg.eigh(0.5 * (S + S.T))
+    w = np.where(w < 0, 0.0, w)
+    # the smallest eigenvalues, one per component without killing, are exact zeros
+    components = {frozenset(distances_from(g, v)) for v in g.vertices}
+    w[:sum(not g.c[list(c)].any() for c in components)] = 0.0
     dec = decompose(g)
-    assert dec.eigenvalues.tobytes() == np.where(w < 0, 0.0, w).tobytes()
+    assert dec.eigenvalues.tobytes() == w.tobytes()
     assert dec.eigenvectors.tobytes() == (V * s[:, None]).tobytes()
+
+
+@pytest.mark.parametrize("g", [
+    path_graph(3),
+    # {0, 1, 2} and {3, 4} without killing, {5, 6} with killing at 5
+    WeightedGraph(7, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 0.5), (5, 6, 1.0)],
+                  [1.0, 2.0, 0.5, 1.0, 3.0, 1.0, 0.25], [0, 0, 0, 0, 0, 0.25, 0])])
+def test_the_eigen_route_keeps_the_projection_on_the_null_space_at_large_t(g):
+    # at large t, e^{-tL} projects onto the constants of each component without killing:
+    # eigh leaves their null eigenvalues at rounding size, so e^{-t lambda} decayed there
+    mpmath = pytest.importorskip("mpmath")
+    A, M = dense_matrices(g)
+    with mpmath.workdps(40):
+        L = mpmath.matrix((A / np.diag(M)[:, None]).tolist())
+        for t in (1e3, 1e10, 1e100):
+            exact = mpmath.expm(-mpmath.mpf(t) * L)
+            for x in g.vertices:
+                for y in g.vertices:
+                    want = float(g.measure(x) * exact[x, y])
+                    assert heat_element(g, x, y, t, method="eigen") == pytest.approx(
+                        want, rel=1e-13, abs=1e-15), (x, y, t)
+    assert heat_element(path_graph(3), 0, 2, 1e100, method="eigen") == pytest.approx(1 / 3)
 
 
 def test_elements_read_from_pair_rows_equal_the_graph_source_calls():

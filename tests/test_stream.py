@@ -480,11 +480,9 @@ def test_array_kernel_matches_dense_matrix():
 @given(st.sampled_from(["line", "doubling", "random"]), st.integers(0, 2 ** 32),
        st.lists(st.integers(-30, 30), max_size=4))
 def test_the_bound_of_a_procedural_1_ball_is_that_of_its_slice(kind, seed, centers):
-    # PairRows reads its bound from the explored rows instead of slicing the 1-ball
+    # the scale of PairRows on a procedural source: the bound of its pairs' 1-ball, rounded up
     make = {"line": integer_line, "doubling": doubling_line,
             "random": lambda: random_oracle(seed)}[kind]
-    kernel = BallSearch(make(), centers).ball(1)[1]
-    assert make().ball_bound(centers).hex() == kernel.bound.hex()
     rows = PairRows(make(), [(x, x + 1) for x in centers])
     vertices = sorted({v for x in centers for v in (x, x + 1)})
     sliced = BallSearch(make(), vertices).ball(1)[1]
