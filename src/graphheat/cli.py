@@ -1,15 +1,15 @@
 """Command-line front end emitting CSV reports.
 
 Subcommands: ``distance`` (hop distance vs first nonzero moment order with an equality flag, the
-orders from one :func:`first_nonzero_orders` stream a block of sources, bounded as in ``moments``),
-``verify`` (leading-order and short-time bound reports), ``exponent`` (log-log slope fits),
-``heat``/``wave`` (propagator sweeps overlaid with each pair's leading term and bound, a block's all
-from one :func:`order_terms` call on :func:`moment_table` values, each vertex's diagonal read once),
-and ``moments`` (moment tables, a block of pairs per :func:`pair_moments` stream).  Every hop
-distance comes from :func:`_hop_distances` (layered searches or an array search, no moment), which a
-sweep calls once per block.  A sweep evaluates each block a time at a time from one PairRows, which
-keeps the time's eigen phases for the block.  Every subcommand writes its rows as text, in the bytes
-of ``csv.writer``'s.
+orders from one :func:`first_nonzero_orders` stream a block of sources, bounded as in ``moments``
+and stopped at its pairs' orders), ``verify`` (leading-order and short-time bound reports),
+``exponent`` (log-log slope fits), ``heat``/``wave`` (propagator sweeps overlaid with each pair's
+leading term and bound, a block's all from one :func:`order_terms` call on :func:`moment_table`
+values, each vertex's diagonal read once), and ``moments`` (moment tables, a block of pairs per
+:func:`pair_moments` stream).  Every hop distance comes from :func:`_hop_distances` (layered
+searches or an array search, no moment), which a sweep calls once per block.  A sweep evaluates each
+block a time at a time from one PairRows, which keeps the time's eigen phases for the block.  Every
+subcommand writes its rows as text, in the bytes of ``csv.writer``'s.
 
 Each subcommand takes only the options it reads.  All take the graph
 (``--input`` or ``--gen``), ``--pairs``, ``--seed`` and ``--out``; all but
@@ -175,8 +175,9 @@ def _cmd_distance(args, graph, pairs, fh) -> int:
     found = np.empty(len(xy), dtype=int)
     for block in (sources[lo:lo + size] for lo in range(0, len(sources), size)):
         at = slice(*xy[:, 0].searchsorted((block[0], block[-1] + 1)))  # the pairs are sorted by x
-        _, orders, _ = first_nonzero_orders(op, block, cutoff)  # peak memory first
-        found[at] = orders[xy[at, 1], np.searchsorted(block, xy[at, 0])]  # -1 unreached, as in hops
+        reads = xy[at, 1], np.searchsorted(block, xy[at, 0])  # the block's (y, index of x)
+        _, orders, _ = first_nonzero_orders(op, block, cutoff, reads)  # peak memory first
+        found[at] = orders[reads]  # -1 unreached, as in hops
     hops, unknown = _hop_distances(graph, xy, cutoff), f">{cutoff}"
     fh.write("x,y,d_E,d_L,status\n" + "".join([  # the bytes of csv.writer's rows
         f"{x},{y},{'inf' if d < 0 else d},{unknown if n < 0 else n},{('mismatch', 'ok')[d == n]}\n"

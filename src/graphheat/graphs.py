@@ -6,7 +6,9 @@ measure m.  Finite graphs use dense integer vertex ids 0..n-1 so that dense
 matrix routines can index directly; they are stored as edge arrays, which are
 their Laplacian's kernel too, and a vertex's dict row is made from them on demand.
 Infinite locally finite graphs are given by a neighbor oracle over integer ids,
-and keep the rows their hop balls explored, laid out as such arrays.
+and keep the rows their hop balls explored, laid out as such arrays.  A vertex id
+is an int (a bool counts; numpy integers, which only the constructor takes, do not):
+every query and reader checks all the ids it is handed with one ``_check``.
 
 A finite graph applies its Laplacian by :meth:`WeightedGraph.apply` as
 (diag * f - bincount(rows, w * f[cols])) / m, with diag = sum_y b(x,y) + c(x).
@@ -69,9 +71,12 @@ class _DictRows:
     """The vertex queries that both kinds of graph answer from dict rows, a vertex's
     row made by ``_new_row`` on the first call for it."""
 
-    def _check(self, x) -> None:
-        if not self.has_vertex(x):
-            raise ValueError(f"unknown vertex id {x!r}")
+    def _check(self, *ids) -> None:
+        """Raise at the first of ``ids`` that is not a vertex, in the order given."""
+        if not set(map(type, ids)) <= {int, bool} or self.is_finite and not (
+                0 <= min(ids, default=0) and max(ids, default=0) < self.n):
+            for x in itertools.filterfalse(self.has_vertex, ids):  # the first unknown id alone
+                raise ValueError(f"unknown vertex id {x!r}")
 
     def _row(self, x) -> dict[int, float]:
         row = self._dict_rows.get(x)
@@ -283,13 +288,10 @@ class ProceduralGraph(_DictRows):
     def __init__(self, neighbor_fn: Callable, measure_fn: Callable | None = None,
                  killing_fn: Callable | None = None, max_degree: int | None = None):
         self._neighbor_fn = neighbor_fn
-        self._measure_fn = measure_fn
-        self._killing_fn = killing_fn
+        self._measure, self._killing = (measure_fn, 1.0, {}), (killing_fn, 0.0, {})  # see _oracle
         self.max_degree = max_degree
         self._dict_rows: dict[int, dict[int, float]] = {}
         self._pending: dict[int, dict[int, float]] = {}  # y: {x: b(x, y)} while row y is unfetched
-        self._m: dict[int, float] = {}
-        self._c: dict[int, float] = {}
         self._position, self._lock = {}, threading.RLock()
         self.rows, self.cols = np.zeros((2, 0), dtype=np.intp)
         self.m = self.c = self.w = np.zeros(0)
@@ -326,23 +328,23 @@ class ProceduralGraph(_DictRows):
         self._dict_rows[x] = row = {k: row[k] for k in sorted(row)}
         return row
 
-    def measure(self, x) -> float:
+    def _oracle(self, x, oracle, valid, rule) -> float:
+        """x's answer from ``oracle``, a (function or None, default, answers) triple, asked
+        once: a finite value that ``valid`` accepts, else ValueError."""
         self._check(x)
-        if x not in self._m:
-            m = 1.0 if self._measure_fn is None else float(self._measure_fn(x))
-            if not math.isfinite(m) or m <= 0:
-                raise ValueError(f"measure must be positive and finite at vertex {x}, got {m}")
-            self._m.setdefault(x, m)
-        return self._m[x]
+        fn, default, answers = oracle
+        if x not in answers:
+            value = default if fn is None else float(fn(x))
+            if not (math.isfinite(value) and valid(value)):
+                raise ValueError(f"{rule} and finite at vertex {x}, got {value}")
+            answers.setdefault(x, value)
+        return answers[x]
+
+    def measure(self, x) -> float:
+        return self._oracle(x, self._measure, (0.0).__lt__, "measure must be positive")
 
     def killing(self, x) -> float:
-        self._check(x)
-        if x not in self._c:
-            c = 0.0 if self._killing_fn is None else float(self._killing_fn(x))
-            if not math.isfinite(c) or c < 0:
-                raise ValueError(f"killing term must be non-negative and finite at vertex {x}, got {c}")
-            self._c.setdefault(x, c)
-        return self._c[x]
+        return self._oracle(x, self._killing, (0.0).__le__, "killing term must be non-negative")
 
     def weight_sum(self, x) -> float:
         return math.fsum(self._row(x).values())
@@ -410,8 +412,7 @@ def _layers(source, starts, cutoff):
     layer: one breadth-first search over the edge set {b > 0} that never
     expands the last layer."""
     starts = list(starts)
-    for x in starts:
-        source._check(x)
+    source._check(*starts)
     if cutoff is None:
         if not source.is_finite:
             raise ValueError("cutoff is required for distance queries on procedural sources")
@@ -441,7 +442,7 @@ def combinatorial_distance(source, x, y, cutoff: int | None = None):
     sources; finite graphs default to their vertex count (no shorter path can
     exist beyond it).
     """
-    source._check(y)
+    source._check(x, y)
     return distances_from(source, x, cutoff, targets=[y]).get(y, INFINITE)
 
 

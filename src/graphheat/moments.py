@@ -3,16 +3,17 @@
 Every moment is read from :func:`stream`, which advances a block of vectors v, one column each, to
 (L/s)^n v with one :meth:`LaplacianOperator.apply` per step, and yields per order one array, the
 moments at the (vertex, column) targets its caller names, so no reader knows the block's layout or
-the hop ball it runs on; that ball grows with the orders, so a stream costs what its support costs.
-Each column is bitwise the stream of its vector alone on the whole graph, so one stream serves many
-pairs: :class:`PairRows` reads the pairs of a report or fit run, or of a sweep's block, from one
-stream over their distinct vertices, :func:`pair_moments` the moments of many pairs from one over
-their distinct y, and :func:`first_nonzero_orders` the first nonzero orders of many sources.  The
-array kernel keeps exact zeros (see :mod:`graphheat.graphs`), so a moment is the float 0.0
-precisely when no walk of length n joins x and y, and the first nonzero order is found by exact
-comparison.  On connected graphs it is the hop distance, and the moment there has sign
-(-1)^distance: every shortest-walk product has that sign, so no cancellation can occur at the
-critical order.
+the hop ball it runs on; that ball grows with the orders, so a stream costs what its support
+costs.  Each column is bitwise the stream of its vector alone on the whole graph, so one stream
+serves many pairs: :class:`PairRows` reads the pairs of a report or fit run, or of a sweep's block,
+from one stream over their distinct vertices, :func:`pair_moments` the moments of many pairs from
+one over their distinct y, and :func:`first_nonzero_orders` the first nonzero orders of many
+sources, up to the last entry its caller reads.  Each reader checks all its ids with one ``_check``
+call (see :mod:`graphheat.graphs`), which raises at the first that is not a vertex.  The array
+kernel keeps exact zeros (see :mod:`graphheat.graphs`), so a moment is the float 0.0 precisely when
+no walk of length n joins x and y, and the first nonzero order is found by exact comparison.  On
+connected graphs it is the hop distance, and the moment there has sign (-1)^distance: every
+shortest-walk product has that sign, so no cancellation can occur at the critical order.
 
 The moment readers stream with s = 1, since their values are the moments themselves; far behind the
 front such a stream may overflow, and the library readers return the IEEE values.
@@ -127,10 +128,7 @@ class PairRows:
     def __init__(self, source, pairs):
         self.source, self.pairs = source, list(pairs)
         ids = list(itertools.chain.from_iterable(self.pairs))
-        if not set(map(type, ids)) <= {int, bool} or source.is_finite and not (
-                0 <= min(ids, default=0) and max(ids, default=0) < source.n):
-            for v in ids:  # raises at the first id the source lacks, in pair order
-                source._check(v)
+        source._check(*ids)
         xy, count = np.array(ids, dtype=np.intp).reshape(-1, 2), len(self.pairs)
         self.vertices = np.array(sorted(set(ids)), dtype=np.intp)  # vertex j has column j
         self.at = np.column_stack((np.arange(count), count + self.vertices.searchsorted(xy)))
@@ -167,10 +165,9 @@ def pair_moments(source, pairs, n_max: int):
     """Per order n = 0..n_max, the array of moments <1_x, L^n 1_y> of the pairs (x, y), read from
     one unscaled stream with a column per distinct y, ids checked in pair order.  Its readers drain
     it under np.errstate, which a yield here would leak: it may overflow far behind the front."""
+    source._check(*itertools.chain.from_iterable(pairs))
     column = {}
-    for x, y in pairs:
-        source._check(x)
-        source._check(y)
+    for _, y in pairs:
         column.setdefault(y, len(column))
     targets = [(x, column[y]) for x, y in pairs]
     return itertools.islice(stream(source, [{y: 1.0} for y in column], 1.0, targets), n_max + 1)
@@ -212,21 +209,20 @@ def first_nonzero_moments(op: LaplacianOperator, y, n_max: int) -> dict:
             for v, k in positions.items() if orders[k, 0] >= 0}
 
 
-def first_nonzero_orders(op: LaplacianOperator, sources, n_max: int):
+def first_nonzero_orders(op: LaplacianOperator, sources, n_max: int, reads=...):
     """:func:`first_nonzero_moments` of many sources from one unscaled block
     stream with a column per source, as arrays.
 
     Returns (positions, orders, moments): orders[positions[v], j] is the first
     n <= n_max with <1_v, L^n 1_{sources[j]}> nonzero, or -1 if none is, and
     moments[positions[v], j] that moment.  The vertices are the graph's, or on
-    a procedural source those within n_max hops of a source.  The stream stops
-    at n_max, once every vertex has been reached from every source, or at the
-    first order that reaches no new (vertex, source) entry: the first nonzero
-    order is the hop distance, and a hop layer that is empty stays empty.
+    a procedural source those within n_max hops of a source.  The stream stops at
+    n_max, once each entry of ``orders[reads]`` (those its caller reads; all by default)
+    has an order, or at the first order that reaches no new (vertex, source) entry: the
+    first nonzero order is the hop distance, and an empty hop layer stays empty.
     """
     g = op.graph
-    for y in sources:
-        g._check(y)
+    g._check(*sources)
     labels = g.vertices if g.is_finite else sorted(
         v for layer in _layers(g, sources, max(n_max, 0)) for v in layer)
     shape = (len(labels), len(sources))
@@ -241,7 +237,7 @@ def first_nonzero_orders(op: LaplacianOperator, sources, n_max: int):
             fresh = (values != 0) & (orders < 0)
             orders[fresh] = n
             moments[fresh] = values[fresh]
-            if not fresh.any() or (orders >= 0).all():
+            if not fresh.any() or (orders[reads] >= 0).all():
                 break
     return {v: i for i, v in enumerate(labels)}, orders, moments
 
@@ -257,8 +253,7 @@ def path_sum_moment(op: LaplacianOperator, x, y, n: int, budget: int = 10_000_00
     if n < 1:
         raise ValueError("path sums are defined for order >= 1")
     g = op.graph
-    g._check(x)
-    g._check(y)
+    g._check(x, y)
     terms: list[float] = []
     visited = 0
 

@@ -287,8 +287,8 @@ def test_distance_reads_far_fronts_from_the_unscaled_stream(capsys):
 def test_distance_bytes_do_not_depend_on_the_block_budget(capsys, monkeypatch, cutoff):
     # random:14:0.15:3 has disconnected pairs; a stream per block of sources, down to one source
     streams, read = [], cli.first_nonzero_orders
-    monkeypatch.setattr(cli, "first_nonzero_orders", lambda op, sources, n_max: streams.append(
-        len(sources)) or read(op, sources, n_max))
+    monkeypatch.setattr(cli, "first_nonzero_orders", lambda op, sources, n_max, reads: (
+        streams.append(len(sources)) or read(op, sources, n_max, reads)))
     argv = ["distance", "--gen", "random:14:0.15:3", "--pairs", "all", *cutoff]
     default = run(capsys, *argv)
     assert default[0] == 0 and ",inf," in default[1] and (">2," in default[1]) == bool(cutoff)
@@ -296,6 +296,21 @@ def test_distance_bytes_do_not_depend_on_the_block_budget(capsys, monkeypatch, c
         monkeypatch.setattr(cli, "FRONTIER_BYTES", frontier)
         streams.clear()
         assert run(capsys, *argv) == default and streams == blocks
+
+
+def test_distance_stops_at_its_pairs(capsys, monkeypatch):
+    # (0, 1) has its order at n = 1, where the stream used to run on until it had reached every
+    # vertex of the path; a pair with the isolated vertex 9 ends the stream by the old rules
+    applies, real = [], LaplacianOperator.apply
+    monkeypatch.setattr(LaplacianOperator, "apply",
+                        lambda self, f: applies.append(1) or real(self, f))
+    argv = ["distance", "--gen", "path:2000", "--pairs", "0,1"]
+    stopped = run(capsys, *argv)
+    assert len(applies) <= 2 and stopped == run(capsys, *argv, "--cutoff", "1")
+    assert stopped == (0, "x,y,d_E,d_L,status\n0,1,1,1,ok\n", "")
+    for cutoff, unknown in (([], ">12"), (["--cutoff", "2"], ">2")):
+        out = run(capsys, "distance", "--gen", "random:12:0.15:8:c", "--pairs", "0,1;0,9", *cutoff)
+        assert out == (0, f"x,y,d_E,d_L,status\n0,1,2,2,ok\n0,9,inf,{unknown},ok\n", "")
 
 
 def test_output_deterministic(tmp_path, capsys):
@@ -521,8 +536,8 @@ def test_distance_reports_each_pair_whose_order_differs_from_its_distance(
     path.write_text(P3_TEXT)
     real = cli.first_nonzero_orders
 
-    def planted(op, sources, cutoff):
-        positions, orders, first = real(op, sources, cutoff)
+    def planted(op, sources, cutoff, reads):
+        positions, orders, first = real(op, sources, cutoff, reads)
         orders = orders.copy()
         orders[positions[2], sources.index(0)] = 3  # (0, 2) is at hop distance 2
         orders[positions[2], sources.index(1)] = -1  # (1, 2) not reached within the cutoff

@@ -312,6 +312,36 @@ def test_procedural_oracle_answers_are_checked(oracles, ask, message):
         getattr(ProceduralGraph(*oracles), ask)(0)
 
 
+def test_a_procedural_graph_asks_each_oracle_once_per_vertex():
+    asked = []
+    line = ProceduralGraph(lambda x: [(x - 1, 1.0), (x + 1, 1.0)],
+                           lambda x: asked.append(("measure", x)) or 1.0 + x * x,
+                           lambda x: asked.append(("killing", x)) or 0.5)
+    heat_element(line, 0, 3, 0.1)  # the stream's balls enter each vertex's answers once
+    for x in range(-40, 41):
+        m = 1.0 + x * x
+        assert (line.measure(x), line.killing(x), degree(line, x)) == (m, 0.5, 2.5 / m)
+    assert set(asked) >= {(kind, x) for kind in ("measure", "killing") for x in range(-40, 41)}
+    assert len(asked) == len(set(asked))
+
+
+VERTEX_IDS = st.one_of(st.integers(-3, 8), st.booleans(), st.integers(0, 4).map(np.int64),
+                       st.floats(-1.0, 8.0), st.text(max_size=1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(0, 6).map(WeightedGraph), st.builds(integer_line)),
+       st.lists(VERTEX_IDS, max_size=6))
+def test_one_check_raises_where_the_per_id_loop_does(source, ids):
+    unknown = [x for x in ids if not source.has_vertex(x)]
+    if not unknown:
+        source._check(*ids)
+        return
+    with pytest.raises(ValueError) as error:
+        source._check(*ids)
+    assert str(error.value) == f"unknown vertex id {unknown[0]!r}"
+
+
 def test_procedural_degree_and_connectivity():
     line = integer_line()
     assert degree(line, 0) == 2.0  # the row's weight sum over the measure

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphheat import (LaplacianOperator, ProceduralGraph, WeightedGraph, ball,
-                       cycle_graph, decompose, distances_from, from_spec, heat_element,
-                       integer_line, moment_table, pair_verification_reports,
+                       combinatorial_distance, cycle_graph, decompose, distances_from,
+                       from_spec, heat_element, integer_line, moment_table, pair_verification_reports,
                        path_graph, path_sum_moment, random_connected_graph,
                        spectral_radius_bound, wave_element)
 from graphheat.moments import (INITIAL_RADIUS, PairRows, first_nonzero_moments,
@@ -504,6 +504,30 @@ def test_pair_rows_raise_at_the_first_id_the_source_lacks(source, pairs, bad):
     with pytest.raises(ValueError) as error:
         PairRows(source, pairs)
     assert str(error.value) == f"unknown vertex id {bad!r}"
+
+
+ID_READERS = {
+    "pair_moments": lambda g, pairs: pair_moments(g, pairs, 2),
+    "first_nonzero_orders": lambda g, pairs: first_nonzero_orders(
+        LaplacianOperator(g), list(itertools.chain(*pairs)), 2),
+    "path_sum_moment": lambda g, pairs: [path_sum_moment(LaplacianOperator(g), x, y, 1)
+                                         for x, y in pairs],
+    "distances_from": lambda g, pairs: [distances_from(g, v, 2) for v in itertools.chain(*pairs)],
+    "combinatorial_distance": lambda g, pairs: [combinatorial_distance(g, x, y, 2) for x, y in pairs],
+    "BallSearch": lambda g, pairs: BallSearch(g, list(itertools.chain(*pairs))).ball(0),
+}
+
+
+@pytest.mark.parametrize("reader", ID_READERS)
+@pytest.mark.parametrize(  # the cases of the test above
+    *test_pair_rows_raise_at_the_first_id_the_source_lacks.pytestmark[0].args)
+def test_every_reader_raises_at_the_first_id_the_source_lacks(reader, source, pairs, bad):
+    # one reader a pair or an id at a time reads its ids in pair order too
+    with pytest.raises(ValueError) as error:
+        ID_READERS[reader](source, pairs)
+    assert str(error.value) == f"unknown vertex id {bad!r}"
+    with pytest.raises(ValueError, match="unknown vertex id 'x'"):  # x before y in a pair
+        ID_READERS[reader](source, [("x", "y")])
 
 
 def test_pair_rows_take_bools_as_the_ints_they_are():
