@@ -4,12 +4,13 @@ Subcommands: ``distance`` (hop distance vs first nonzero moment order with an eq
 orders from one :func:`first_nonzero_orders` stream a block of sources, bounded as in ``moments``
 and stopped at its pairs' orders), ``verify`` (leading-order and short-time bound reports),
 ``exponent`` (log-log slope fits), ``heat``/``wave`` (propagator sweeps overlaid with each pair's
-leading term and bound, a block's all from one :func:`order_terms` call on :func:`moment_table`
-values, each vertex's diagonal read once), and ``moments`` (moment tables, a block of pairs per
-:func:`pair_moments` stream).  Every hop distance comes from :func:`_hop_distances` (layered
-searches or an array search, no moment), which a sweep calls once per block.  A sweep evaluates each
-block a time at a time from one PairRows, which keeps the time's eigen phases for the block.  Every
-subcommand writes its rows as text, in the bytes of ``csv.writer``'s.
+leading term and bound, a block's all from one :func:`order_terms` call on the :func:`moment_table`
+values of the block's PairRows, each vertex's diagonal read once), and ``moments`` (moment tables,
+a block of pairs per :func:`pair_moments` stream).  Every hop distance comes from
+:func:`_hop_distances` (layered searches or an array search, no moment), which a sweep calls once
+per block.  A sweep evaluates each block a time at a time from one PairRows, its one stream, which
+keeps the time's eigen phases for the block.  Every subcommand writes its rows as text, in the
+bytes of ``csv.writer``'s.
 
 Each subcommand takes only the options it reads.  All take the graph
 (``--input`` or ``--gen``), ``--pairs``, ``--seed`` and ``--out``; all but
@@ -267,7 +268,7 @@ def _cmd_exponent(args, graph, pairs, fh) -> int:
 
 def _cmd_sweep(args, graph, pairs, fh) -> int:
     ts = sorted([args.t0 * args.ratio ** k for k in range(args.count)] + [0.0])
-    op, size = LaplacianOperator(graph), max(1, BLOCK_ELEMENTS // len(ts))  # pairs per stream
+    size = max(1, BLOCK_ELEMENTS // len(ts))  # pairs per stream
     fh.write("x,y,t,value,leading,bound,method\n")
     routes = [select_route(graph, t, args.method) for t in ts]
     element, t_text = wave_element if args.unitary else heat_element, [repr(t) for t in ts]
@@ -282,11 +283,12 @@ def _cmd_sweep(args, graph, pairs, fh) -> int:
         top = {}  # per vertex, the highest order d + 1 its reached pairs read
         for x, y, d in reached:
             top[x], top[y] = max(top.get(x, 0), d + 1), max(top.get(y, 0), d + 1)
-        diagonal = {v: moment_table(op, v, v, n).values for v, n in top.items()}  # m_vv(0..n)
+        diagonal = {v: moment_table(rows, v, v, n).values for v, n in top.items()}  # m_vv(0..n)
         exp = rows.exp  # the rows' scale is s = 2^exp; terms yields (leading, bound) by pair, t
         terms = zip(*(map(repr, side.ravel().tolist()) for side in order_terms(
             np.multiply(ts, rows.scale), [d for _, _, d in reached],
-            [math.ldexp(abs(moment_table(op, x, y, d).values[d]), -exp * d) for x, y, d in reached],
+            [math.ldexp(abs(moment_table(rows, x, y, d).values[d]), -exp * d)
+             for x, y, d in reached],
             [math.ldexp(diagonal[x][d + 1] + diagonal[y][d + 1], -exp * (d + 1))
              for x, y, d in reached])))
         lines = []  # the block's rows, pair by pair, in the bytes of csv.writer's

@@ -19,7 +19,10 @@ The moment readers stream with s = 1, since their values are the moments themsel
 front such a stream may overflow, and the library readers return the IEEE values.
 :class:`PairRows`, which feeds the series route, divides by the Gershgorin bound (on a procedural
 source, that of the pairs' 1-ball as :class:`BallSearch` slices it) rounded up to a power of two:
-its vectors stay bounded, and the exact division keeps L^n v's digits.
+its vectors stay bounded, and the exact division keeps L^n v's digits.  :func:`moment_table` reads
+the rows too, a held pair or vertex diagonal times s^n, so a sweep's overlay runs no stream of its
+own; far behind the front the rows underflow to 0.0 where the unscaled stream holds the moment, so
+``distance`` and ``moments`` read operators (the overlay rescales by s^-n: 0.0 either way).
 
 ``path_sum_moment`` recomputes a moment by brute-force enumeration of the contributing vertex
 sequences; it is an independent cross-check for the streams, intended for small n on small graphs.
@@ -178,12 +181,22 @@ def moment(op: LaplacianOperator, x, y, n: int) -> float:
     return moment_table(op, x, y, n).values[n]
 
 
-def moment_table(op: LaplacianOperator, x, y, n_max: int) -> MomentTable:
-    """Moments for n = 0..n_max in one pass over the vector stream."""
+def moment_table(source, x, y, n_max: int) -> MomentTable:
+    """Moments for n = 0..n_max in one pass over an operator's unscaled stream, or read from a
+    :class:`PairRows` holding the pair (x, y), or the vertex x == y, as its orders times s^n (an
+    overflow reads inf; far behind the front 0.0, see above).  Any other pair, (y, x) of a held
+    (x, y) among them, raises ValueError."""
     if n_max < 0:
         raise ValueError("moment order must be non-negative")
     with np.errstate(over="ignore", invalid="ignore"):  # as in first_nonzero_orders
-        values = tuple(float(v[0]) for v in pair_moments(op.graph, [(x, y)], n_max))
+        if not isinstance(source, PairRows):
+            values = tuple(float(v[0]) for v in pair_moments(source.graph, [(x, y)], n_max))
+        else:
+            j, orders = source.vertices.searchsorted(x), np.arange(n_max + 1)  # j: x's column
+            k = source.index.get((x, y), len(source.pairs) + j if x == y else None)
+            if k is None or k >= len(source.pairs) and source.vertices[j:j + 1].tolist() != [x]:
+                raise ValueError(f"pair ({x}, {y}) is not among the pairs or vertices of the rows")
+            values = tuple(np.ldexp([source[n][k] for n in orders], source.exp * orders).tolist())
     order = next((n for n, v in enumerate(values) if v != 0.0), UnknownAbove(n_max))
     return MomentTable(x, y, values, order)
 

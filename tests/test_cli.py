@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from graphheat import (INFINITE, LaplacianOperator, cli, combinatorial_distance, from_spec,
                        distances_from, heat_element, leading_exponent_fit, moment_table,
-                       path_graph, random_graph, spectral, wave_element)
+                       moments, path_graph, random_graph, spectral, wave_element)
 from graphheat.moments import PairRows, UnknownAbove
 from graphheat.spectral import select_route
 from graphheat.cli import PAIR_CAP, CliError, _hop_distances, _pairs_at, _select_pairs, main
@@ -954,10 +954,25 @@ def test_sweep_overlays_do_not_depend_on_the_block_budget(capsys, monkeypatch, c
 def test_a_sweep_reads_one_moment_table_per_pair_and_per_distinct_vertex(capsys, monkeypatch, spec,
                                                                          pairs, calls):
     read, table = [], cli.moment_table
-    monkeypatch.setattr(cli, "moment_table", lambda op, x, y, n_max: read.append(
-        (x, y)) or table(op, x, y, n_max))
+    monkeypatch.setattr(cli, "moment_table", lambda source, x, y, n_max: read.append(
+        (x, y, type(source))) or table(source, x, y, n_max))
     code, _, _ = run(capsys, "heat", "--gen", spec, "--pairs", pairs)
     assert code == 0 and len(read) == calls and len(set(read)) == calls
+    assert {source for _, _, source in read} == {PairRows}  # the block's rows, no stream of its own
+
+
+@pytest.mark.parametrize("command", ["heat", "wave"])
+@pytest.mark.parametrize("method", ["auto", "eigen"])  # eigen: only the overlay advances the rows
+@pytest.mark.parametrize("budget, blocks", [(cli.BLOCK_ELEMENTS, 1), (2 * 17, 5)])
+def test_a_sweep_runs_one_stream_per_block(capsys, monkeypatch, command, method, budget, blocks):
+    calls, stream, pair_moments = [], moments.stream, moments.pair_moments
+    monkeypatch.setattr(cli, "BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(moments, "stream", lambda *args: calls.append("stream") or stream(*args))
+    monkeypatch.setattr(moments, "pair_moments", lambda *args: calls.append(
+        "pair_moments") or pair_moments(*args))
+    code, out, _ = run(capsys, command, "--gen", "path:5", "--pairs", "all", "--method", method)
+    assert code == 0 and len(rows(out)[1]) == 10 * 17
+    assert calls == ["stream"] * blocks
 
 
 @pytest.mark.parametrize("error", [ValueError, ArithmeticError])

@@ -2,6 +2,8 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphheat import (EnumerationBudgetError, LaplacianOperator, UnknownAbove,
                        WeightedGraph, ball, combinatorial_distance, cycle_graph,
@@ -9,6 +11,7 @@ from graphheat import (EnumerationBudgetError, LaplacianOperator, UnknownAbove,
                        leading_moment_order, moment, moment_table,
                        path_graph, path_sum_moment, random_connected_graph,
                        star_graph)
+from graphheat.moments import PairRows
 
 
 def test_moment_order_zero():
@@ -182,5 +185,53 @@ def test_unscaled_readers_hold_the_far_front():
     assert (table.values[599], table.values[600], table.order, order) == (0.0, 1.0, 600, 600)
 
 
+def test_rows_lose_the_far_front_the_operator_holds():
+    # why distance and moments keep operator sources: the rows' s^-600 underflows to 0.0
+    table = moment_table(PairRows(cycle_graph(2000), [(0, 600)]), 0, 600, 600)
+    assert (table.values[600], table.order) == (0.0, UnknownAbove(600))
+    assert _far_front("ignore")[0].values[600] == 1.0
+
+
 def test_unscaled_readers_keep_the_overflow_to_themselves():
     assert _far_front("error") == _far_front("ignore")
+
+
+def decades():
+    """Positive floats spread log-uniformly over 1e-3..1e3."""
+    return st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def decade_graphs(draw):
+    """Small graphs with isolated vertices, killing, and weights and measures over six decades."""
+    n = draw(st.integers(1, 7))
+    edges = [(u, v, draw(decades())) for u in range(n) for v in range(u + 1, n)
+             if draw(st.booleans())]
+    measure = [draw(decades()) for _ in range(n)]
+    killing = [draw(st.sampled_from([0.0, 1.0])) * draw(decades()) for _ in range(n)]
+    return WeightedGraph(n, edges, measure, killing)
+
+
+def _bits(table):
+    return [v.hex() for v in table.values], table.order
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(decade_graphs(), st.data())
+def test_moment_table_on_rows_is_the_operators_bit_for_bit(g, data):
+    vertex = st.integers(0, g.n - 1)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=6, unique=True))
+    n_max, taken = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+    rows, op = PairRows(g, pairs), LaplacianOperator(g)
+    rows[taken]  # orders the elements took before the overlay reads them
+    for x, y in pairs + [(v, v) for v in rows.vertices.tolist()]:
+        assert _bits(moment_table(rows, x, y, n_max)) == _bits(moment_table(op, x, y, n_max))
+
+
+@pytest.mark.parametrize("x, y", [(2, 0), (1, 1), (3, 3), (0, 3)])
+def test_moment_table_on_rows_refuses_what_they_do_not_hold(x, y):
+    rows = PairRows(path_graph(4), [(0, 2)])  # the pair (0, 2) and the vertices 0 and 2
+    with pytest.raises(ValueError, match=f"pair \\({x}, {y}\\) is not among"):
+        moment_table(rows, x, y, 3)
+    assert moment_table(rows, 0, 0, 3).values == moment_table(LaplacianOperator(
+        path_graph(4)), 0, 0, 3).values
