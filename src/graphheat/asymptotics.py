@@ -139,11 +139,11 @@ def _order_reports(rows: PairRows, block, orders, ts, routes):
     scaled moments; a term or bound not finite raises ArithmeticError, as a series sum
     does.  Every moment of a pair below its order must vanish.
     """
-    at, orders = rows.at[block], np.asarray(orders, dtype=np.intp)
+    orders = np.asarray(orders, dtype=np.intp)
     if (orders < 0).any():
         raise ValueError("moment order must be non-negative")
-    top, pair = int(orders.max()), np.arange(len(at))
-    table = np.stack([rows[k][at] for k in range(top + 2)])  # (order, pair, (xy, xx, yy))
+    top, pair = int(orders.max()), np.arange(len(orders))
+    table = np.stack([rows.table(block, k) for k in range(top + 2)])  # (order, pair, (xy, xx, yy))
     below = np.argwhere((table[:top, :, 0] != 0.0) & (np.arange(top)[:, None] < orders))
     if len(below):
         k, i = below[0].tolist()
@@ -244,7 +244,7 @@ def verification_blocks(source, pairs, ts, method="auto"):
     for start in range(0, len(pairs), size):
         triples = pairs[start:start + size]
         block, orders = slice(start, start + len(triples)), np.array([d for *_, d in triples])
-        leads = np.stack([rows[n][block] for n in range(orders.max() + 1)])  # pair i's at i
+        leads = np.stack([rows.table(block, n)[:, 0] for n in range(orders.max() + 1)])
         for i in np.flatnonzero(leads[orders, np.arange(len(orders))] == 0.0)[:1].tolist():
             raise ArithmeticError(
                 "the moment of pair ({}, {}) at its hop distance {} underflowed to 0.0; in exact "
@@ -319,7 +319,7 @@ def vanishing_order_check(source, x, y, n: int, t_samples,
     about magnitudes, not exactness.
     """
     rows = PairRows(_resolve(source), [(x, y)])
-    order = next((k for k in range(n + 1) if rows[k][0] != 0.0), None)
+    order = next((k for k in range(n + 1) if rows.floats(0, k)[0] != 0.0), None)
     if order is not None:
         raise ValueError(f"pair ({x}, {y}) has a nonzero moment at order {order} <= {n}; "
                          "the vanishing-order witness does not apply")

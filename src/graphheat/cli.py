@@ -18,8 +18,8 @@ Each subcommand takes only the options it reads.  All take the graph
 take the time grid ``--t0 --ratio --count``; ``verify``, ``heat`` and ``wave``
 take ``--method``; ``exponent`` takes ``--group`` and ``--tol``, and
 ``moments`` ``--nmax``.  Any other option is a usage error.  :func:`main`
-loads the graph, checks the option values, selects the pairs and opens the
-output once, then hands the three to the subcommand.
+checks the option values, then loads the graph, selects the pairs and opens
+the output once, and hands the three to the subcommand.
 
 Exit codes: 0 success, 1 a theorem-backed check failed, 2 a usage or parse error, an unreadable
 input or unwritable output, or a library ValueError or ArithmeticError (among them a moment that is
@@ -58,38 +58,34 @@ WRITE_SLICE = 256  # (pair, t) elements of verify's rows formatted per write
 FRONTIER_BYTES, WIDE_LAYERS, MIN_ARRAY_SOURCES = 1 << 20, 16, 8  # see _hop_distances, _cmd_moments
 
 
-class CliError(ValueError):
-    """A usage error; :func:`main` prints its message and exits 2, as for any ValueError."""
-
-
 def _validate(args) -> None:
     """Reject the values no run can use, of the options the subcommand takes."""
     if "t0" in args:
         if not 0 < args.t0 < math.inf:
-            raise CliError("--t0 must be positive and finite")
+            raise ValueError("--t0 must be positive and finite")
         if not 0 < args.ratio < 1:
-            raise CliError("--ratio must lie strictly between 0 and 1")
+            raise ValueError("--ratio must lie strictly between 0 and 1")
         if args.count < 3:
-            raise CliError("--count must be at least 3")
+            raise ValueError("--count must be at least 3")
     if getattr(args, "cutoff", None) is not None and args.cutoff < 0:
-        raise CliError("--cutoff must be non-negative")
+        raise ValueError("--cutoff must be non-negative")
     if getattr(args, "nmax", 0) < 0:
-        raise CliError("--nmax must be non-negative")
+        raise ValueError("--nmax must be non-negative")
     if not getattr(args, "tol", 0) >= 0:
-        raise CliError("--tol must be non-negative")
+        raise ValueError("--tol must be non-negative")
 
 
 def _load(args):
     if args.input and args.gen:
-        raise CliError("give either --input or --gen, not both")
+        raise ValueError("give either --input or --gen, not both")
     if args.input:
         try:
             return load_graph(args.input)
         except GraphFormatError as exc:
-            raise CliError(f"{args.input}: {exc}") from exc
+            raise ValueError(f"{args.input}: {exc}") from exc
     if args.gen:
         return from_spec(args.gen)
-    raise CliError("one of --input FILE or --gen SPEC is required")
+    raise ValueError("one of --input FILE or --gen SPEC is required")
 
 
 def _pairs_at(n: int, indices) -> list[tuple[int, int]]:
@@ -107,19 +103,19 @@ def _select_pairs(graph, spec: str, seed) -> list[tuple[int, int]]:
         if total <= PAIR_CAP:
             return _pairs_at(graph.n, range(total))
         if seed is None:
-            raise CliError(f"all-pairs selection has {total} pairs, above the cap {PAIR_CAP}; "
-                           "provide --seed to sample")
+            raise ValueError(f"all-pairs selection has {total} pairs, above the cap {PAIR_CAP}; "
+                             "provide --seed to sample")
         # a range samples the same positions as the list of pairs would
         return _pairs_at(graph.n, random.Random(seed).sample(range(total), PAIR_CAP))
     if spec.startswith("sample:"):
         try:
             k = int(spec.split(":", 1)[1])
         except ValueError:
-            raise CliError(f"bad sample size in --pairs {spec!r}") from None
+            raise ValueError(f"bad sample size in --pairs {spec!r}") from None
         if k < 0:
-            raise CliError("sample size must be non-negative")
+            raise ValueError("sample size must be non-negative")
         if seed is None:
-            raise CliError("--pairs sample:k requires --seed for reproducibility")
+            raise ValueError("--pairs sample:k requires --seed for reproducibility")
         return _pairs_at(graph.n, random.Random(seed).sample(range(total), min(k, total)))
     pairs = []
     for item in spec.split(";"):
@@ -128,13 +124,13 @@ def _select_pairs(graph, spec: str, seed) -> list[tuple[int, int]]:
             continue
         bits = item.split(",")
         if len(bits) != 2:
-            raise CliError(f"bad pair {item!r}; expected 'x,y'")
+            raise ValueError(f"bad pair {item!r}; expected 'x,y'")
         try:
             x, y = int(bits[0]), int(bits[1])
         except ValueError:
-            raise CliError(f"bad pair {item!r}; vertex ids must be integers") from None
+            raise ValueError(f"bad pair {item!r}; vertex ids must be integers") from None
         if not (graph.has_vertex(x) and graph.has_vertex(y)):
-            raise CliError(f"pair {item!r} references an unknown vertex")
+            raise ValueError(f"pair {item!r} references an unknown vertex")
         pairs.append((x, y))
     return sorted(set(pairs))
 
@@ -376,8 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        graph = _load(args)
         _validate(args)
+        graph = _load(args)
         pairs = _select_pairs(graph, args.pairs, args.seed)
         with _open_out(args.out) as fh:
             return args.handler(args, graph, pairs, fh)

@@ -6,7 +6,8 @@ moments at the (vertex, column) targets its caller names, so no reader knows the
 the hop ball it runs on; that ball grows with the orders, so a stream costs what its support
 costs.  Each column is bitwise the stream of its vector alone on the whole graph, so one stream
 serves many pairs: :class:`PairRows` reads the pairs of a report or fit run, or of a sweep's block,
-from one stream over their distinct vertices, :func:`pair_moments` the moments of many pairs from
+from one stream over their distinct vertices (its own ``table`` and ``floats`` read them, so its
+readers do not know its layout either), :func:`pair_moments` the moments of many pairs from
 one over their distinct y, and :func:`first_nonzero_orders` the first nonzero orders of many
 sources, up to the last entry its caller reads.  Each reader checks all its ids with one ``_check``
 call (see :mod:`graphheat.graphs`), which raises at the first that is not a vertex.  The array
@@ -119,12 +120,12 @@ class PairRows:
     """Per order, the scaled moments of many pairs, read from one block stream
     with a column for each distinct vertex.
 
-    ``self[n]`` holds m(x) u_y[x] for the i-th pair (x, y) at index i, then
-    m(v) u_v[v] for the j-th vertex v at index P + j, where u_v is the column of
-    1_v, P the number of pairs and s = ``self.scale``; ``at[i]`` holds the indices
-    of the i-th pair's (xy, xx, yy), ``pairs[i]`` the pair and ``index[pair]`` i.  The
-    stream runs only as far as the highest order asked for, and every order read is kept, so
-    all pairs, times, propagators and threads share one stream, locked to advance or convert.
+    :meth:`table` reads order n's (xy, xx, yy) of a slice of the pairs, :meth:`floats` one pair's,
+    and only this module reads the layout: ``self[n]`` holds m(x) u_y[x] for the i-th pair
+    ``pairs[i]`` = (x, y) at index i (``index[pair]`` is i), then m(v) u_v[v] for the j-th vertex v
+    at P + j (u_v the column of 1_v, P the number of pairs), and ``at[i]`` the indices of pair i's
+    (xy, xx, yy).  The stream runs only to the highest order asked for, and every order read is
+    kept, so all pairs, times, propagators and threads share it, locked to advance or convert.
     ``phases`` is one slot for the eigen route's last (t, unitary) and its e^{-t lambda} vector.
     """
 
@@ -152,6 +153,10 @@ class PairRows:
                 while len(self._orders) <= n:
                     self._orders.append(next(self._steps))
         return self._orders[n]
+
+    def table(self, block: slice, n: int) -> np.ndarray:
+        """Order n's (xy, xx, yy) of the pairs ``block`` (a slice), as a (pair, 3) array."""
+        return self[n][self.at[block]]
 
     def floats(self, i: int, n: int) -> tuple:
         """The i-th pair's (xy, xx, yy) of ``self[n]`` as floats, kept in ``converted[i]``."""

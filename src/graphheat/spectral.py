@@ -353,17 +353,17 @@ def _unmet(n: int) -> ArithmeticError:
 def block_elements(rows: PairRows, block, ts, routes, unitary: bool) -> np.ndarray:
     """:func:`pair_element` at the pairs ``block`` (a slice) of the rows and every t of
     ``ts``, each through its route of ``routes``, as a (pair, t) array of the same values."""
-    ts, at = np.asarray(ts, dtype=float), rows.at[block]
-    out = np.zeros((len(at), len(ts)), dtype=complex if unitary else float)
-    if len(at) == 1:  # one pair: Python floats cost less than numpy's per-call overhead
-        i = int(at[0, 0])
+    ts, pairs = np.asarray(ts, dtype=float), rows.pairs[block]
+    out = np.zeros((len(pairs), len(ts)), dtype=complex if unitary else float)
+    if len(pairs) == 1:  # one pair: Python floats cost less than numpy's per-call overhead
+        i = block.indices(len(rows.pairs))[0]
         out[0] = [pair_element(rows, i, t, r, unitary) for t, r in zip(ts.tolist(), routes)]
         return out
     series = np.array([route == "series" for route in routes], dtype=bool)
     if series.any():
-        out[:, series] = _series_block(rows, at, ts[series] * rows.scale, unitary)
+        out[:, series] = _series_block(rows, block, ts[series] * rows.scale, unitary)
     if not series.all():  # a time at a time, in slices of at most CHUNK pair x eigenvalue entries
-        x, y = np.array(rows.pairs[block], dtype=np.intp).reshape(-1, 2).T
+        x, y = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         step = max(1, CHUNK // max(rows.source.n, 1))
         for j in np.flatnonzero(~series).tolist():
             for part in (slice(lo, lo + step) for lo in range(0, len(x), step)):
@@ -390,20 +390,20 @@ def _eigen_sum(rows: PairRows, x, y, t, unitary):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan arise as in Python floats
-def _series_block(rows: PairRows, at, ts, unitary):
-    """pair_element's series at the pairs whose (xy, xx, yy) sit at ``at`` in the rows, at the
-    scaled times ``ts`` = t s: the same terms, with the stopping rule as a mask of the running
-    elements (a stopped one adds exact zeros), summed by :func:`_rounded_sums`; the wave's
-    term (-i)^n c_n is real at even n and imaginary at odd n."""
-    coef, terms = np.ones(len(ts)), []
-    parts = np.zeros((2, len(at), len(ts)))  # the running sum's real and imaginary parts
+def _series_block(rows: PairRows, block, ts, unitary):
+    """pair_element's series at the pairs ``block`` (a slice) of the rows, read through
+    :meth:`PairRows.table`, at the scaled times ``ts`` = t s: the same terms, with the stopping
+    rule as a mask of the running elements (a stopped one adds exact zeros), summed by
+    :func:`_rounded_sums`; the wave's term (-i)^n c_n is real at even n and imaginary at odd n."""
+    coef, terms, table = np.ones(len(ts)), [], rows.table(block, 0)
+    parts = np.zeros((2, len(table), len(ts)))  # the running sum's real and imaginary parts
     active = np.ones(parts.shape[1:], dtype=bool)
     for n in range(MAX_SERIES_TERMS):
         sign = -1.0 if (n % 4 in (1, 2) if unitary else n % 2) else 1.0
-        terms.append(np.where(active, sign * (coef * rows[n][at[:, 0]][:, None]), 0.0))
+        terms.append(np.where(active, sign * (coef * table[:, 0][:, None]), 0.0))
         parts[n % 2 if unitary else 0] += terms[-1]
-        coef = coef * (ts / (n + 1))
-        bound = 0.5 * coef * (rows[n + 1][at[:, 1]] + rows[n + 1][at[:, 2]])[:, None]
+        coef, table = coef * (ts / (n + 1)), rows.table(block, n + 1)
+        bound = 0.5 * coef * (table[:, 1] + table[:, 2])[:, None]
         running = np.hypot(*parts) if unitary else np.abs(parts[0])
         if not np.isfinite(bound + running)[active].all():
             raise _unmet(n + 1)

@@ -17,7 +17,7 @@ from graphheat import (INFINITE, LaplacianOperator, cli, combinatorial_distance,
                        moments, path_graph, random_graph, spectral, wave_element)
 from graphheat.moments import PairRows, UnknownAbove
 from graphheat.spectral import select_route
-from graphheat.cli import PAIR_CAP, CliError, _hop_distances, _pairs_at, _select_pairs, main
+from graphheat.cli import PAIR_CAP, _hop_distances, _pairs_at, _select_pairs, main
 from graphheat.graphs import BallSearch
 
 from conftest import series_coefficient
@@ -357,8 +357,8 @@ def test_bad_generator_spec(capsys):
         assert "generator spec" in err, spec
 
 
-# every message a CliError carries, each a whole stderr line, and the errors of loading a
-# graph, which main reports alike
+# every usage message the CLI raises as a ValueError, each a whole stderr line, and the errors
+# of loading a graph, which main reports alike
 @pytest.mark.parametrize("argv,message", [
     (["--gen", "path:3", "--input", "g.txt"], "give either --input or --gen, not both"),
     ([], "one of --input FILE or --gen SPEC is required"),
@@ -375,6 +375,7 @@ def test_bad_generator_spec(capsys):
     (["--gen", "path:3", "--pairs", "a,b"], "bad pair 'a,b'; vertex ids must be integers"),
     (["--gen", "path:3", "--pairs", "0,9"], "pair '0,9' references an unknown vertex"),
     (["--gen", "path:3", "--t0", "0"], "--t0 must be positive and finite"),
+    (["--gen", "pentagon:5", "--t0", "0"], "--t0 must be positive and finite"),  # before the graph
     (["--gen", "path:3", "--ratio", "1.5"], "--ratio must lie strictly between 0 and 1"),
     (["--gen", "path:3", "--count", "2"], "--count must be at least 3"),
     (["--gen", "path:3", "--cutoff", "-1"], "--cutoff must be non-negative"),
@@ -564,7 +565,7 @@ def test_sweep_of_a_disconnected_pair_has_no_overlay(capsys, command):
 
 def test_all_pairs_cap_samples_with_seed():
     g = path_graph(150)  # 11175 pairs, above the 10000 cap
-    with pytest.raises(CliError):
+    with pytest.raises(ValueError):
         _select_pairs(g, "all", None)
     pairs = _select_pairs(g, "all", 3)
     assert len(pairs) == 10000
@@ -780,7 +781,7 @@ def test_repeated_main_calls_share_one_parser_and_match_fresh_calls(capsys):
     runs = [["verify", "--gen", "path:5", "--pairs", "0,3"],
             ["verify", "--gen", "path:5", "--nmax", "3"],  # verify takes no --nmax
             ["distance", "--gen", "path:5"],
-            ["heat", "--gen", "path:3", "--pairs", "0,2", "--count", "2"],  # a CliError
+            ["heat", "--gen", "path:3", "--pairs", "0,2", "--count", "2"],  # a usage ValueError
             ["moments", "--gen", "path:3", "--nmax", "2"],
             ["verify", "--gen", "path:5", "--pairs", "0,3"]]
 
@@ -950,17 +951,6 @@ def test_sweep_overlays_do_not_depend_on_the_block_budget(capsys, monkeypatch, c
         assert run(capsys, *argv) == (0, expected, "")
 
 
-@pytest.mark.parametrize("spec, pairs, calls", [("path:5", "all", 10 + 5), ("path:4", "0,3", 3)])
-def test_a_sweep_reads_one_moment_table_per_pair_and_per_distinct_vertex(capsys, monkeypatch, spec,
-                                                                         pairs, calls):
-    read, table = [], cli.moment_table
-    monkeypatch.setattr(cli, "moment_table", lambda source, x, y, n_max: read.append(
-        (x, y, type(source))) or table(source, x, y, n_max))
-    code, _, _ = run(capsys, "heat", "--gen", spec, "--pairs", pairs)
-    assert code == 0 and len(read) == calls and len(set(read)) == calls
-    assert {source for _, _, source in read} == {PairRows}  # the block's rows, no stream of its own
-
-
 @pytest.mark.parametrize("command", ["heat", "wave"])
 @pytest.mark.parametrize("method", ["auto", "eigen"])  # eigen: only the overlay advances the rows
 @pytest.mark.parametrize("budget, blocks", [(cli.BLOCK_ELEMENTS, 1), (2 * 17, 5)])
@@ -979,17 +969,18 @@ def test_a_sweep_runs_one_stream_per_block(capsys, monkeypatch, command, method,
 def test_an_element_that_raises_ends_the_sweep_with_exit_2(capsys, monkeypatch, error):
     argv = ["heat", "--gen", "path:5", "--pairs", "all"]  # 10 pairs
     _, complete, _ = run(capsys, *argv)
-    real = cli.heat_element
+    calls, stream = [], moments.stream
 
-    def failing(rows, x, y, t, method):
-        if (x, y) == (1, 3) and t > 0.1:  # in the third block of two pairs
-            raise error("the element failed")
-        return real(rows, x, y, t, method=method)
+    def failing(*args):  # the stream of the third block of two pairs raises
+        calls.append(args)
+        if len(calls) == 3:
+            raise error("the stream failed")
+        return stream(*args)
 
     monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 2 * 17)
-    monkeypatch.setattr(cli, "heat_element", failing)
+    monkeypatch.setattr(moments, "stream", failing)
     code, out, err = run(capsys, *argv)
-    assert (code, err) == (2, "graphheat: the element failed\n")
+    assert (code, err) == (2, "graphheat: the stream failed\n")
     assert out.splitlines(keepends=True) == complete.splitlines(keepends=True)[:1 + 4 * 17]
 
 
