@@ -156,21 +156,19 @@ def _order_reports(rows: PairRows, block, orders, ts, routes):
                               f"at t={float(ts[j])!r} is not finite")
     h, w = (block_elements(rows, block, ts, routes, unitary) for unitary in (False, True))
     quarter = (orders % 4)[:, None]  # e^{-itL}'s n-th phase (-i)^n: 1, -i, -1, i
-    lhs = np.stack([np.abs(h - np.abs(lead)), np.abs(np.hypot(w.real, w.imag) - np.abs(lead)),
-                    np.abs(h - np.where(quarter % 2, -lead, lead)),
+    # |h - (-1)^n lead| is heat_leading's |h - |lead||: lead has sign (-1)^n or is +-0
+    heat = np.abs(h - np.abs(lead))
+    lhs = np.stack([heat, np.abs(np.hypot(w.real, w.imag) - np.abs(lead)), heat,
                     np.hypot(w.real - np.choose(quarter, [lead, 0.0, -lead, 0.0]),
                              w.imag - np.choose(quarter, [0.0, -lead, 0.0, lead]))], axis=-1)
     return lhs, np.broadcast_to(rhs[..., None], lhs.shape)
 
 
-def _pair_reports(x, y, n, ts, lhs, rhs, which):
+def _pair_reports(x, y, n, ts, lhs, rhs, tags):
     """One pair's (t, tag) arrays of :func:`_order_reports` as BoundReports, per t one
-    per tag of ``which``."""
-    for tag in which:
-        if tag not in TAGS:
-            raise ValueError(f"unknown report tag {tag!r}")
+    per tag of ``tags``, a subsequence of TAGS."""
     return [BoundReport(tag, x, y, t, n, lhs_t[TAGS.index(tag)], rhs_t[0])
-            for t, lhs_t, rhs_t in zip(ts, lhs.tolist(), rhs.tolist()) for tag in which]
+            for t, lhs_t, rhs_t in zip(ts, lhs.tolist(), rhs.tolist()) for tag in tags]
 
 
 def _order_bound(source, x, y, t, n, tag):
@@ -194,19 +192,17 @@ def unitary_bound(source, x, y, t, n: int) -> BoundReport:
 
 
 def leading_term_check(source, x, y, t, cutoff=None) -> tuple[BoundReport, BoundReport]:
-    """Leading-order estimates at d = hop distance, for heat and wave.
+    """The heat_leading and wave_leading reports of :func:`pair_verification_reports` at t.
 
     heat lhs: |<1_x, e^{-tL} 1_y>  - t^d |<1_x, L^d 1_y>| / d!|
     wave lhs: ||<1_x, e^{-itL} 1_y>| - t^d |<1_x, L^d 1_y>| / d!|
     shared rhs: t^(d+1) (<1_x, L^(d+1) 1_x> + <1_y, L^(d+1) 1_y>) / (2 (d+1)!)
     """
-    reports = pair_verification_reports(source, x, y, [t], cutoff=cutoff,
-                                        which=("heat_leading", "wave_leading"))
-    return reports[0], reports[1]
+    return tuple(pair_verification_reports(source, x, y, [t], cutoff=cutoff)[:2])
 
 
-def pair_verification_reports(source, x, y, ts, cutoff=None, which=TAGS, method="auto"):
-    """Bound reports for one vertex pair across a t grid, sharing moment work.
+def pair_verification_reports(source, x, y, ts, cutoff=None, method="auto"):
+    """Bound reports for one vertex pair across a t grid, per t one per tag of TAGS.
 
     The semigroup/unitary reports run at the pair's hop distance d (their
     largest admissible order).  Raises for disconnected pairs; for those use
@@ -218,15 +214,15 @@ def pair_verification_reports(source, x, y, ts, cutoff=None, which=TAGS, method=
     if d == INFINITE:
         raise ValueError(f"vertices {x} and {y} are not connected; the leading-order "
                          "estimate needs a finite hop distance")
-    return next(verification_reports(graph, [(x, y, d)], ts, which, method))
+    return next(verification_reports(graph, [(x, y, d)], ts, method))
 
 
-def verification_reports(source, pairs, ts, which=TAGS, method="auto"):
+def verification_reports(source, pairs, ts, method="auto"):
     """The reports of :func:`pair_verification_reports` for many connected pairs,
     one list per (x, y, d) triple of ``pairs``, read from :func:`verification_blocks`."""
     for block, lhs, rhs in verification_blocks(source, pairs, ts, method):
         for (x, y, d), lhs_p, rhs_p in zip(block, lhs, rhs):
-            yield _pair_reports(x, y, d, ts, lhs_p, rhs_p, which)
+            yield _pair_reports(x, y, d, ts, lhs_p, rhs_p, TAGS)
 
 
 def verification_blocks(source, pairs, ts, method="auto"):

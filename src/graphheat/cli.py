@@ -189,8 +189,8 @@ def _cmd_distance(args, graph, pairs, fh) -> int:
 
 def _write_reports(fh, triples, t_text, lhs, rhs, margin, passed):
     """Write a block's verify rows, WRITE_SLICE (pair, t) elements or one pair at a time, each
-    distinct float formatted once: semigroup's lhs and margin are heat_leading's bits, as the
-    finite leading term at the hop distance d is nonzero with sign (-1)^d."""
+    distinct float formatted once: semigroup's lhs and margin are heat_leading's (see
+    asymptotics._order_reports)."""
     step, flag = max(1, WRITE_SLICE // len(t_text)), ("false", "true")
     heat, wave, semigroup, unitary = TAGS  # one f-string writes the four rows of a (pair, t)
     for part in (slice(lo, lo + step) for lo in range(0, len(triples), step)):

@@ -18,27 +18,27 @@ DEFAULT_WEIGHT_RANGE = (0.1, 2.0)
 DEFAULT_MEASURE_RANGE = (0.5, 2.0)
 
 
-def path_graph(n: int, weight: float = 1.0) -> WeightedGraph:
+def path_graph(n: int) -> WeightedGraph:
     u = np.arange(max(n - 1, 0))
-    return WeightedGraph.from_arrays(n, u, u + 1, np.full(len(u), weight, dtype=float))
+    return WeightedGraph.from_arrays(n, u, u + 1, np.ones(len(u)))
 
 
-def cycle_graph(n: int, weight: float = 1.0) -> WeightedGraph:
+def cycle_graph(n: int) -> WeightedGraph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     u = np.arange(n)
-    return WeightedGraph.from_arrays(n, u, (u + 1) % n, np.full(n, weight, dtype=float))
+    return WeightedGraph.from_arrays(n, u, (u + 1) % n, np.ones(n))
 
 
-def complete_graph(n: int, weight: float = 1.0) -> WeightedGraph:
+def complete_graph(n: int) -> WeightedGraph:
     u, v = np.triu_indices(n, 1)
-    return WeightedGraph.from_arrays(n, u, v, np.full(len(u), weight, dtype=float))
+    return WeightedGraph.from_arrays(n, u, v, np.ones(len(u)))
 
 
-def star_graph(n: int, weight: float = 1.0) -> WeightedGraph:
+def star_graph(n: int) -> WeightedGraph:
     """Center 0 joined to leaves 1..n-1."""
     v = np.arange(1, max(n, 1))
-    return WeightedGraph.from_arrays(n, np.zeros_like(v), v, np.full(len(v), weight, dtype=float))
+    return WeightedGraph.from_arrays(n, np.zeros_like(v), v, np.ones(len(v)))
 
 
 def random_graph(n: int, p: float, seed: int,
@@ -74,9 +74,9 @@ def _draw_rest(rng, n, p, edges, weights, measures, random_killing) -> WeightedG
     return WeightedGraph(n, edges, measure, killing)
 
 
-def integer_line(weight: float = 1.0) -> ProceduralGraph:
+def integer_line() -> ProceduralGraph:
     """The two-sided infinite path on the integers, unit measure."""
-    return ProceduralGraph(lambda x: [(x - 1, weight), (x + 1, weight)], max_degree=2)
+    return ProceduralGraph(lambda x: [(x - 1, 1.0), (x + 1, 1.0)], max_degree=2)
 
 
 def from_spec(spec: str) -> WeightedGraph:

@@ -198,18 +198,18 @@ def quadratic_form(graph, f: WeightedVector, h: WeightedVector):
     return _exact_sum(terms)
 
 
-def dense_matrices(graph, max_size: int = DENSE_SIZE_LIMIT):
+def dense_matrices(graph):
     """(A, M) with A[x, y] = <1_x, L 1_y> and M = diag(m), so L = M^-1 A."""
-    return _dense_form(graph, max_size), np.diag(graph.m)
+    return _dense_form(graph), np.diag(graph.m)
 
 
-def _dense_form(graph, max_size: int = DENSE_SIZE_LIMIT) -> np.ndarray:
+def _dense_form(graph) -> np.ndarray:
     """The A of :func:`dense_matrices` alone."""
     if not graph.is_finite:
         raise ValueError("dense form requires a finite graph")
     n = graph.n
-    if n > max_size:
-        raise ValueError(f"graph has {n} vertices, above the dense size limit {max_size}")
+    if n > DENSE_SIZE_LIMIT:
+        raise ValueError(f"graph has {n} vertices, above the dense size limit {DENSE_SIZE_LIMIT}")
     A = np.zeros((n, n))
     A[graph.rows, graph.cols] = -graph.w
     A[np.diag_indices(n)] = graph.diag

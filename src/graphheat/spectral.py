@@ -63,6 +63,7 @@ EIGENVALUE_DUST = 1e-10
 # room for eigh's rounding of lambda_max (about n eps ||A||) above the Gershgorin
 # bound, so that the route gate never skips a decomposition the choice needs
 GATE_ROUNDING = 1e-9
+MAX_TAYLOR_ORDER = 12  # the bundled ScalarFunctions tabulate derivatives 0..12
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,9 @@ class ScalarFunction:
 
     ``derivatives_at_zero[n]`` is the n-th derivative at 0 and
     ``next_derivative_bound`` is a sup-norm bound valid for the derivative
-    following the truncation order in use.  The bundled cosine and
-    exponential-decay constructors have every derivative bounded by 1, so the
-    single bound serves all orders.
+    following the truncation order in use.  The bundled constructors tabulate orders up
+    to MAX_TAYLOR_ORDER, a polynomial's up to its degree if higher; cosine and exponential
+    decay have every derivative bounded by 1, so the single bound serves all orders.
     """
 
     evaluator: Callable
@@ -120,18 +121,18 @@ class ScalarFunction:
             raise ValueError("derivative bound must be non-negative")
 
     @classmethod
-    def cosine(cls, max_order: int = 12):
-        derivs = tuple((1, 0, -1, 0)[n % 4] for n in range(max_order + 1))
+    def cosine(cls):
+        derivs = tuple((1, 0, -1, 0)[n % 4] for n in range(MAX_TAYLOR_ORDER + 1))
         return cls(math.cos, derivs, 1.0)
 
     @classmethod
-    def exp_decay(cls, max_order: int = 12):
+    def exp_decay(cls):
         """x -> e^-x on the non-negative axis, where every derivative has modulus <= e^0."""
-        derivs = tuple((-1.0) ** n for n in range(max_order + 1))
+        derivs = tuple((-1.0) ** n for n in range(MAX_TAYLOR_ORDER + 1))
         return cls(lambda s: math.exp(-s), derivs, 1.0)
 
     @classmethod
-    def polynomial(cls, coeffs, max_order: int = 12):
+    def polynomial(cls, coeffs):
         """sum_k coeffs[k] s^k; the derivative bound 0 is valid once the
         truncation order reaches the degree."""
         coeffs = tuple(float(c) for c in coeffs)
@@ -143,7 +144,7 @@ class ScalarFunction:
             return acc
 
         derivs = tuple(math.factorial(n) * (coeffs[n] if n < len(coeffs) else 0.0)
-                       for n in range(max_order + 1))
+                       for n in range(max(MAX_TAYLOR_ORDER, len(coeffs) - 1) + 1))
         return cls(ev, derivs, 0.0)
 
 

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import random_unit_vector, random_vector
 from graphheat import asymptotics
-from graphheat import (LaplacianOperator, ScalarFunction, WeightedGraph,
-                       WeightedVector, combinatorial_distance, decompose, heat_element,
-                       leading_exponent_fit, leading_moment_order, leading_term_check, moment,
-                       moment_table, pair_verification_reports, path_graph,
-                       random_connected_graph, semigroup_bound, taylor_bound,
-                       unitary_bound, vanishing_order_check,
-                       varadhan_diagnostic, verification_reports, wave_element)
+from graphheat import (INFINITE, LaplacianOperator, ScalarFunction, WeightedGraph,
+                       WeightedVector, combinatorial_distance, cycle_graph, decompose,
+                       heat_element, integer_line, leading_exponent_fit, leading_moment_order,
+                       leading_term_check, moment, moment_table, pair_verification_reports,
+                       path_graph, random_connected_graph, semigroup_bound, taylor_bound,
+                       unitary_bound, vanishing_order_check, varadhan_diagnostic,
+                       verification_reports, wave_element)
+from graphheat.moments import PairRows
 from graphheat.spectral import select_route
 
 
@@ -49,6 +50,19 @@ def test_taylor_bound_polynomial_is_tight():
         assert rep.rhs == 0.0
         scale = max(1.0, dec.largest_eigenvalue ** 4)
         assert rep.lhs <= 1e-12 * scale
+
+
+def test_a_polynomial_past_the_tabulated_orders_is_tabulated_through_its_degree():
+    # degree 14 is above MAX_TAYLOR_ORDER, so the remainder bound 0 holds at order 14 only
+    coeffs = [(-1) ** k / math.factorial(k) for k in range(15)]
+    func = ScalarFunction.polynomial(coeffs)
+    assert len(func.derivatives_at_zero) == 15
+    g = random_connected_graph(6, 0.5, 1)
+    dec = decompose(g)
+    rep = taylor_bound(dec, func, random_vector(g, 1), random_vector(g, 51), 14)
+    assert rep.rhs == 0.0
+    top = dec.largest_eigenvalue
+    assert rep.lhs <= 1e-12 * sum(abs(c) * top ** k for k, c in enumerate(coeffs))
 
 
 def test_taylor_bound_zero_vectors():
@@ -196,6 +210,49 @@ def test_pair_reports_all_pass_on_random_graphs():
             for y in range(x, g.n):
                 for rep in pair_verification_reports(g, x, y, ts):
                     assert rep.passed, (seed, x, y, rep)
+
+
+@st.composite
+def _killing_graphs(draw):
+    """Weights and measures over 1e-3..1e3 with killing at some vertices, or the integer line."""
+    if draw(st.booleans()):
+        return integer_line()
+    n = draw(st.integers(2, 7))
+    spread = st.floats(-3, 3)
+    edges = {(min(u, v), max(u, v)): 10.0 ** e for u, v, e in draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), spread), max_size=2 * n))
+        if u != v}
+    measure = [10.0 ** e for e in draw(st.lists(spread, min_size=n, max_size=n))]
+    killing = [0.0 if e is None else 10.0 ** e for e in draw(
+        st.lists(st.one_of(st.none(), spread), min_size=n, max_size=n))]
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()], measure, killing)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_killing_graphs(), st.lists(st.floats(-4, math.log10(0.5)), min_size=1, max_size=3))
+def test_semigroup_and_heat_leading_certificates_are_one_array(graph, exponents):
+    # the leading moment at the hop distance n has sign (-1)^n, so |h - (-1)^n lead| is
+    # |h - |lead||; on the line every hop distance is read under a cutoff
+    ts = [10.0 ** e for e in exponents]
+    ends = range(-9, 10) if not graph.is_finite else graph.vertices
+    triples = [(x, y, d) for x in (0, 1) for y in ends
+               if (d := combinatorial_distance(graph, x, y, cutoff=12)) != INFINITE]
+    for block, lhs, _ in asymptotics.verification_blocks(graph, triples, ts):
+        assert lhs[..., 2].tobytes() == lhs[..., 0].tobytes()
+        for (x, y, d), heat in zip(block, lhs[..., 0]):
+            alone = np.array([semigroup_bound(graph, x, y, t, d).lhs for t in ts])
+            assert alone.tobytes() == heat.tobytes(), (x, y, d)
+
+
+def test_the_certificates_agree_where_the_leading_moment_underflows():
+    graph, ts = cycle_graph(1100), [0.1, 1.0, 10.0]
+    rows = PairRows(graph, [(0, 540)])
+    assert rows.floats(0, 540)[0] == 0.0  # 4^-540 of the one path's 1
+    lhs, _ = asymptotics._order_reports(rows, slice(None), [540], ts,
+                                        [select_route(rows, t, "auto") for t in ts])
+    assert lhs[0, :, 2].tobytes() == lhs[0, :, 0].tobytes()
+    alone = np.array([semigroup_bound(graph, 0, 540, t, 540).lhs for t in ts])
+    assert alone.tobytes() == lhs[0, :, 0].tobytes()
 
 
 def test_reports_choose_the_route_once_per_time(monkeypatch):
@@ -369,8 +426,6 @@ def test_bound_report_margin_and_passed():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda g: pair_verification_reports(g, 0, 1, [0.1], which=("heat",)),
-     "unknown report tag 'heat'"),
     (lambda g: leading_exponent_fit(g, 0, 1, group="wavelet"), "unknown group 'wavelet'"),
     (lambda g: moment_table(LaplacianOperator(g), 0, 1, -1), "order must be non-negative"),
     (lambda g: leading_moment_order(LaplacianOperator(g), 0, 1, -1),
@@ -378,7 +433,7 @@ def test_bound_report_margin_and_passed():
     (lambda g: semigroup_bound(g, 0, 1, 0.1, -1), "order must be non-negative"),
     (lambda g: taylor_bound(decompose(g), ScalarFunction.cosine(), WeightedVector.basis(g, 0),
                             WeightedVector.basis(g, 1), -1), "order must be non-negative"),
-], ids=["tag", "group", "moment_table", "leading_moment_order", "semigroup", "taylor"])
+], ids=["group", "moment_table", "leading_moment_order", "semigroup", "taylor"])
 def test_unknown_names_and_negative_orders_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call(path_graph(3))

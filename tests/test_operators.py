@@ -7,6 +7,7 @@ from conftest import random_vector
 from graphheat import (LaplacianOperator, WeightedGraph, WeightedVector,
                        dense_matrices, inner, integer_line, path_graph, quadratic_form,
                        random_connected_graph, star_graph)
+from graphheat.operators import DENSE_SIZE_LIMIT
 
 
 def test_inner_basis_vectors():
@@ -227,9 +228,9 @@ def test_dense_matrices_match_apply():
 
 
 def test_dense_size_limit():
-    g = star_graph(6)
-    with pytest.raises(ValueError, match="dense size limit"):
-        dense_matrices(g, max_size=5)
+    # raises before allocating the (n, n) array
+    with pytest.raises(ValueError, match=f"above the dense size limit {DENSE_SIZE_LIMIT}"):
+        dense_matrices(star_graph(DENSE_SIZE_LIMIT + 1))
 
 
 def test_array_form_requires_a_finite_graph():

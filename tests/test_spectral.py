@@ -434,7 +434,7 @@ def test_decompose_is_the_eigh_of_the_symmetrized_dense_form(spec):
 def test_the_eigen_route_keeps_the_projection_on_the_null_space_at_large_t(g):
     # at large t, e^{-tL} projects onto the constants of each component without killing:
     # eigh leaves their null eigenvalues at rounding size, so e^{-t lambda} decayed there
-    mpmath = pytest.importorskip("mpmath")
+    import mpmath
     A, M = dense_matrices(g)
     with mpmath.workdps(40):
         L = mpmath.matrix((A / np.diag(M)[:, None]).tolist())
